@@ -24,13 +24,13 @@ from .decidable import (check_dqo, check_dqo_bounded, check_dso,
                         separated_reflection)
 from .errors import (AxiomPrereqFailed, ParseError, ToposError,
                      DEFAULT_SIZE_CAP)
-from .files import (parse_presheaf_file, presheaf_to_text, resolve_base)
+from .files import parse_presheaf_file, resolve_base
 from .forcing import (PresheafSort, parse_formula,
                       pneumoconnected_countermodel, universally_valid)
 from .fincat import catalog_entries
 from .harness import (lemma_report, props_report, search_counterexample,
                       PROPERTIES, SEARCHES)
-from .precohesion import (check_precohesive, theorem_ab_harness,
+from .precohesion import (check_precohesive, require_ns, theorem_ab_harness,
                           theorem_c_harness)
 from .sublattice import complemented_subobjects
 
@@ -220,7 +220,7 @@ def _axiom_cmd(args, name, per_object, bounded) -> int:
         r = per_object(X, args.cap)
     else:
         rep = Report(name, C.name, _bounds_label(args.bound, C))
-        r = bounded(C, args.bound, args.cap)
+        r = bounded(enumerate_presheaves(C, args.bound, args.cap))
     rep.verdict(r.verdict)
     rep.witness(r.witness)
     rep.recheck("fptopos %s --base %s%s" % (
@@ -242,7 +242,7 @@ def _cmd_check_dso(args) -> int:
 def _cmd_dec_topos(args) -> int:
     C = resolve_base(args.base)
     rep = Report("dec-topos", C.name, _bounds_label(args.bound, C))
-    r = dec_is_topos_check(C, args.bound, args.cap)
+    r = dec_is_topos_check(enumerate_presheaves(C, args.bound, args.cap))
     rep.verdict("agree" if r.agree() else "disagree")
     rep.detail("monos_complemented", r.left)
     rep.detail("pi_epic_on_dense", r.right)
@@ -255,7 +255,7 @@ def _cmd_dec_topos(args) -> int:
 def _cmd_precohesion(args) -> int:
     C = resolve_base(args.base)
     rep = Report("precohesion", C.name, _bounds_label(args.bound, C))
-    r = check_precohesive(C, args.bound, args.cap)
+    r = check_precohesive(enumerate_presheaves(C, args.bound, args.cap))
     if not r.applicable:
         rep.verdict("not-applicable")
         rep.detail("failed_prereq", r.failed_prereq)
@@ -276,8 +276,11 @@ def _cmd_verify(args) -> int:
                  _bounds_label(args.bound, C))
     ok = False
     try:
+        if args.theorem in ("A", "B", "C"):
+            require_ns(C)  # decided on the base alone, before enumerating
+        corpus = enumerate_presheaves(C, args.bound, args.cap)
         if args.theorem in ("A", "B"):
-            r = theorem_ab_harness(C, args.bound, args.cap)
+            r = theorem_ab_harness(corpus)
             rep.detail("checks", r.checks)
             if args.theorem == "A":
                 ok = r.checks["pi_left_adjoint"] and \
@@ -286,26 +289,25 @@ def _cmd_verify(args) -> int:
                 ok = r.checks["exponential_ideal"] and \
                     r.checks["reflective_implies_dqo"]
         elif args.theorem == "C":
-            r = theorem_c_harness(C, args.bound, args.cap)
+            r = theorem_c_harness(corpus)
             rep.detail("axioms_hold", r.left)
             rep.detail("precohesive", r.right)
             rep.detail("checks", {k: v for k, v in r.checks.items()
                                   if k != "precohesion"})
             ok = r.agree()
         elif args.theorem == "D":
-            r = dec_is_topos_check(C, args.bound, args.cap)
+            r = dec_is_topos_check(corpus)
             rep.detail("monos_complemented", r.left)
             rep.detail("pi_epic_on_dense", r.right)
             ok = r.agree()
         elif args.theorem == "lemma":
-            r = lemma_report(C, args.bound, args.cap, jobs=args.jobs)
+            r = lemma_report(corpus)
             rep.detail("pairs_checked", r.checked)
             rep.witness(r.witness)
             ok = r.holds
         elif args.theorem == "props":
             names = args.props.split(",") if args.props else None
-            results = props_report(C, args.bound, args.cap, names,
-                                   jobs=args.jobs)
+            results = props_report(corpus, names)
             rep.detail("properties", {r.name: r.holds for r in results})
             for r in results:
                 rep.witness(r.witness)
@@ -325,7 +327,8 @@ def _cmd_search(args) -> int:
     rep = Report("search-counterexample", C.name,
                  _bounds_label(args.bound, C))
     rep.detail("property", args.property)
-    w = search_counterexample(args.property, C, args.bound, args.cap)
+    w = search_counterexample(args.property,
+                              enumerate_presheaves(C, args.bound, args.cap))
     if w is None:
         rep.verdict("none")
     else:
@@ -400,10 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-stage size cap")
         p.add_argument("--format", choices=("text", "json"),
                        default="text")
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("FPTOPOS_JOBS", "1")),
-                       help="parallelism degree (default $FPTOPOS_JOBS "
-                            "or 1)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; checks run "
+                            "sequentially")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the report")
         return p

@@ -5,14 +5,16 @@ base category's generating morphisms and discarding assignments that break
 functoriality.  Isomorphism pruning is by canonical form: the minimum of
 the relabeled action tables over all stage-wise permutations, after a
 first cut on the stage cardinality vector.  The enumeration order is fully
-deterministic, so regeneration is bit-identical.
+deterministic, so regeneration is bit-identical.  The result is a
+`Corpus` session that every corpus-quantified check of one command shares.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
 
+from .decidable import is_decidable
 from .errors import SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import Presheaf, PresheafError, make_from_generators
@@ -45,14 +47,25 @@ def canonical_key(X: Presheaf):
     return (X.size_vector(), best)
 
 
-@dataclass
-class CorpusIndex:
-    """All presheaves over a base up to isomorphism within stage bounds."""
+class Corpus:
+    """One session over all presheaves on a base up to isomorphism within
+    stage bounds.
 
-    base: FinCategory
-    bounds: dict[str, int]
-    presheaves: list[Presheaf] = field(default_factory=list)
-    counts: dict[tuple, int] = field(default_factory=dict)
+    Per-object facts (Π, decidability, the DQO and DSO reports) are
+    memoized by corpus index, so each is computed once per session
+    however many checks ask for it.  The memo is plain shared state: a
+    session is used from one thread.
+    """
+
+    def __init__(self, base: FinCategory, bounds: dict[str, int],
+                 presheaves: list[Presheaf], cap: int = DEFAULT_SIZE_CAP):
+        self.base = base
+        self.bounds = bounds
+        self.cap = cap
+        self.presheaves = presheaves
+        self.counts = Counter(X.size_vector() for X in presheaves)
+        self._index = {X: i for i, X in enumerate(presheaves)}
+        self._facts: dict[tuple, object] = {}
 
     def __iter__(self):
         return iter(self.presheaves)
@@ -60,9 +73,28 @@ class CorpusIndex:
     def __len__(self):
         return len(self.presheaves)
 
+    def __getitem__(self, i):
+        return self.presheaves[i]
+
     def bound_label(self) -> str:
         return ",".join("%s<=%d" % (c, self.bounds[c])
                         for c in self.base.objects)
+
+    def fact(self, check, X: Presheaf):
+        """check(X, cap), memoized by corpus index when X is a corpus
+        object (keyed by the check too, so a replaced check is re-run);
+        computed afresh for any other presheaf."""
+        i = self._index.get(X)
+        if i is None:
+            return check(X, self.cap)
+        key = (check, i)
+        if key not in self._facts:
+            self._facts[key] = check(X, self.cap)
+        return self._facts[key]
+
+    def decidables(self) -> list[Presheaf]:
+        """The decidable corpus objects, in corpus order."""
+        return [X for X in self if self.fact(is_decidable, X)]
 
 
 def _norm_bounds(C: FinCategory, bounds) -> dict[str, int]:
@@ -102,9 +134,10 @@ def _candidates(C: FinCategory, sizes: dict[str, int]):
 
 
 def enumerate_presheaves(C: FinCategory, bounds,
-                         cap: int = DEFAULT_SIZE_CAP) -> CorpusIndex:
-    """All presheaves with stage sizes within the bounds, one canonical
-    representative per isomorphism class, in deterministic order."""
+                         cap: int = DEFAULT_SIZE_CAP) -> Corpus:
+    """The session over all presheaves with stage sizes within the
+    bounds, one canonical representative per isomorphism class, in
+    deterministic order."""
     b = _norm_bounds(C, bounds)
     for c in C.objects:
         if b[c] > cap:
@@ -117,12 +150,7 @@ def enumerate_presheaves(C: FinCategory, bounds,
             key = canonical_key(X)
             if key not in seen:
                 seen[key] = X
-    ordered = sorted(seen.items(), key=lambda kv: kv[0])
-    index = CorpusIndex(C, b)
-    counts: dict[tuple, int] = {}
-    for i, (key, X) in enumerate(ordered):
+    ordered = [X for _key, X in sorted(seen.items(), key=lambda kv: kv[0])]
+    for i, X in enumerate(ordered):
         X.name = "X%d" % i
-        index.presheaves.append(X)
-        counts[key[0]] = counts.get(key[0], 0) + 1
-    index.counts = counts
-    return index
+    return Corpus(C, b, ordered, cap)

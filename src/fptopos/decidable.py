@@ -8,16 +8,19 @@ congruence enumeration, and the ¬¬-separated reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .corpus import enumerate_presheaves
 from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, factor_through, global_elements,
-                       identity_nat, is_epi, is_isomorphic, make_presheaf,
-                       nat_transformations, pel, product, quotient_by_pairs,
-                       sub_presheaf, subfunctors, terminal, two, yoneda)
+                       is_epi, make_presheaf, nat_transformations, pel,
+                       product, quotient_by_pairs, sub_presheaf, subfunctors,
+                       two, yoneda)
 from .sublattice import (Subobject, complemented_subobjects, is_complemented,
                          is_nn_dense_arrow, nn_closure)
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 
 @dataclass(eq=False)
@@ -102,17 +105,15 @@ def check_ns(C: FinCategory) -> AxiomReport:
     return AxiomReport("NS", "holds")
 
 
-def ns_brute_force(C: FinCategory, bounds,
-                   cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
+def ns_brute_force(corpus: Corpus) -> AxiomReport:
     """Bounded falsifier companion to check_ns: search the corpus for a
     nonempty presheaf without global elements."""
-    index = enumerate_presheaves(C, bounds, cap)
-    for X in index:
+    for X in corpus:
         if not X.is_empty() and not global_elements(X):
             return AxiomReport("NS", "fails",
                                {"presheaf": presheaf_snippet(X)},
-                               index.bound_label())
-    return AxiomReport("NS", "holds-at-bound", None, index.bound_label())
+                               corpus.bound_label())
+    return AxiomReport("NS", "holds-at-bound", None, corpus.bound_label())
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +252,27 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
                                    for R, _Q in witnesses]})
 
 
-def check_dqo_bounded(C: FinCategory, bounds,
-                      cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
-    """DQO over all presheaves up to iso within the bounds."""
-    index = enumerate_presheaves(C, bounds, cap)
-    for X in index:
-        report = check_dqo(X, cap)
+def first_failure(corpus: Corpus, check) -> AxiomReport | None:
+    """The report of the first corpus object at which the per-object
+    axiom check fails, or None if it holds throughout."""
+    for X in corpus:
+        report = corpus.fact(check, X)
         if not report.holds():
-            report.verdict = "fails"
-            report.bound = index.bound_label()
             return report
-    return AxiomReport("DQO", "holds-at-bound", None, index.bound_label())
+    return None
+
+
+def _check_bounded(corpus: Corpus, axiom: str, check) -> AxiomReport:
+    failure = first_failure(corpus, check)
+    if failure is None:
+        return AxiomReport(axiom, "holds-at-bound", None,
+                           corpus.bound_label())
+    return AxiomReport(axiom, "fails", failure.witness, corpus.bound_label())
+
+
+def check_dqo_bounded(corpus: Corpus) -> AxiomReport:
+    """DQO over all presheaves up to iso within the bounds."""
+    return _check_bounded(corpus, "DQO", check_dqo)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +304,9 @@ def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
                                   for p in candidates]})
 
 
-def check_dso_bounded(C: FinCategory, bounds,
-                      cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
-    index = enumerate_presheaves(C, bounds, cap)
-    for X in index:
-        report = check_dso(X, cap)
-        if not report.holds():
-            report.verdict = "fails"
-            report.bound = index.bound_label()
-            return report
-    return AxiomReport("DSO", "holds-at-bound", None, index.bound_label())
-
-
-def dso_subobject(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Subobject:
-    """The unique DSO subobject of X; raises if DSO fails at X."""
-    report = check_dso(X, cap)
-    if not report.holds():
-        raise PresheafError("DSOFails", "DSO fails at %r" % (X.name or "X"))
-    return Subobject(X, {c: frozenset(report.witness["subobject"][c])
-                         for c in X.base.objects})
+def check_dso_bounded(corpus: Corpus) -> AxiomReport:
+    """DSO over all presheaves up to iso within the bounds."""
+    return _check_bounded(corpus, "DSO", check_dso)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +351,14 @@ class TwoSidedReport:
                 "details": self.details}
 
 
-def dec_is_topos_check(C: FinCategory, bounds,
-                       cap: int = DEFAULT_SIZE_CAP) -> TwoSidedReport:
+def dec_is_topos_check(corpus: Corpus) -> TwoSidedReport:
     """Compare, over the corpus: (left) every mono between decidable
     objects is complemented; (right) Π(f) is epic for every ¬¬-dense
     corpus arrow f."""
-    index = enumerate_presheaves(C, bounds, cap)
+    C, cap = corpus.base, corpus.cap
     left = True
     left_witness = None
-    for X in index:
-        if not is_decidable(X, cap):
-            continue
+    for X in corpus.decidables():
         for parts in subfunctors(X, cap):
             if not is_complemented(Subobject(X, parts)):
                 left = False
@@ -379,13 +371,13 @@ def dec_is_topos_check(C: FinCategory, bounds,
 
     right = True
     right_witness = None
-    pis = {id(X): pi(X, cap) for X in index}
-    for X in index:
-        for Y in index:
+    for X in corpus:
+        for Y in corpus:
             for f in nat_transformations(X, Y):
                 if not is_nn_dense_arrow(f):
                     continue
-                pf = pi_arrow(f, cap, pis[id(X)], pis[id(Y)])
+                pf = pi_arrow(f, cap, corpus.fact(pi, X),
+                              corpus.fact(pi, Y))
                 if not is_epi(pf):
                     right = False
                     right_witness = {"dom": presheaf_snippet(X),
@@ -402,15 +394,4 @@ def dec_is_topos_check(C: FinCategory, bounds,
     if right_witness:
         details["dense_arrow_with_nonepic_pi"] = right_witness
     return TwoSidedReport("dec-is-topos", left, right, details,
-                          index.bound_label())
-
-
-# ---------------------------------------------------------------------------
-# convenience predicates used by harnesses
-
-def decidable_objects(index) -> list[Presheaf]:
-    return [X for X in index if is_decidable(X)]
-
-
-def epis_between(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
-    return [f for f in nat_transformations(X, Y) if is_epi(f)]
+                          corpus.bound_label())

@@ -18,27 +18,31 @@ Presheaf file (.psh)::
     stage <object> [<elem> ...]
     action <morphism> <elem> <image>     # at least every generator
 
-Blank lines and ``#`` comments are allowed anywhere.
+Element ids may not contain any of the characters ``( ) , | [ ] { } ; : >``,
+from which the engine builds the ids of constructed elements.  Blank
+lines and ``#`` comments are allowed anywhere.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 from .errors import ParseError
 from .fincat import FinCategory, catalog, catalog_entries, validate_category
-from .presheaf import Presheaf, make_from_generators, validate_presheaf
+from .presheaf import (RESERVED_ID_CHARS, Presheaf, make_from_generators,
+                       validate_presheaf)
 
 
 def _lines(text: str):
-    """Significant lines as (line_number, first_word_column, fields)."""
+    """Significant lines as (line_number, field_columns, fields)."""
     out = []
     for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
-        if not body.strip():
-            continue
-        col = len(body) - len(body.lstrip()) + 1
-        out.append((i, col, body.split()))
+        found = list(re.finditer(r"\S+", body))
+        if found:
+            out.append((i, [m.start() + 1 for m in found],
+                        [m.group() for m in found]))
     return out
 
 
@@ -68,7 +72,8 @@ def parse_category_text(text: str) -> FinCategory:
     identities: dict[str, str] = {}
     morphisms: list[list[str]] = []
     composition: list[list[str]] = []
-    for line, col, fields in _lines(text):
+    for line, cols, fields in _lines(text):
+        col = cols[0]
         kw = fields[0]
         if kw == "category":
             if len(fields) != 2:
@@ -139,7 +144,8 @@ def parse_presheaf_text(text: str, path: str | None = None,
     sets: dict[str, list[str]] = {}
     actions: dict[str, dict[str, str]] = {}
     positions: dict[str, tuple[int, int]] = {}
-    for line, col, fields in _lines(text):
+    for line, cols, fields in _lines(text):
+        col = cols[0]
         kw = fields[0]
         if kw == "presheaf":
             if len(fields) != 2:
@@ -152,6 +158,11 @@ def parse_presheaf_text(text: str, path: str | None = None,
         elif kw == "stage":
             if len(fields) < 2:
                 _fail("expected: stage <object> [<elem> ...]", line, col)
+            for elem, elem_col in zip(fields[2:], cols[2:]):
+                if any(ch in RESERVED_ID_CHARS for ch in elem):
+                    _fail("element id %r contains a reserved character "
+                          "(one of %s)" % (elem, " ".join(RESERVED_ID_CHARS)),
+                          line, elem_col)
             sets.setdefault(fields[1], []).extend(fields[2:])
         elif kw == "action":
             if len(fields) != 4:

@@ -8,20 +8,18 @@ stage-size-lexicographically minimal by construction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .corpus import enumerate_presheaves
-from .decidable import (check_dqo, check_dso, is_connected, is_decidable,
-                        pi, presheaf_snippet, separated_reflection,
-                        subobject_snippet)
+from .corpus import Corpus
+from .decidable import (check_dqo, check_dso, first_failure, is_connected,
+                        is_decidable, pi, presheaf_snippet,
+                        separated_reflection)
 from .errors import UnknownName, DEFAULT_SIZE_CAP
-from .fincat import FinCategory
 from .forcing import has_pneumoconnected_fibers, pc_object
 from .presheaf import (NatTrans, Presheaf, exponential, factor_through,
                        global_elements, inclusion_of, is_epi, is_isomorphic,
                        nat_transformations, pairing, product, pullback,
-                       terminal, two)
+                       sub_presheaf, subfunctors, terminal, two)
 from .sublattice import complemented_subobjects
 
 
@@ -40,15 +38,6 @@ class PropertyResult:
         return {"name": self.name, "base": self.base, "bound": self.bound,
                 "holds": self.holds, "checked": self.checked,
                 "witness": self.witness}
-
-
-def _run_items(items, worker, jobs: int = 1):
-    """Evaluate worker over items, optionally on a thread pool; results
-    are re-sorted into input order so parallelism cannot change output."""
-    if jobs <= 1:
-        return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
 
 
 # ---------------------------------------------------------------------------
@@ -84,50 +73,50 @@ def epi_conditions(q: NatTrans, decidables: list[Presheaf],
     return cond_i, cond_ii, cond_iii
 
 
-def lemma_report(C: FinCategory, bounds, cap: int = DEFAULT_SIZE_CAP,
-                 jobs: int = 1) -> PropertyResult:
+def _search_lemma(corpus: Corpus) -> dict | None:
+    """The first epi between corpus objects at which the three fiber
+    conditions disagree."""
+    cap = corpus.cap
+    decidables = corpus.decidables()
+    for X in corpus:
+        pcx = None
+        for Y in corpus:
+            for q in nat_transformations(X, Y):
+                if not is_epi(q):
+                    continue
+                if pcx is None:
+                    # reuse the P_c(X) object across epis out of X
+                    pcx = pc_object(X, cap)
+                i, ii, iii = epi_conditions(q, decidables, cap, pcx)
+                if not (i == ii == iii):
+                    return {"dom": presheaf_snippet(X),
+                            "cod": presheaf_snippet(Y),
+                            "epi": {c: dict(q.components[c])
+                                    for c in X.base.objects},
+                            "conditions": [i, ii, iii]}
+    return None
+
+
+def lemma_report(corpus: Corpus) -> PropertyResult:
     """Check that the three fiber conditions agree for every epi between
     corpus objects."""
-    index = enumerate_presheaves(C, bounds, cap)
-    objs = list(index)
-    decidables = [X for X in objs if is_decidable(X, cap)]
-    pairs = [(X, Y) for X in objs for Y in objs]
-
-    def worker(pair):
-        X, Y = pair
-        pcx = None
-        for q in nat_transformations(X, Y):
-            if not is_epi(q):
-                continue
-            if pcx is None:
-                # reuse the P_c(X) object across epis out of X
-                pcx = pc_object(X, cap)
-            i, ii, iii = epi_conditions(q, decidables, cap, pcx)
-            if not (i == ii == iii):
-                return {"dom": presheaf_snippet(X),
-                        "cod": presheaf_snippet(Y),
-                        "epi": {c: dict(q.components[c])
-                                for c in C.objects},
-                        "conditions": [i, ii, iii]}
-        return None
-
-    results = _run_items(pairs, worker, jobs)
-    witness = next((r for r in results if r is not None), None)
-    return PropertyResult("lemma-equivalences", C.name,
-                          index.bound_label(), witness is None,
-                          len(pairs), witness)
+    witness = _search_lemma(corpus)
+    return PropertyResult("lemma-equivalences", corpus.base.name,
+                          corpus.bound_label(), witness is None,
+                          len(corpus) ** 2, witness)
 
 
 # ---------------------------------------------------------------------------
 # the standard property battery
 
-def _prop_pi_structure(C, objs, cap):
+def _prop_pi_structure(corpus: Corpus):
     """Π idempotence, Π(1) ≅ 1, ΠX ≅ 0 ⇔ X ≅ 0."""
-    one = terminal(C)
+    cap = corpus.cap
+    one = terminal(corpus.base)
     if not is_isomorphic(pi(one, cap).quotient, one):
         return {"object": "1"}
-    for X in objs:
-        Q = pi(X, cap).quotient
+    for X in corpus:
+        Q = corpus.fact(pi, X).quotient
         if not is_isomorphic(pi(Q, cap).quotient, Q):
             return {"object": presheaf_snippet(X), "failed": "idempotence"}
         if Q.is_empty() != X.is_empty():
@@ -135,19 +124,20 @@ def _prop_pi_structure(C, objs, cap):
     return None
 
 
-def _prop_connected_iff_pi_one(C, objs, cap):
-    one = terminal(C)
-    for X in objs:
-        lhs = is_connected(X, cap)
-        rhs = is_isomorphic(pi(X, cap).quotient, one)
+def _prop_connected_iff_pi_one(corpus: Corpus):
+    one = terminal(corpus.base)
+    for X in corpus:
+        lhs = is_connected(X, corpus.cap)
+        rhs = is_isomorphic(corpus.fact(pi, X).quotient, one)
         if lhs != rhs:
             return {"object": presheaf_snippet(X),
                     "connected": lhs, "pi_terminal": rhs}
     return None
 
 
-def _prop_connected_products(C, objs, cap):
-    connected = [X for X in objs if is_connected(X, cap)]
+def _prop_connected_products(corpus: Corpus):
+    cap = corpus.cap
+    connected = [X for X in corpus if is_connected(X, cap)]
     for X in connected:
         for Y in connected:
             P, _p1, _p2 = product(X, Y, cap)
@@ -157,29 +147,31 @@ def _prop_connected_products(C, objs, cap):
     return None
 
 
-def _prop_pi_products(C, objs, cap):
-    for X in objs:
-        for Y in objs:
+def _prop_pi_products(corpus: Corpus):
+    cap = corpus.cap
+    for X in corpus:
+        for Y in corpus:
             P, _p1, _p2 = product(X, Y, cap)
             lhs = pi(P, cap).quotient
-            rhs, _q1, _q2 = product(pi(X, cap).quotient,
-                                    pi(Y, cap).quotient, cap)
+            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
+                                    corpus.fact(pi, Y).quotient, cap)
             if not is_isomorphic(lhs, rhs):
                 return {"left": presheaf_snippet(X),
                         "right": presheaf_snippet(Y)}
     return None
 
 
-def _prop_pneumo_fibers_connected(C, objs, cap):
+def _prop_pneumo_fibers_connected(corpus: Corpus):
     """If f has pneumoconnected fibers then no fiber over a global point
     has a nontrivial complemented subobject."""
-    for X in objs:
-        for Y in objs:
+    cap = corpus.cap
+    for X in corpus:
+        for Y in corpus:
             arrows = nat_transformations(X, Y)
             if not arrows:
                 continue
             points = global_elements(Y)
-            pcx = pc_object(X, cap) if arrows else None
+            pcx = pc_object(X, cap)
             for f in arrows:
                 if not has_pneumoconnected_fibers(f, cap, pcx):
                     continue
@@ -189,16 +181,17 @@ def _prop_pneumo_fibers_connected(C, objs, cap):
                         return {"dom": presheaf_snippet(X),
                                 "cod": presheaf_snippet(Y),
                                 "point": {c: b.apply(c, "*")
-                                          for c in C.objects}}
+                                          for c in corpus.base.objects}}
     return None
 
 
-def _prop_pneumo_product_closed(C, objs, cap):
+def _prop_pneumo_product_closed(corpus: Corpus):
     """f, g with pneumoconnected fibers ⇒ f×g has pneumoconnected
     fibers (epis only, to keep the arrow space small)."""
+    cap = corpus.cap
     epis = []
-    for X in objs:
-        for Y in objs:
+    for X in corpus:
+        for Y in corpus:
             for f in nat_transformations(X, Y):
                 if is_epi(f) and has_pneumoconnected_fibers(f, cap):
                     epis.append(f)
@@ -213,15 +206,16 @@ def _prop_pneumo_product_closed(C, objs, cap):
     return None
 
 
-def _prop_pneumo_pullback_closed(C, objs, cap):
+def _prop_pneumo_pullback_closed(corpus: Corpus):
     """Any pullback of an epi with pneumoconnected fibers again has
     pneumoconnected fibers."""
-    for X in objs:
-        for Y in objs:
+    cap = corpus.cap
+    for X in corpus:
+        for Y in corpus:
             for f in nat_transformations(X, Y):
                 if not (is_epi(f) and has_pneumoconnected_fibers(f, cap)):
                     continue
-                for Z in objs:
+                for Z in corpus:
                     for g in nat_transformations(Z, Y):
                         _P, pr1, _pr2 = pullback(g, f)
                         if not has_pneumoconnected_fibers(pr1, cap):
@@ -231,17 +225,18 @@ def _prop_pneumo_pullback_closed(C, objs, cap):
     return None
 
 
-def _prop_separated_reflection_pneumo(C, objs, cap):
-    for X in objs:
-        _M, m = separated_reflection(X, cap)
-        if not has_pneumoconnected_fibers(m, cap):
+def _prop_separated_reflection_pneumo(corpus: Corpus):
+    for X in corpus:
+        _M, m = separated_reflection(X, corpus.cap)
+        if not has_pneumoconnected_fibers(m, corpus.cap):
             return {"object": presheaf_snippet(X)}
     return None
 
 
-def _prop_exponential_ideal(C, objs, cap):
-    decidables = [Y for Y in objs if is_decidable(Y, cap)]
-    for X in objs:
+def _prop_exponential_ideal(corpus: Corpus):
+    cap = corpus.cap
+    decidables = corpus.decidables()
+    for X in corpus:
         for Y in decidables:
             if not is_decidable(exponential(X, Y, cap), cap):
                 return {"exponent": presheaf_snippet(X),
@@ -249,16 +244,16 @@ def _prop_exponential_ideal(C, objs, cap):
     return None
 
 
-def _prop_decidable_closure(C, objs, cap):
+def _prop_decidable_closure(corpus: Corpus):
     """Decidables are closed under subobjects and binary products."""
-    from .presheaf import subfunctors, sub_presheaf
-    decidables = [X for X in objs if is_decidable(X, cap)]
+    cap = corpus.cap
+    decidables = corpus.decidables()
     for X in decidables:
         for parts in subfunctors(X, cap):
             if not is_decidable(sub_presheaf(X, parts), cap):
                 return {"object": presheaf_snippet(X),
                         "subobject": {c: sorted(parts[c])
-                                      for c in C.objects}}
+                                      for c in corpus.base.objects}}
         for Y in decidables:
             P, _p1, _p2 = product(X, Y, cap)
             if not is_decidable(P, cap):
@@ -281,61 +276,49 @@ PROPERTIES = {
 }
 
 
-def props_report(C: FinCategory, bounds, cap: int = DEFAULT_SIZE_CAP,
-                 names: list[str] | None = None,
-                 jobs: int = 1) -> list[PropertyResult]:
+def props_report(corpus: Corpus,
+                 names: list[str] | None = None) -> list[PropertyResult]:
     """Run the named property checks (all by default) over the corpus."""
-    index = enumerate_presheaves(C, bounds, cap)
-    objs = list(index)
     selected = names if names is not None else sorted(PROPERTIES)
     for n in selected:
         if n not in PROPERTIES:
             raise UnknownName("unknown property %r (have: %s)"
                               % (n, ", ".join(sorted(PROPERTIES))))
-
-    def worker(n):
-        witness = PROPERTIES[n](C, objs, cap)
-        return PropertyResult(n, C.name, index.bound_label(),
-                              witness is None, len(objs), witness)
-
-    return _run_items(selected, worker, jobs)
+    results = []
+    for n in selected:
+        witness = PROPERTIES[n](corpus)
+        results.append(PropertyResult(n, corpus.base.name,
+                                      corpus.bound_label(), witness is None,
+                                      len(corpus), witness))
+    return results
 
 
 # ---------------------------------------------------------------------------
 # counterexample search
 
-def _search_dqo(C, objs, cap):
-    for X in objs:
-        r = check_dqo(X, cap)
-        if not r.holds():
-            return r.witness
-    return None
+def _search_dqo(corpus: Corpus):
+    failure = first_failure(corpus, check_dqo)
+    return None if failure is None else failure.witness
 
 
-def _search_dso(C, objs, cap):
-    for X in objs:
-        r = check_dso(X, cap)
-        if not r.holds():
-            return r.witness
-    return None
+def _search_dso(corpus: Corpus):
+    failure = first_failure(corpus, check_dso)
+    return None if failure is None else failure.witness
 
 
-def _search_pneumo_pi(C, objs, cap):
-    for X in objs:
-        r = pi(X, cap)
-        if not has_pneumoconnected_fibers(r.map, cap):
+def _search_pneumo_pi(corpus: Corpus):
+    for X in corpus:
+        r = corpus.fact(pi, X)
+        if not has_pneumoconnected_fibers(r.map, corpus.cap):
             return {"object": presheaf_snippet(X), "family": "pi-quotient"}
     return None
 
 
-def _search_pneumo_separated(C, objs, cap):
-    return _prop_separated_reflection_pneumo(C, objs, cap)
-
-
-def _search_pneumo_epis(C, objs, cap):
-    for X in objs:
+def _search_pneumo_epis(corpus: Corpus):
+    C, cap = corpus.base, corpus.cap
+    for X in corpus:
         pcx = None
-        for Y in objs:
+        for Y in corpus:
             for q in nat_transformations(X, Y):
                 if not is_epi(q):
                     continue
@@ -353,43 +336,22 @@ def _search_pneumo_epis(C, objs, cap):
     return None
 
 
-def _search_pi_products(C, objs, cap):
-    return _prop_pi_products(C, objs, cap)
-
-
-def _search_lemma(C, objs, cap):
-    decidables = [X for X in objs if is_decidable(X, cap)]
-    for X in objs:
-        for Y in objs:
-            for q in nat_transformations(X, Y):
-                if not is_epi(q):
-                    continue
-                i, ii, iii = epi_conditions(q, decidables, cap)
-                if not (i == ii == iii):
-                    return {"dom": presheaf_snippet(X),
-                            "cod": presheaf_snippet(Y),
-                            "conditions": [i, ii, iii]}
-    return None
-
-
 SEARCHES = {
     "dqo-uniqueness": _search_dqo,
     "dso-uniqueness": _search_dso,
     "pneumo-pi-quotients": _search_pneumo_pi,
-    "pneumo-separated-reflections": _search_pneumo_separated,
+    "pneumo-separated-reflections": _prop_separated_reflection_pneumo,
     "pneumo-two-inverting-epis": _search_pneumo_epis,
-    "pi-product-preservation": _search_pi_products,
+    "pi-product-preservation": _prop_pi_products,
     "lemma-equivalences": _search_lemma,
 }
 
 
-def search_counterexample(prop: str, C: FinCategory, bounds,
-                          cap: int = DEFAULT_SIZE_CAP) -> dict | None:
+def search_counterexample(prop: str, corpus: Corpus) -> dict | None:
     """First witness violating the registered property, in deterministic
     corpus order (hence stage-size minimal); None if the bound is
     exhausted without one."""
     if prop not in SEARCHES:
         raise UnknownName("unknown property %r (have: %s)"
                           % (prop, ", ".join(sorted(SEARCHES))))
-    index = enumerate_presheaves(C, bounds, cap)
-    return SEARCHES[prop](C, list(index), cap)
+    return SEARCHES[prop](corpus)

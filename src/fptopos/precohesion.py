@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import enumerate_presheaves
-from .decidable import (check_dqo, check_dso, check_ns, dso_subobject,
-                        is_decidable, pi, pi_arrow, presheaf_snippet,
-                        PiResult)
-from .errors import (AxiomPrereqFailed, TriangleIdentityFailed,
-                     DEFAULT_SIZE_CAP)
+from .corpus import Corpus
+from .decidable import (check_dqo, check_dso, check_ns, is_decidable, pi,
+                        pi_arrow, presheaf_snippet, PiResult)
+from .errors import (AxiomPrereqFailed, PresheafError,
+                     TriangleIdentityFailed)
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, _encode_nat, exponential,
                        factor_through, identity_nat, inclusion_of,
                        is_epi, is_isomorphic, make_presheaf,
-                       nat_transformations, product, sub_presheaf,
-                       terminal, yoneda, yoneda_arrow)
+                       nat_transformations, product, terminal, yoneda,
+                       yoneda_arrow)
 from .sublattice import Subobject, is_nn_dense
 
 
@@ -34,25 +33,30 @@ def _hom(cache, X: Presheaf, Y: Presheaf):
 
 @dataclass(eq=False)
 class AdjointString:
-    """The four functors and their adjunction data over one corpus."""
+    """The four functors and their adjunction data over one corpus.
 
-    base: FinCategory
-    bounds: dict
-    corpus: list[Presheaf]
-    cap: int = DEFAULT_SIZE_CAP
-    _pi: dict = field(default_factory=dict)
+    Π and the DSO reports of corpus objects come from the corpus memo;
+    the caches here hold what is built for the string itself."""
+
+    corpus: Corpus
     _fstar: dict = field(default_factory=dict)
     _fstar_y: dict = field(default_factory=dict)
     _fshriek_y: dict = field(default_factory=dict)
     _decode: dict = field(default_factory=dict)
     _homs: dict = field(default_factory=dict)
 
+    @property
+    def base(self) -> FinCategory:
+        return self.corpus.base
+
+    @property
+    def cap(self) -> int:
+        return self.corpus.cap
+
     # -- f_! = Π ---------------------------------------------------------
 
     def f_shriek(self, X: Presheaf) -> PiResult:
-        if id(X) not in self._pi:
-            self._pi[id(X)] = pi(X, self.cap)
-        return self._pi[id(X)]
+        return self.corpus.fact(pi, X)
 
     def f_shriek_arrow(self, h: NatTrans) -> NatTrans:
         return pi_arrow(h, self.cap, self.f_shriek(h.dom),
@@ -63,8 +67,13 @@ class AdjointString:
     def f_star(self, X: Presheaf):
         """(f_*X, counit inclusion f_*X ↪ X)."""
         if id(X) not in self._fstar:
-            S = dso_subobject(X, self.cap)
-            D, inc = inclusion_of(X, S.parts)
+            report = self.corpus.fact(check_dso, X)
+            if not report.holds():
+                raise PresheafError("DSOFails",
+                                    "DSO fails at %r" % (X.name or "X"))
+            part = report.witness["subobject"]
+            D, inc = inclusion_of(X, {c: frozenset(part[c])
+                                      for c in self.base.objects})
             D.name = "f_*(%s)" % (X.name or "X")
             self._fstar[id(X)] = (D, inc)
         return self._fstar[id(X)]
@@ -206,7 +215,7 @@ class AdjointString:
     # -- verification ----------------------------------------------------
 
     def decidables(self) -> list[Presheaf]:
-        return [X for X in self.corpus if is_decidable(X, self.cap)]
+        return self.corpus.decidables()
 
     def verify_triangles(self) -> list[str]:
         """Both triangle identities for each adjunction, every corpus
@@ -303,33 +312,32 @@ class AdjointString:
         return bad
 
 
-def build_adjoint_string(C: FinCategory, bounds,
-                         cap: int = DEFAULT_SIZE_CAP,
-                         corpus=None,
-                         verify: bool = True) -> AdjointString:
+def require_ns(C: FinCategory) -> None:
+    """Raise AxiomPrereqFailed unless NS holds on the base."""
+    ns = check_ns(C)
+    if not ns.holds():
+        raise AxiomPrereqFailed("NS fails on this base",
+                                witness=ns.witness)
+
+
+def build_adjoint_string(corpus: Corpus) -> AdjointString:
     """Construct and verify the adjoint string over the bounded corpus.
 
     Prerequisites (NS exact; DQO and DSO per corpus object) are checked
     first and reported by name on failure.
     """
-    ns = check_ns(C)
-    if not ns.holds():
-        raise AxiomPrereqFailed("NS fails on this base",
-                                witness=ns.witness)
-    index = enumerate_presheaves(C, bounds, cap)
-    objs = list(corpus) if corpus is not None else list(index)
-    for X in objs:
-        if not check_dqo(X, cap).holds():
+    require_ns(corpus.base)
+    for X in corpus:
+        if not corpus.fact(check_dqo, X).holds():
             raise AxiomPrereqFailed("DQO fails at %r" % X.name,
                                     witness=presheaf_snippet(X))
-        if not check_dso(X, cap).holds():
+        if not corpus.fact(check_dso, X).holds():
             raise AxiomPrereqFailed("DSO fails at %r" % X.name,
                                     witness=presheaf_snippet(X))
-    adj = AdjointString(C, getattr(index, "bounds", {}), objs, cap)
-    if verify:
-        bad = adj.verify_triangles()
-        if bad:
-            raise TriangleIdentityFailed("; ".join(bad))
+    adj = AdjointString(corpus)
+    bad = adj.verify_triangles()
+    if bad:
+        raise TriangleIdentityFailed("; ".join(bad))
     return adj
 
 
@@ -362,22 +370,26 @@ class PrecohesionReport:
                 "witnesses": self.witnesses}
 
 
-def check_precohesive(C: FinCategory, bounds,
-                      cap: int = DEFAULT_SIZE_CAP,
-                      corpus=None) -> PrecohesionReport:
+def check_precohesive(corpus: Corpus) -> PrecohesionReport:
     """The four precohesion conditions over the bounded corpus."""
-    index = enumerate_presheaves(C, bounds, cap)
-    report = PrecohesionReport(C.name, index.bound_label())
+    return _precohesion(corpus)[0]
+
+
+def _precohesion(corpus: Corpus):
+    """The precohesion report, and the adjoint string it was checked on
+    (None when the string could not be built)."""
+    C, cap = corpus.base, corpus.cap
+    report = PrecohesionReport(C.name, corpus.bound_label())
     try:
-        adj = build_adjoint_string(C, bounds, cap, corpus)
+        adj = build_adjoint_string(corpus)
     except AxiomPrereqFailed as exc:
         report.applicable = False
         report.failed_prereq = str(exc)
-        return report
+        return report, None
     except TriangleIdentityFailed as exc:
         report.applicable = False
         report.failed_prereq = "triangle identity: %s" % exc
-        return report
+        return report, None
 
     # Full faithfulness of the inclusion: maps between decidables agree
     # whether computed inside the subcategory or the ambient topos.
@@ -424,7 +436,7 @@ def check_precohesive(C: FinCategory, bounds,
             report.nullstellensatz = False
             report.witnesses.setdefault("nullstellensatz", []) \
                 .append(X.name)
-    return report
+    return report, adj
 
 
 @dataclass
@@ -445,59 +457,48 @@ class HarnessReport:
                 "agree": self.agree(), "checks": self.checks}
 
 
-def theorem_c_harness(C: FinCategory, bounds,
-                      cap: int = DEFAULT_SIZE_CAP,
-                      corpus=None) -> HarnessReport:
+def theorem_c_harness(corpus: Corpus) -> HarnessReport:
     """Two-sided check: (DQO ∧ DSO over the corpus) versus the
     precohesion verdict, plus the forward-direction ingredients (the
     decidable subobject f_*X is ¬¬-dense in X, and Π of that dense mono
     is epic)."""
-    ns = check_ns(C)
-    if not ns.holds():
-        raise AxiomPrereqFailed("NS fails on this base",
-                                witness=ns.witness)
-    index = enumerate_presheaves(C, bounds, cap)
-    objs = list(corpus) if corpus is not None else list(index)
-    left = all(check_dqo(X, cap).holds() and check_dso(X, cap).holds()
-               for X in objs)
-    pre = check_precohesive(C, bounds, cap, corpus)
+    C = corpus.base
+    require_ns(C)
+    left = all(corpus.fact(check_dqo, X).holds()
+               and corpus.fact(check_dso, X).holds() for X in corpus)
+    pre, adj = _precohesion(corpus)
     right = pre.precohesive()
     checks = {"precohesion": pre.to_dict()}
     if left:
         dense_ok = True
         pi_epi_ok = True
-        adj = AdjointString(C, index.bounds, objs, cap)
-        for X in objs:
+        if adj is None:  # the triangle identities failed
+            adj = AdjointString(corpus)
+        for X in corpus:
             D, i = adj.f_star(X)
             S = Subobject(X, {c: frozenset(D.sets[c]) for c in C.objects})
             if not is_nn_dense(S):
                 dense_ok = False
-            if not is_epi(pi_arrow(i, cap)):
+            if not is_epi(adj.f_shriek_arrow(i)):
                 pi_epi_ok = False
         checks["dso_part_nn_dense"] = dense_ok
         checks["pi_of_dense_mono_epic"] = pi_epi_ok
-    return HarnessReport("theorem-c", C.name, index.bound_label(),
+    return HarnessReport("theorem-c", C.name, corpus.bound_label(),
                          left, right, checks)
 
 
-def theorem_ab_harness(C: FinCategory, bounds,
-                       cap: int = DEFAULT_SIZE_CAP) -> HarnessReport:
+def theorem_ab_harness(corpus: Corpus) -> HarnessReport:
     """Reflection and exponential-ideal checks: (A) Π is left adjoint to
     the inclusion and preserves finite products; (B) Yˣ stays decidable
     for decidable Y; and reflectivity at the bound implies the
     decidable-quotient uniqueness check passes everywhere."""
-    ns = check_ns(C)
-    if not ns.holds():
-        raise AxiomPrereqFailed("NS fails on this base",
-                                witness=ns.witness)
-    index = enumerate_presheaves(C, bounds, cap)
-    objs = list(index)
-    adj = AdjointString(C, index.bounds, objs, cap)
-    decs = adj.decidables()
+    C, cap = corpus.base, corpus.cap
+    require_ns(C)
+    decs = corpus.decidables()
 
     reflective = True
-    for X in objs:
-        r = adj.f_shriek(X)
+    for X in corpus:
+        r = corpus.fact(pi, X)
         for S in decs:
             lhs = nat_transformations(r.quotient, S)
             images = {r.map.then(g).key() for g in lhs}
@@ -505,25 +506,25 @@ def theorem_ab_harness(C: FinCategory, bounds,
             if len(images) != len(lhs) or images != rhs:
                 reflective = False
     products = True
-    for X in objs:
-        for Y in objs:
+    for X in corpus:
+        for Y in corpus:
             P, _p1, _p2 = product(X, Y, cap)
-            rhs, _q1, _q2 = product(adj.f_shriek(X).quotient,
-                                    adj.f_shriek(Y).quotient, cap)
+            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
+                                    corpus.fact(pi, Y).quotient, cap)
             if not is_isomorphic(pi(P, cap).quotient, rhs):
                 products = False
     exponential_ideal = True
-    for X in objs:
+    for X in corpus:
         for Y in decs:
             E = exponential(X, Y, cap)
             if not is_decidable(E, cap):
                 exponential_ideal = False
-    dqo_everywhere = all(check_dqo(X, cap).holds() for X in objs)
+    dqo_everywhere = all(corpus.fact(check_dqo, X).holds() for X in corpus)
 
     left = reflective and products
     right = exponential_ideal and (not reflective or dqo_everywhere)
     return HarnessReport(
-        "theorem-ab", C.name, index.bound_label(), left, right,
+        "theorem-ab", C.name, corpus.bound_label(), left, right,
         {"pi_left_adjoint": reflective,
          "pi_preserves_products": products,
          "exponential_ideal": exponential_ideal,

@@ -10,7 +10,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (BaseMismatch, PresheafError, ShapeMismatch,
                      SizeCapError, UnknownName, DEFAULT_SIZE_CAP)
@@ -85,14 +85,6 @@ class NatTrans:
         return "<NatTrans %s>" % (self.name or "f")
 
 
-@dataclass(frozen=True)
-class Element:
-    """A generalized element: a point of X at some stage."""
-
-    stage: str
-    point: str
-
-
 def _same_base(X: Presheaf, Y: Presheaf):
     if X.base is not Y.base:
         raise BaseMismatch("presheaves live over different base categories")
@@ -102,6 +94,12 @@ def _cap(n: int, cap: int, what: str):
     if n > cap:
         raise SizeCapError("%s needs %d elements at one stage (cap %d)"
                            % (what, n, cap))
+
+
+# The characters constructed element ids are built from: pel, coproduct,
+# quotient_by_pairs, pi, _encode_nat and _relation_id.  Ids read from
+# input may not contain them, so a constructed id cannot collide.
+RESERVED_ID_CHARS = "(),|[]{};:>"
 
 
 def pel(x: str, y: str) -> str:
@@ -347,39 +345,6 @@ def pairing(f: NatTrans, g: NatTrans, P: Presheaf) -> NatTrans:
     return NatTrans(f.dom, P, comps)
 
 
-def product_many(C: FinCategory, factors: list[Presheaf],
-                 cap: int = DEFAULT_SIZE_CAP):
-    """n-fold pointwise product with projections (n = 0 gives 1)."""
-    if not factors:
-        T = terminal(C)
-        return T, []
-    sets = {}
-    for c in C.objects:
-        n = 1
-        for X in factors:
-            n *= len(X.sets[c])
-        _cap(n, cap, "product")
-        sets[c] = tuple("(%s)" % ",".join(combo) for combo in
-                        itertools.product(*[X.sets[c] for X in factors]))
-    actions = {}
-    for m in C.nonidentity_morphisms():
-        _d, c = C.morphisms[m]
-        actions[m] = {
-            "(%s)" % ",".join(combo):
-            "(%s)" % ",".join(X.act(m, x)
-                              for X, x in zip(factors, combo))
-            for combo in itertools.product(*[X.sets[c] for X in factors])}
-    P = make_presheaf(C, sets, actions, "prod")
-    projections = []
-    for i, X in enumerate(factors):
-        comps = {c: {"(%s)" % ",".join(combo): combo[i]
-                     for combo in itertools.product(
-                         *[F.sets[c] for F in factors])}
-                 for c in C.objects}
-        projections.append(NatTrans(P, X, comps, "p%d" % i))
-    return P, projections
-
-
 def coproduct(X: Presheaf, Y: Presheaf):
     """Pointwise coproduct with its two injections."""
     _same_base(X, Y)
@@ -612,30 +577,6 @@ def omega(C: FinCategory):
         {c: {"*": _sieve_id(frozenset(C.arrows_into(c)))}
          for c in C.objects}, "true")
     return Om, truth
-
-
-def classify(X: Presheaf, parts: dict, Om: Presheaf | None = None) -> NatTrans:
-    """The characteristic map X → Ω of a subfunctor."""
-    C = X.base
-    if Om is None:
-        Om, _ = omega(C)
-    comps = {}
-    for c in C.objects:
-        comps[c] = {}
-        for x in X.sets[c]:
-            sieve = frozenset(m for m in C.arrows_into(c)
-                              if X.act(m, x) in parts[C.dom(m)])
-            comps[c][x] = _sieve_id(sieve)
-    return NatTrans(X, Om, comps, "char")
-
-
-def char_to_parts(h: NatTrans) -> dict:
-    """Pullback of true along a map into Ω, as subfunctor parts."""
-    C = h.dom.base
-    return {c: frozenset(
-        x for x in h.dom.sets[c]
-        if h.apply(c, x) == _sieve_id(frozenset(C.arrows_into(c))))
-        for c in C.objects}
 
 
 def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[dict]:

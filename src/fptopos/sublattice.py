@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
-from .presheaf import (NatTrans, Presheaf, image_factorization, subfunctors,
-                       two)
+from .presheaf import NatTrans, Presheaf, subfunctors, two
 
 
 @dataclass(eq=False)
@@ -154,13 +153,6 @@ def is_nn_dense(S: Subobject) -> bool:
 def is_nn_dense_arrow(f: NatTrans) -> bool:
     """An arrow is ¬¬-dense iff the ¬¬-closure of its image is the whole
     codomain."""
-    _e, m = image_factorization(f)
     img = Subobject(f.cod, {c: frozenset(f.components[c].values())
                             for c in f.cod.base.objects})
-    del m
     return is_nn_dense(img)
-
-
-def image_subobject(f: NatTrans) -> Subobject:
-    return Subobject(f.cod, {c: frozenset(f.components[c].values())
-                             for c in f.cod.base.objects})

@@ -64,7 +64,8 @@ def test_criterion_02_ns_decisions_with_brute_force_cross_check():
             C = catalog(name)
             r = check_ns(C)
             assert r.holds() == holds, name
-            assert ns_brute_force(C, 3).holds() == holds, name
+            corpus = enumerate_presheaves(C, 3)
+            assert ns_brute_force(corpus).holds() == holds, name
         assert "y(E)" in check_ns(GR).witness["all_failing"]
         assert check_ns(TD).witness["representable"].startswith("y(")
 
@@ -88,7 +89,7 @@ def test_criterion_04_pi_counts_components_and_is_discrete():
 
 def test_criterion_05_fiber_pneumoconnectedness_equivalences():
     with criterion(5, 600, "epi fiber conditions (i)=(ii)=(iii), bound 2"):
-        r = lemma_report(RG, 2)
+        r = lemma_report(enumerate_presheaves(RG, 2))
         assert r.holds and r.witness is None
 
 
@@ -115,7 +116,8 @@ def test_criterion_07_decidables_are_an_exponential_ideal():
 
 def test_criterion_08_dqo_counterexample_search_finds_a1():
     with criterion(8, 30, "DQO search on graph base yields A1 with K={Δ,X²}"):
-        w = search_counterexample("dqo-uniqueness", GR, 2)
+        w = search_counterexample("dqo-uniqueness",
+                                  enumerate_presheaves(GR, 2))
         assert w is not None
         W = make_presheaf(GR, w["object"]["sets"], w["object"]["actions"])
         assert is_isomorphic(W, builtin_object(GR, "A1"))
@@ -138,12 +140,12 @@ def test_criterion_09_dso_fails_on_lopsided_pair():
 def test_criterion_10_theorem_c_harness():
     with criterion(10, 600, "axioms ⇔ precohesion on refgraph; NS gate on "
                             "graph"):
-        h = theorem_c_harness(RG, 2)
+        h = theorem_c_harness(enumerate_presheaves(RG, 2))
         assert h.agree() and h.left and h.right
         assert h.checks["dso_part_nn_dense"]
         assert h.checks["pi_of_dense_mono_epic"]
         with pytest.raises(AxiomPrereqFailed) as exc:
-            theorem_c_harness(GR, 2)
+            theorem_c_harness(enumerate_presheaves(GR, 2))
         assert "NS" in str(exc.value)
 
 

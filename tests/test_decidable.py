@@ -54,7 +54,7 @@ def test_ns_brute_force_agrees_with_exact_decision():
                  "refgraph"):
         C = catalog(name)
         exact = check_ns(C).holds()
-        bounded = ns_brute_force(C, 2).holds()
+        bounded = ns_brute_force(enumerate_presheaves(C, 2)).holds()
         assert exact == bounded
 
 
@@ -135,8 +135,8 @@ def test_congruences_on_two_point_set():
 
 
 def test_dqo_holds_on_point_and_two_discrete():
-    assert check_dqo_bounded(PT, 3).holds()
-    assert check_dqo_bounded(TD, 2).holds()
+    assert check_dqo_bounded(enumerate_presheaves(PT, 3)).holds()
+    assert check_dqo_bounded(enumerate_presheaves(TD, 2)).holds()
 
 
 def test_dqo_fails_at_a1_with_diagonal_and_total():
@@ -150,7 +150,7 @@ def test_dqo_fails_at_a1_with_diagonal_and_total():
 
 
 def test_dqo_bounded_first_witness_is_a1():
-    r = check_dqo_bounded(GR, {"V": 2, "E": 1})
+    r = check_dqo_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}))
     assert r.verdict == "fails"
     w = r.witness["object"]
     W = make_presheaf(GR, w["sets"], w["actions"])
@@ -167,7 +167,7 @@ def test_dso_examples():
     assert parts == [{"a": [], "b": []}, {"a": ["x"], "b": []}]
     for X in enumerate_presheaves(PT, 3):
         assert check_dso(X).holds()
-    assert not check_dso_bounded(TD, 1).holds()
+    assert not check_dso_bounded(enumerate_presheaves(TD, 1)).holds()
 
 
 def test_separated_reflection():
@@ -185,5 +185,5 @@ def test_dec_topos_two_sided_agreement():
     cases = [("point", 2), ("two-discrete", 2), ("sierpinski", 2),
              ("graph", {"V": 2, "E": 1}), ("refgraph", {"V": 1, "E": 2})]
     for name, bound in cases:
-        r = dec_is_topos_check(catalog(name), bound)
+        r = dec_is_topos_check(enumerate_presheaves(catalog(name), bound))
         assert r.agree(), name

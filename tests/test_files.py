@@ -3,6 +3,7 @@
 import pytest
 
 from fptopos.builtins import builtin_object
+from fptopos.decidable import check_dqo
 from fptopos.errors import ParseError
 from fptopos.fincat import catalog, catalog_entries
 from fptopos.files import (category_to_text, parse_category_file,
@@ -80,6 +81,29 @@ def test_unknown_morphism_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_presheaf_text(text)
     assert exc.value.line == 5
+
+
+def _discrete_three(vertices, loops):
+    lines = ["presheaf D3", "base refgraph",
+             "stage V %s" % " ".join(vertices),
+             "stage E %s" % " ".join(loops)]
+    for v, l in zip(vertices, loops):
+        lines += ["action s %s %s" % (l, v), "action t %s %s" % (l, v),
+                  "action sigma %s %s" % (v, l)]
+    return "\n".join(lines)
+
+
+def test_reserved_characters_in_element_ids_are_rejected():
+    # The discrete three-vertex reflexive graph: DQO holds at it, but with
+    # ids that contain ',' the pair ids built by the engine collided and
+    # the check died with a misleading NotFunctorial error.
+    X = parse_presheaf_text(_discrete_three(["p", "q", "r"],
+                                            ["lp", "lq", "lr"]))
+    assert check_dqo(X).verdict == "holds"
+    text = _discrete_three(["v,v", "v,v,v", "v"], ["lv,v", "lv,v,v", "lv"])
+    with pytest.raises(ParseError) as exc:
+        parse_presheaf_text(text)
+    assert (exc.value.line, exc.value.col) == (3, 9)
 
 
 def test_resolve_base_accepts_names_and_paths():

@@ -23,12 +23,12 @@ BOUND2 = {"V": 2, "E": 2}
 
 @pytest.fixture(scope="module")
 def adj():
-    return build_adjoint_string(RG, BOUND2)
+    return build_adjoint_string(enumerate_presheaves(RG, BOUND2))
 
 
 def test_build_rejects_ns_failure():
     with pytest.raises(AxiomPrereqFailed):
-        build_adjoint_string(GR, {"V": 1, "E": 1})
+        build_adjoint_string(enumerate_presheaves(GR, {"V": 1, "E": 1}))
 
 
 def test_triangles_hom_bijections_naturality(adj):
@@ -61,7 +61,7 @@ def test_transposes_are_mutually_inverse(adj):
 
 
 def test_point_base_string_is_degenerate():
-    a = build_adjoint_string(PT, 2)
+    a = build_adjoint_string(enumerate_presheaves(PT, 2))
     for X in a.corpus:
         D, i = a.f_star(X)
         assert is_isomorphic(D, X)  # every presheaf on the point is decidable
@@ -69,21 +69,21 @@ def test_point_base_string_is_degenerate():
 
 
 def test_refgraph_is_precohesive_at_bound():
-    r = check_precohesive(RG, BOUND2)
+    r = check_precohesive(enumerate_presheaves(RG, BOUND2))
     assert r.applicable
     assert r.precohesive()
     assert r.witnesses == {}
 
 
 def test_graph_base_not_applicable():
-    r = check_precohesive(GR, {"V": 1, "E": 1})
+    r = check_precohesive(enumerate_presheaves(GR, {"V": 1, "E": 1}))
     assert not r.applicable
     assert "NS" in r.failed_prereq
     assert not r.precohesive()
 
 
 def test_theorem_c_harness_agrees(adj):
-    h = theorem_c_harness(RG, BOUND2)
+    h = theorem_c_harness(enumerate_presheaves(RG, BOUND2))
     assert h.agree() and h.left and h.right
     assert h.checks["dso_part_nn_dense"]
     assert h.checks["pi_of_dense_mono_epic"]
@@ -101,12 +101,12 @@ def test_theorem_c_mutation_flips_both_sides(monkeypatch):
 
     monkeypatch.setattr(dec, "check_dso", always_fails)
     monkeypatch.setattr(pre, "check_dso", always_fails)
-    h = theorem_c_harness(RG, {"V": 1, "E": 1})
+    h = theorem_c_harness(enumerate_presheaves(RG, {"V": 1, "E": 1}))
     assert not h.left and not h.right and h.agree()
 
 
 def test_theorem_ab_harness():
-    h = theorem_ab_harness(RG, {"V": 1, "E": 2})
+    h = theorem_ab_harness(enumerate_presheaves(RG, {"V": 1, "E": 2}))
     assert h.agree() and h.left and h.right
     assert h.checks["pi_left_adjoint"]
     assert h.checks["pi_preserves_products"]
