@@ -125,15 +125,25 @@ def resolve_base(ref: str, relative_to: str | None = None) -> FinCategory:
 # presheaves
 
 def presheaf_to_text(X: Presheaf) -> str:
+    """The .psh text of X.  When any element id contains a reserved
+    character (ids of constructed presheaves do), every element is
+    written as <stage><index> instead, so the text parses back to a
+    presheaf isomorphic to X."""
     C = X.base
+    rename = any(ch in RESERVED_ID_CHARS
+                 for _c, x in X.elements() for ch in x)
+    ids = {c: {x: "%s%d" % (c, i) if rename else x
+               for i, x in enumerate(X.sets[c])} for c in C.objects}
     lines = ["presheaf %s" % (X.name or "X"),
              "base %s" % C.name]
     for c in C.objects:
-        lines.append(("stage %s %s" % (c, " ".join(X.sets[c]))).rstrip())
+        lines.append(("stage %s %s" % (c, " ".join(ids[c].values())))
+                     .rstrip())
     for m in C.nonidentity_morphisms():
-        _d, c = C.morphisms[m]
+        d, c = C.morphisms[m]
         for x in X.sets[c]:
-            lines.append("action %s %s %s" % (m, x, X.act(m, x)))
+            lines.append("action %s %s %s"
+                         % (m, ids[c][x], ids[d][X.act(m, x)]))
     return "\n".join(lines) + "\n"
 
 

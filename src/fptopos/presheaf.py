@@ -28,8 +28,6 @@ class Presheaf:
     name: str = ""
 
     def act(self, m: str, x: str) -> str:
-        if self.base.is_identity(m):
-            return x
         return self.actions[m][x]
 
     def elements(self):
@@ -171,7 +169,10 @@ def validate_presheaf(C: FinCategory, raw: dict) -> Presheaf:
 def _check_functorial(X: Presheaf):
     C = X.base
     for (g, f), gf in C.composition.items():
-        # X(g∘f) = X(f) ∘ X(g)
+        # X(g∘f) = X(f) ∘ X(g); the stored identity tables make every
+        # pair with an identity factor hold.
+        if C.is_identity(g) or C.is_identity(f):
+            continue
         _d, c = C.morphisms[g]
         for x in X.sets[c]:
             if X.act(f, X.act(g, x)) != X.act(gf, x):
@@ -231,51 +232,130 @@ def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
 # ---------------------------------------------------------------------------
 # hom-sets
 
-def nat_transformations(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
-    """All natural transformations X → Y, by stage-wise backtracking with
-    naturality pruning; duplicate-free, deterministic order."""
+def _hom_search(X: Presheaf, Y: Presheaf, injective: bool,
+                first: bool) -> list[dict[str, dict[str, str]]]:
+    """Components of the natural transformations X → Y (pointwise
+    injective ones if `injective`; at most one if `first`).
+
+    Elements of X are assigned one at a time in stage-major order, each
+    trying the values of Y at its stage in order.  A choice x ↦ y at once
+    forces X(m)(x) ↦ Y(m)(y) for every non-identity m into x's stage,
+    which covers every restriction of x, so the search fails on the first
+    clash (or reused value, if injective) and an assigned element never
+    needs checking again.  Forced values depend only on earlier choices,
+    so solutions come out in lexicographic order of their value tuples.
+    Stages with no non-identity morphism in or out constrain nothing;
+    when not injective, the trailing run of them is filled by one
+    product over its elements.
+    """
     _same_base(X, Y)
     C = X.base
-    objs = list(C.objects)
-    # Morphisms checkable once stage i is assigned.
-    checklists = []
-    for i, o in enumerate(objs):
-        done = set(objs[:i + 1])
-        lst = []
-        for m in C.nonidentity_morphisms():
-            d, c = C.morphisms[m]
-            if (d == o or c == o) and d in done and c in done:
-                lst.append(m)
-        checklists.append(lst)
+    objs = C.objects
+    if any(X.sets[c] and not Y.sets[c] for c in objs):
+        return []
+    moves = C.nonidentity_morphisms()
+    split = len(objs)
+    if not injective:
+        while split and not any(objs[split - 1] in C.morphisms[m]
+                                for m in moves):
+            split -= 1
+    # All of Y, and the elements of X up to the split, as integer ids;
+    # each action of Y as a table on those ids.
+    yid, ynames, bounds = {}, [], {}
+    for c in objs:
+        start = len(ynames)
+        for y in Y.sets[c]:
+            yid[c, y] = len(ynames)
+            ynames.append(y)
+        bounds[c] = (start, len(ynames))
+    ytable = {}
+    for m in moves:
+        d, c = C.morphisms[m]
+        ytable[m] = table = [-1] * len(ynames)
+        for y in Y.sets[c]:
+            table[yid[c, y]] = yid[d, Y.actions[m][y]]
+    elems = [(c, x) for c in objs[:split] for x in X.sets[c]]
+    xid = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    candidates = [bounds[c] for c, _x in elems]
+    forces = [[(xid[C.dom(m), X.actions[m][x]], ytable[m])
+               for m in moves if C.cod(m) == c] for c, x in elems]
 
-    results = []
-    comp: dict[str, dict[str, str]] = {}
+    val = [-1] * n
+    used = [False] * len(ynames)
+    trail: list[int] = []
 
-    def consistent(i) -> bool:
-        for m in checklists[i]:
-            d, c = C.morphisms[m]
-            for x in X.sets[c]:
-                if comp[d][X.act(m, x)] != Y.act(m, comp[c][x]):
-                    return False
+    def assign(i, v) -> bool:
+        # v ↦ element i, then every value it forces; False on a clash
+        # (whatever was assigned stays on the trail to be undone).
+        if injective:
+            if used[v]:
+                return False
+            used[v] = True
+        val[i] = v
+        trail.append(i)
+        for j, table in forces[i]:
+            w = table[v]
+            if val[j] < 0:
+                if injective:
+                    if used[w]:
+                        return False
+                    used[w] = True
+                val[j] = w
+                trail.append(j)
+            elif val[j] != w:
+                return False
         return True
 
-    def rec(i):
-        if i == len(objs):
-            results.append(NatTrans(
-                X, Y, {o: dict(comp[o]) for o in objs}))
-            return
-        c = objs[i]
-        xs = X.sets[c]
-        if xs and not Y.sets[c]:
-            return
-        for vals in itertools.product(Y.sets[c], repeat=len(xs)):
-            comp[c] = dict(zip(xs, vals))
-            if consistent(i):
-                rec(i + 1)
-        comp.pop(c, None)
+    def undo(mark):
+        while len(trail) > mark:
+            j = trail.pop()
+            if injective:
+                used[val[j]] = False
+            val[j] = -1
 
-    rec(0)
-    return results
+    rest = [Y.sets[c] for c in objs[split:] for _x in X.sets[c]]
+    results = []
+    stack = []  # [element, next candidate, trail length before it]
+    i = 0
+    while True:
+        while i < n and val[i] >= 0:
+            i += 1
+        if i < n:
+            stack.append([i, candidates[i][0], len(trail)])
+        else:
+            chosen = tuple(ynames[v] for v in val)
+            for tail in itertools.product(*rest):
+                values = chosen + tail
+                comps = {}
+                k = 0
+                for c in objs:
+                    xs = X.sets[c]
+                    comps[c] = dict(zip(xs, values[k:k + len(xs)]))
+                    k += len(xs)
+                results.append(comps)
+                if first:
+                    return results
+        while stack:
+            frame = stack[-1]
+            i, v, mark = frame
+            undo(mark)
+            if v == candidates[i][1]:
+                stack.pop()
+                continue
+            frame[1] = v + 1
+            if assign(i, v):
+                break
+        else:
+            return results
+        i += 1
+
+
+def nat_transformations(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
+    """All natural transformations X → Y, by the propagating search of
+    `_hom_search`; duplicate-free, deterministic order."""
+    return [NatTrans(X, Y, comps)
+            for comps in _hom_search(X, Y, False, False)]
 
 
 def identity_nat(X: Presheaf) -> NatTrans:
@@ -763,43 +843,13 @@ def power_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PowerObject:
 # isomorphism testing
 
 def find_iso(X: Presheaf, Y: Presheaf):
-    """A natural family of bijections X → Y, or None; exhaustive search
-    with stage-wise cardinality pruning."""
+    """A natural family of bijections X → Y, or None: the first pointwise
+    injective natural transformation, once the stage sizes agree."""
     _same_base(X, Y)
-    C = X.base
     if X.size_vector() != Y.size_vector():
         return None
-    objs = list(C.objects)
-    checklists = []
-    for i, o in enumerate(objs):
-        done = set(objs[:i + 1])
-        checklists.append([m for m in C.nonidentity_morphisms()
-                           if set(C.morphisms[m]) <= done
-                           and o in C.morphisms[m]])
-    comp = {}
-
-    def consistent(i):
-        for m in checklists[i]:
-            d, c = C.morphisms[m]
-            for x in X.sets[c]:
-                if comp[d][X.act(m, x)] != Y.act(m, comp[c][x]):
-                    return False
-        return True
-
-    def rec(i):
-        if i == len(objs):
-            return NatTrans(X, Y, {o: dict(comp[o]) for o in objs}, "iso")
-        c = objs[i]
-        for perm in itertools.permutations(Y.sets[c]):
-            comp[c] = dict(zip(X.sets[c], perm))
-            if consistent(i):
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-        comp.pop(c, None)
-        return None
-
-    return rec(0)
+    found = _hom_search(X, Y, True, True)
+    return NatTrans(X, Y, found[0], "iso") if found else None
 
 
 def is_isomorphic(X: Presheaf, Y: Presheaf) -> bool:

@@ -3,8 +3,9 @@
 Everything here is deliberately written without reusing the library's
 own machinery for the thing it checks: classical truth-table semantics
 for forcing on the one-object base, a union-find component counter for
-the decidable-quotient point count, and a quadratic iso-dedup recount
-for corpus sizes.
+the decidable-quotient point count, a quadratic iso-dedup recount
+for corpus sizes, and stage-wise hom and iso searches (whole stages
+filled in, then checked) as the reference for `presheaf._hom_search`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PresheafSort, SubConst, Top,
                              VarT)
-from fptopos.presheaf import is_isomorphic, pel
+from fptopos.presheaf import NatTrans, _same_base, is_isomorphic, pel
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +155,94 @@ def brute_force_presheaves(C, bounds: dict):
                 yield make_from_generators(C, sets, dict(zip(gens, combo)))
             except PresheafError:
                 continue
+
+
+# ---------------------------------------------------------------------------
+# stage-wise hom and iso search: whole stages are filled in by
+# itertools.product / permutations and only then checked for naturality
+
+def brute_force_homs(X, Y) -> list[NatTrans]:
+    """All natural transformations X → Y, by stage-wise backtracking with
+    naturality pruning; duplicate-free, deterministic order."""
+    _same_base(X, Y)
+    C = X.base
+    objs = list(C.objects)
+    # Morphisms checkable once stage i is assigned.
+    checklists = []
+    for i, o in enumerate(objs):
+        done = set(objs[:i + 1])
+        lst = []
+        for m in C.nonidentity_morphisms():
+            d, c = C.morphisms[m]
+            if (d == o or c == o) and d in done and c in done:
+                lst.append(m)
+        checklists.append(lst)
+
+    results = []
+    comp: dict[str, dict[str, str]] = {}
+
+    def consistent(i) -> bool:
+        for m in checklists[i]:
+            d, c = C.morphisms[m]
+            for x in X.sets[c]:
+                if comp[d][X.act(m, x)] != Y.act(m, comp[c][x]):
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(objs):
+            results.append(NatTrans(
+                X, Y, {o: dict(comp[o]) for o in objs}))
+            return
+        c = objs[i]
+        xs = X.sets[c]
+        if xs and not Y.sets[c]:
+            return
+        for vals in itertools.product(Y.sets[c], repeat=len(xs)):
+            comp[c] = dict(zip(xs, vals))
+            if consistent(i):
+                rec(i + 1)
+        comp.pop(c, None)
+
+    rec(0)
+    return results
+
+
+def brute_force_iso(X, Y):
+    """A natural family of bijections X → Y, or None; exhaustive search
+    with stage-wise cardinality pruning."""
+    _same_base(X, Y)
+    C = X.base
+    if X.size_vector() != Y.size_vector():
+        return None
+    objs = list(C.objects)
+    checklists = []
+    for i, o in enumerate(objs):
+        done = set(objs[:i + 1])
+        checklists.append([m for m in C.nonidentity_morphisms()
+                           if set(C.morphisms[m]) <= done
+                           and o in C.morphisms[m]])
+    comp = {}
+
+    def consistent(i):
+        for m in checklists[i]:
+            d, c = C.morphisms[m]
+            for x in X.sets[c]:
+                if comp[d][X.act(m, x)] != Y.act(m, comp[c][x]):
+                    return False
+        return True
+
+    def rec(i):
+        if i == len(objs):
+            return NatTrans(X, Y, {o: dict(comp[o]) for o in objs}, "iso")
+        c = objs[i]
+        for perm in itertools.permutations(Y.sets[c]):
+            comp[c] = dict(zip(X.sets[c], perm))
+            if consistent(i):
+                found = rec(i + 1)
+                if found is not None:
+                    return found
+        comp.pop(c, None)
+        return None
+
+    return rec(0)

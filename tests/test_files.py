@@ -3,13 +3,15 @@
 import pytest
 
 from fptopos.builtins import builtin_object
-from fptopos.decidable import check_dqo
+from fptopos.corpus import enumerate_presheaves
+from fptopos.decidable import check_dqo, pi
 from fptopos.errors import ParseError
 from fptopos.fincat import catalog, catalog_entries
 from fptopos.files import (category_to_text, parse_category_file,
                            parse_category_text, parse_presheaf_file,
                            parse_presheaf_text, presheaf_to_text,
                            resolve_base)
+from fptopos.presheaf import coproduct, find_iso, product
 
 RG = catalog("refgraph")
 P2 = builtin_object(RG, "P2")
@@ -41,6 +43,19 @@ def test_presheaf_roundtrip():
     text = presheaf_to_text(P2)
     Y = parse_presheaf_text(text)
     assert Y.sets == P2.sets and Y.actions == P2.actions
+
+
+def test_constructed_presheaves_roundtrip_up_to_iso():
+    # Constructed ids such as "(inl(*)|inr(*))" are reserved in .psh
+    # input, so the writer renames every element to <stage><index>.
+    X, Y = enumerate_presheaves(RG, 2)[2:4]
+    for Z in (pi(Y).quotient, product(X, Y)[0], coproduct(X, Y)[0]):
+        text = presheaf_to_text(Z)
+        assert "(" in "".join(Z.sets["V"])
+        W = parse_presheaf_text(text)
+        assert W.sets["V"] == tuple("V%d" % i for i in range(
+            len(Z.sets["V"])))
+        assert find_iso(W, Z) is not None
 
 
 def test_generator_only_presheaf_text():

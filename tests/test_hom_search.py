@@ -1,0 +1,74 @@
+"""The propagating hom search against the stage-wise reference search,
+and verdicts under renaming and reordering of elements."""
+
+import random
+
+import oracles
+from fptopos.corpus import enumerate_presheaves
+from fptopos.decidable import pi
+from fptopos.fincat import catalog
+from fptopos.presheaf import (find_iso, is_isomorphic, make_presheaf,
+                              nat_transformations, product, terminal, two)
+
+BOUND_TWO = (("point", 2), ("two-discrete", 2), ("sierpinski", 2),
+             ("graph", {"V": 2, "E": 2}), ("refgraph", 2))
+
+
+def _corpora():
+    for name, bounds in BOUND_TWO:
+        yield catalog(name), list(enumerate_presheaves(catalog(name),
+                                                       bounds))
+
+
+def test_kernel_matches_brute_force_oracle():
+    pairs = 0
+    for C, corpus in _corpora():
+        first = corpus[:6]
+        sources = corpus + [terminal(C), two(C)[0]] + \
+            [product(A, B)[0] for A in first for B in first]
+        for X in sources:
+            for Y in corpus:
+                got = nat_transformations(X, Y)
+                want = oracles.brute_force_homs(X, Y)
+                # Same components in the same order, down to dict order.
+                assert [list(f.components.items()) for f in got] == \
+                    [list(f.components.items()) for f in want], (X, Y)
+                iso, ref = find_iso(X, Y), oracles.brute_force_iso(X, Y)
+                if ref is None:
+                    assert iso is None, (X, Y)
+                else:
+                    assert iso.components == ref.components, (X, Y)
+                pairs += 1
+    assert pairs == 1584
+
+
+def _renamed(X, rng):
+    """A copy of X with fresh element ids and each stage shuffled."""
+    C = X.base
+    ids = {}
+    sets = {}
+    for c in C.objects:
+        tokens = rng.sample(range(10 ** 6), len(X.sets[c]))
+        ids[c] = {x: "n%d" % t for x, t in zip(X.sets[c], tokens)}
+        sets[c] = list(ids[c].values())
+        rng.shuffle(sets[c])
+    actions = {m: {ids[C.cod(m)][x]: ids[C.dom(m)][y]
+                   for x, y in X.actions[m].items()}
+               for m in C.nonidentity_morphisms()}
+    return make_presheaf(C, sets, actions, X.name)
+
+
+def test_verdicts_do_not_depend_on_element_names_or_order():
+    rng = random.Random(20231)
+    for _C, corpus in _corpora():
+        for X in corpus:
+            R = _renamed(X, rng)
+            assert pi(R).quotient.size_vector() == \
+                pi(X).quotient.size_vector()
+            for Y in corpus:
+                assert len(nat_transformations(R, Y)) == \
+                    len(nat_transformations(X, Y))
+                assert len(nat_transformations(Y, R)) == \
+                    len(nat_transformations(Y, X))
+                assert is_isomorphic(R, Y) == is_isomorphic(X, Y) == \
+                    (X is Y)

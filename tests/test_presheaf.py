@@ -48,6 +48,34 @@ def test_validate_rejects_non_functorial():
     assert exc.value.kind == "NotFunctorial"
 
 
+def test_constructors_store_identity_tables():
+    # Presheaf.act reads identities from the stored tables, and the
+    # functoriality check skips pairs with an identity factor.
+    built = make_presheaf(RG, P2.sets, P2.actions)
+    raw = {"sets": P2.sets, "actions": {
+        m: P2.actions[m] for m in RG.nonidentity_morphisms()}}
+    checked = validate_presheaf(RG, raw)
+    for X in (built, checked):
+        for c in RG.objects:
+            assert X.actions[RG.identity(c)] == {x: x for x in X.sets[c]}
+
+
+def test_validate_rejects_non_functorial_composite():
+    # Every generator table is fine on its own; only the composite
+    # s∘sigma, a pair with no identity factor, contradicts them.
+    one_loop = {"sets": {"V": ["v"], "E": ["l", "e"]},
+                "actions": {"s": {"l": "v", "e": "v"},
+                            "t": {"l": "v", "e": "v"},
+                            "sigma": {"v": "l"},
+                            "s∘sigma": {"l": "l", "e": "e"},
+                            "t∘sigma": {"l": "l", "e": "l"}}}
+    with pytest.raises(PresheafError) as exc:
+        validate_presheaf(RG, one_loop)
+    assert exc.value.kind == "NotFunctorial"
+    one_loop["actions"]["s∘sigma"]["e"] = "l"
+    assert validate_presheaf(RG, one_loop).size_vector() == (1, 2)
+
+
 def test_terminal_and_initial():
     one = terminal(RG)
     zero = initial(RG)
