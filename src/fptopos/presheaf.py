@@ -232,130 +232,71 @@ def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
 # ---------------------------------------------------------------------------
 # hom-sets
 
-def _hom_search(X: Presheaf, Y: Presheaf, injective: bool,
-                first: bool) -> list[dict[str, dict[str, str]]]:
-    """Components of the natural transformations X → Y (pointwise
-    injective ones if `injective`; at most one if `first`).
+def _hom_search(X: Presheaf, Y: Presheaf,
+                iso: bool) -> list[dict[str, dict[str, str]]]:
+    """Components of the natural transformations X → Y, or of the first
+    pointwise injective one if `iso`.
 
     Elements of X are assigned one at a time in stage-major order, each
     trying the values of Y at its stage in order.  A choice x ↦ y at once
     forces X(m)(x) ↦ Y(m)(y) for every non-identity m into x's stage,
     which covers every restriction of x, so the search fails on the first
-    clash (or reused value, if injective) and an assigned element never
-    needs checking again.  Forced values depend only on earlier choices,
-    so solutions come out in lexicographic order of their value tuples.
-    Stages with no non-identity morphism in or out constrain nothing;
-    when not injective, the trailing run of them is filled by one
-    product over its elements.
+    clash (or reused value, if iso) and an assigned element never needs
+    checking again.  Forced values depend only on earlier choices, so
+    solutions come out in lexicographic order of their value tuples.
     """
     _same_base(X, Y)
     C = X.base
-    objs = C.objects
-    if any(X.sets[c] and not Y.sets[c] for c in objs):
-        return []
-    moves = C.nonidentity_morphisms()
-    split = len(objs)
-    if not injective:
-        while split and not any(objs[split - 1] in C.morphisms[m]
-                                for m in moves):
-            split -= 1
-    # All of Y, and the elements of X up to the split, as integer ids;
-    # each action of Y as a table on those ids.
-    yid, ynames, bounds = {}, [], {}
-    for c in objs:
-        start = len(ynames)
-        for y in Y.sets[c]:
-            yid[c, y] = len(ynames)
-            ynames.append(y)
-        bounds[c] = (start, len(ynames))
-    ytable = {}
-    for m in moves:
-        d, c = C.morphisms[m]
-        ytable[m] = table = [-1] * len(ynames)
-        for y in Y.sets[c]:
-            table[yid[c, y]] = yid[d, Y.actions[m][y]]
-    elems = [(c, x) for c in objs[:split] for x in X.sets[c]]
-    xid = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    candidates = [bounds[c] for c, _x in elems]
-    forces = [[(xid[C.dom(m), X.actions[m][x]], ytable[m])
-               for m in moves if C.cod(m) == c] for c, x in elems]
+    into = {c: [(C.dom(m), X.actions[m], Y.actions[m])
+                for m in C.nonidentity_morphisms() if C.cod(m) == c]
+            for c in C.objects}
+    elems = [(c, x) for c in C.objects for x in X.sets[c]]
+    comps = {c: {} for c in C.objects}
+    used = {c: set() for c in C.objects}
+    trail = []
+    results = []
 
-    val = [-1] * n
-    used = [False] * len(ynames)
-    trail: list[int] = []
-
-    def assign(i, v) -> bool:
-        # v ↦ element i, then every value it forces; False on a clash
-        # (whatever was assigned stays on the trail to be undone).
-        if injective:
-            if used[v]:
+    def put(c, x, y) -> bool:
+        # x ↦ y at stage c; False on a clash or a reused value.
+        if x in comps[c]:
+            return comps[c][x] == y
+        if iso:
+            if y in used[c]:
                 return False
-            used[v] = True
-        val[i] = v
-        trail.append(i)
-        for j, table in forces[i]:
-            w = table[v]
-            if val[j] < 0:
-                if injective:
-                    if used[w]:
-                        return False
-                    used[w] = True
-                val[j] = w
-                trail.append(j)
-            elif val[j] != w:
-                return False
+            used[c].add(y)
+        comps[c][x] = y
+        trail.append((c, x))
         return True
 
-    def undo(mark):
-        while len(trail) > mark:
-            j = trail.pop()
-            if injective:
-                used[val[j]] = False
-            val[j] = -1
-
-    rest = [Y.sets[c] for c in objs[split:] for _x in X.sets[c]]
-    results = []
-    stack = []  # [element, next candidate, trail length before it]
-    i = 0
-    while True:
-        while i < n and val[i] >= 0:
+    def search(i) -> bool:
+        # Extend the assignment from element i on; True stops the search.
+        while i < len(elems) and elems[i][1] in comps[elems[i][0]]:
             i += 1
-        if i < n:
-            stack.append([i, candidates[i][0], len(trail)])
-        else:
-            chosen = tuple(ynames[v] for v in val)
-            for tail in itertools.product(*rest):
-                values = chosen + tail
-                comps = {}
-                k = 0
-                for c in objs:
-                    xs = X.sets[c]
-                    comps[c] = dict(zip(xs, values[k:k + len(xs)]))
-                    k += len(xs)
-                results.append(comps)
-                if first:
-                    return results
-        while stack:
-            frame = stack[-1]
-            i, v, mark = frame
-            undo(mark)
-            if v == candidates[i][1]:
-                stack.pop()
-                continue
-            frame[1] = v + 1
-            if assign(i, v):
-                break
-        else:
-            return results
-        i += 1
+        if i == len(elems):
+            results.append({c: {x: comps[c][x] for x in X.sets[c]}
+                            for c in C.objects})
+            return iso
+        c, x = elems[i]
+        for y in Y.sets[c]:
+            mark = len(trail)
+            if put(c, x, y) and all(put(d, xm[x], ym[y])
+                                    for d, xm, ym in into[c]) \
+                    and search(i + 1):
+                return True
+            while len(trail) > mark:
+                d, u = trail.pop()
+                used[d].discard(comps[d].pop(u))
+        return False
+
+    search(0)
+    return results
 
 
 def nat_transformations(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
     """All natural transformations X → Y, by the propagating search of
     `_hom_search`; duplicate-free, deterministic order."""
     return [NatTrans(X, Y, comps)
-            for comps in _hom_search(X, Y, False, False)]
+            for comps in _hom_search(X, Y, False)]
 
 
 def identity_nat(X: Presheaf) -> NatTrans:
@@ -848,7 +789,7 @@ def find_iso(X: Presheaf, Y: Presheaf):
     _same_base(X, Y)
     if X.size_vector() != Y.size_vector():
         return None
-    found = _hom_search(X, Y, True, True)
+    found = _hom_search(X, Y, True)
     return NatTrans(X, Y, found[0], "iso") if found else None
 
 

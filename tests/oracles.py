@@ -4,8 +4,9 @@ Everything here is deliberately written without reusing the library's
 own machinery for the thing it checks: classical truth-table semantics
 for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
-for corpus sizes, and stage-wise hom and iso searches (whole stages
-filled in, then checked) as the reference for `presheaf._hom_search`.
+for corpus sizes (with the brute-force iso search below), and
+stage-wise hom and iso searches (whole stages filled in, then checked)
+as the reference for `presheaf._hom_search`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PresheafSort, SubConst, Top,
                              VarT)
-from fptopos.presheaf import NatTrans, _same_base, is_isomorphic, pel
+from fptopos.presheaf import NatTrans, _same_base, pel
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ def component_count(X) -> int:
 def recount_classes(candidates) -> int:
     reps = []
     for X in candidates:
-        if not any(is_isomorphic(X, Y) for Y in reps):
+        if not any(brute_force_iso(X, Y) is not None for Y in reps):
             reps.append(X)
     return len(reps)
 
