@@ -1,8 +1,11 @@
-"""JSON reports of corpus-quantified commands, byte for byte.
+"""JSON reports of CLI commands, byte for byte, with their exit codes.
 
 Each file in tests/golden/ is the stdout of `fptopos <command> --format
 json`, so a faster search behind these commands (hom-sets, isomorphisms,
-Π, corpora) must leave every report unchanged."""
+Π, corpora) or a new report layout must leave every report unchanged.
+The cases cover verdicts that hold and the failing paths: NS, DQO and DSO
+failures, a not-applicable precohesion check, a failed prerequisite and a
+counterexample search that finds a witness."""
 
 import pathlib
 
@@ -12,20 +15,40 @@ from fptopos.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# name: (command, expected exit code)
 COMMANDS = {
-    "precohesion-2": ("precohesion", "--bound", "2"),
-    "verify-A-2": ("verify", "A", "--bound", "2"),
-    "verify-C-2": ("verify", "C", "--bound", "2"),
-    "dec-topos-2": ("dec-topos", "--bound", "2"),
-    "check-dso-2": ("check-dso", "--bound", "2"),
-    "verify-lemma-sierpinski-2": ("verify", "lemma", "--base", "sierpinski",
-                                  "--bound", "2"),
+    "precohesion-2": (("precohesion", "--bound", "2"), 0),
+    "verify-A-2": (("verify", "A", "--bound", "2"), 0),
+    "verify-C-2": (("verify", "C", "--bound", "2"), 0),
+    "dec-topos-2": (("dec-topos", "--bound", "2"), 0),
+    "check-dso-2": (("check-dso", "--bound", "2"), 0),
+    "verify-lemma-sierpinski-2": (("verify", "lemma", "--base", "sierpinski",
+                                   "--bound", "2"), 0),
+    "check-ns-graph": (("check-ns", "--base", "graph"), 1),
+    "check-dqo-graph-V2E1": (("check-dqo", "--base", "graph", "--bound",
+                              "V=2,E=1"), 1),
+    "check-dqo-graph-A1": (("check-dqo", "--base", "graph", "--object",
+                            "A1"), 1),
+    "check-dqo-P2": (("check-dqo", "--object", "P2"), 0),
+    "check-dso-two-discrete-1": (("check-dso", "--base", "two-discrete",
+                                  "--bound", "1"), 1),
+    "precohesion-graph-V1E1": (("precohesion", "--base", "graph", "--bound",
+                                "V=1,E=1"), 1),
+    "verify-C-graph-2": (("verify", "C", "--base", "graph", "--bound", "2"),
+                         1),
+    "verify-B-2": (("verify", "B", "--bound", "2"), 0),
+    "verify-D-two-discrete-2": (("verify", "D", "--base", "two-discrete",
+                                 "--bound", "2"), 0),
+    "search-dqo-graph-V2E1": (("search-counterexample", "--base", "graph",
+                               "--bound", "V=2,E=1", "--property",
+                               "dqo-uniqueness"), 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_json_report_matches_golden(capsys, name):
-    code = main([*COMMANDS[name], "--format", "json"])
+    argv, expected_code = COMMANDS[name]
+    code = main([*argv, "--format", "json"])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / ("%s.json" % name)).read_bytes()
