@@ -5,7 +5,8 @@ Every subcommand maps onto one library operation, reads a base category
 .psh file), and emits a report in text or machine-readable JSON.
 
 Exit codes: 0 = all checks pass / property holds; 1 = a check fails (the
-report carries a witness); 2 = usage, parse, or size-cap error.
+report carries a witness) or its verdict is unknown at the size cap;
+2 = usage, parse, or size-cap error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import time
 
 from . import builtins as builtin_objects
-from .corpus import enumerate_presheaves
+from .corpus import bound_label, enumerate_presheaves
 from .decidable import (check_dqo, check_dqo_bounded, check_dso,
                         check_dso_bounded, check_ns, dec_is_topos_check,
                         is_connected, is_decidable, pi, presheaf_snippet,
@@ -32,6 +33,7 @@ from .harness import (lemma_report, props_report, search_counterexample,
                       PROPERTIES, SEARCHES)
 from .precohesion import (check_precohesive, require_ns, theorem_ab_harness,
                           theorem_c_harness)
+from .report import Result
 from .sublattice import complemented_subobjects
 
 
@@ -45,14 +47,10 @@ def _parse_bounds(text: str):
     out = {}
     for chunk in text.split(","):
         key, _eq, val = chunk.partition("=")
+        if key.strip() in out:
+            raise ValueError("stage %r given twice" % key.strip())
         out[key.strip()] = int(val)
     return out
-
-
-def _bounds_label(bounds, C):
-    if isinstance(bounds, int):
-        return ",".join("%s<=%d" % (c, bounds) for c in C.objects)
-    return ",".join("%s<=%d" % (c, bounds.get(c, 0)) for c in C.objects)
 
 
 def _resolve_object(ref: str, C):
@@ -69,46 +67,32 @@ def _resolve_object(ref: str, C):
     return builtin_objects.builtin_object(C, ref)
 
 
-class Report:
-    """Accumulates one subcommand's result in the stable output schema."""
-
-    def __init__(self, command: str, base: str, bounds: str | None):
-        self.data = {"command": command, "base": base, "bounds": bounds,
-                     "verdict": "", "witnesses": [], "details": {},
-                     "timings": None}
-
-    def verdict(self, v: str):
-        self.data["verdict"] = v
-
-    def witness(self, w):
-        if w is not None:
-            self.data["witnesses"].append(w)
-
-    def detail(self, key, value):
-        self.data["details"][key] = value
-
-    def recheck(self, cmdline: str):
-        self.data["details"]["recheck"] = cmdline
-
-    def emit(self, args, started: float) -> None:
-        if getattr(args, "timings", False):
-            self.data["timings"] = {"seconds": round(time.time() - started,
-                                                     3)}
-        if args.format == "json":
-            print(json.dumps(self.data, sort_keys=True, indent=2,
-                             ensure_ascii=False))
-            return
-        print("command: %s" % self.data["command"])
-        print("base: %s" % self.data["base"])
-        if self.data["bounds"]:
-            print("bounds: %s" % self.data["bounds"])
-        print("verdict: %s" % self.data["verdict"])
-        for key in sorted(self.data["details"]):
-            print("%s: %s" % (key, _short(self.data["details"][key])))
-        for w in self.data["witnesses"]:
+def _emit(args, base: str, r: Result, bounds: str | None = None) -> int:
+    """Print the result in the report envelope (command, base, bounds,
+    timings); the exit code is 0 if it holds, else 1."""
+    command = args.subcommand
+    if command == "verify":
+        command += " " + args.theorem
+    data = {"command": command, "base": base, "bounds": bounds,
+            "verdict": r.verdict, "witnesses": r.witnesses,
+            "details": r.details, "timings": None}
+    if args.timings:
+        data["timings"] = {"seconds": round(time.time() - args.started, 3)}
+    if args.format == "json":
+        print(json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False))
+    else:
+        print("command: %s" % command)
+        print("base: %s" % base)
+        if bounds:
+            print("bounds: %s" % bounds)
+        print("verdict: %s" % r.verdict)
+        for key in sorted(r.details):
+            print("%s: %s" % (key, _short(r.details[key])))
+        for w in r.witnesses:
             print("witness: %s" % _short(w))
-        if self.data["timings"]:
-            print("seconds: %s" % self.data["timings"]["seconds"])
+        if data["timings"]:
+            print("seconds: %s" % data["timings"]["seconds"])
+    return 0 if r.holds() else 1
 
 
 def _short(value) -> str:
@@ -121,243 +105,176 @@ def _short(value) -> str:
 # subcommands
 
 def _cmd_catalog(args) -> int:
-    rep = Report("catalog", "-", None)
     entries = {}
     for name, entry in catalog_entries().items():
         C = entry.category
         entries[name] = {"objects": list(C.objects),
                          "morphisms": len(C.morphism_names()),
                          "expected_profile": entry.notes}
-    rep.detail("catalog", entries)
-    rep.verdict("ok")
-    rep.emit(args, args.started)
-    return 0
+    return _emit(args, "-", Result("ok", [], {"catalog": entries}))
 
 
 def _cmd_check_ns(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("check-ns", C.name, None)
     r = check_ns(C)
-    rep.verdict(r.verdict)
-    rep.witness(r.witness)
-    rep.recheck("fptopos check-ns --base %s" % args.base)
-    rep.emit(args, args.started)
-    return 0 if r.holds() else 1
+    r.details["recheck"] = "fptopos check-ns --base %s" % args.base
+    return _emit(args, C.name, r)
 
 
 def _cmd_decidable(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    rep = Report("decidable", C.name, None)
     ok = is_decidable(X, args.cap)
-    rep.verdict("decidable" if ok else "not-decidable")
-    rep.detail("object", presheaf_snippet(X))
-    rep.emit(args, args.started)
-    return 0 if ok else 1
+    return _emit(args, C.name, Result(
+        "decidable" if ok else "not-decidable", [],
+        {"object": presheaf_snippet(X)}))
 
 
 def _cmd_pi(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    rep = Report("pi", C.name, None)
     r = pi(X, args.cap)
-    rep.verdict("ok")
-    rep.detail("stage_sizes", list(r.quotient.size_vector()))
-    rep.detail("quotient", presheaf_snippet(r.quotient))
-    rep.detail("quotient_map", {c: dict(r.map.components[c])
-                                for c in C.objects})
-    rep.emit(args, args.started)
-    return 0
+    return _emit(args, C.name, Result("ok", [], {
+        "stage_sizes": list(r.quotient.size_vector()),
+        "quotient": presheaf_snippet(r.quotient),
+        "quotient_map": {c: dict(r.map.components[c]) for c in C.objects}}))
 
 
 def _cmd_connected(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    rep = Report("connected", C.name, None)
     ok = is_connected(X, args.cap)
-    rep.verdict("connected" if ok else "not-connected")
-    rep.emit(args, args.started)
-    return 0 if ok else 1
+    return _emit(args, C.name,
+                 Result("connected" if ok else "not-connected"))
 
 
 def _cmd_subc(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    rep = Report("subc", C.name, None)
     subs = complemented_subobjects(X, args.cap)
-    rep.verdict("ok")
-    rep.detail("count", len(subs))
-    rep.detail("complemented_subobjects",
-               [{c: sorted(S.parts[c]) for c in C.objects} for S in subs])
-    rep.emit(args, args.started)
-    return 0
+    return _emit(args, C.name, Result("ok", [], {
+        "count": len(subs),
+        "complemented_subobjects": [{c: sorted(S.parts[c])
+                                     for c in C.objects} for S in subs]}))
+
+
+def _countermodel(cm, holds: str, details: dict) -> Result:
+    if cm is None:
+        return Result(holds, [], details)
+    return Result("fails", [{"stage": cm.stage, "bindings": cm.bindings}],
+                  details)
 
 
 def _cmd_pneumo(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    rep = Report("pneumo", C.name, None)
     if args.map == "pi":
         f = pi(X, args.cap).map
     else:
         _M, f = separated_reflection(X, args.cap)
-    rep.detail("map", args.map)
     cm = pneumoconnected_countermodel(f, args.cap)
-    if cm is None:
-        rep.verdict("pneumoconnected-fibers")
-    else:
-        rep.verdict("fails")
-        rep.witness({"stage": cm.stage, "bindings": cm.bindings})
-    rep.emit(args, args.started)
-    return 0 if cm is None else 1
+    return _emit(args, C.name, _countermodel(cm, "pneumoconnected-fibers",
+                                             {"map": args.map}))
 
 
-def _axiom_cmd(args, name, per_object, bounded) -> int:
+def _axiom_cmd(args, per_object, bounded) -> int:
     C = resolve_base(args.base)
+    label = None
     if args.object:
-        X = _resolve_object(args.object, C)
-        rep = Report(name, C.name, None)
-        r = per_object(X, args.cap)
+        r = per_object(_resolve_object(args.object, C), args.cap)
+        where = " --object %s" % args.object
     else:
-        rep = Report(name, C.name, _bounds_label(args.bound, C))
+        label = bound_label(C, args.bound)
         r = bounded(enumerate_presheaves(C, args.bound, args.cap))
-    rep.verdict(r.verdict)
-    rep.witness(r.witness)
-    rep.recheck("fptopos %s --base %s%s" % (
-        name, args.base,
-        " --object %s" % args.object if args.object else
-        " --bound %s" % args.raw_bound))
-    rep.emit(args, args.started)
-    return 0 if r.holds() else 1
+        where = " --bound %s" % args.raw_bound
+    r.details["recheck"] = "fptopos %s --base %s%s" % (
+        args.subcommand, args.base, where)
+    return _emit(args, C.name, r, label)
 
 
 def _cmd_check_dqo(args) -> int:
-    return _axiom_cmd(args, "check-dqo", check_dqo, check_dqo_bounded)
+    return _axiom_cmd(args, check_dqo, check_dqo_bounded)
 
 
 def _cmd_check_dso(args) -> int:
-    return _axiom_cmd(args, "check-dso", check_dso, check_dso_bounded)
+    return _axiom_cmd(args, check_dso, check_dso_bounded)
 
 
 def _cmd_dec_topos(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("dec-topos", C.name, _bounds_label(args.bound, C))
+    label = bound_label(C, args.bound)
     r = dec_is_topos_check(enumerate_presheaves(C, args.bound, args.cap))
-    rep.verdict("agree" if r.agree() else "disagree")
-    rep.detail("monos_complemented", r.left)
-    rep.detail("pi_epic_on_dense", r.right)
-    for key, value in r.details.items():
-        rep.witness({key: value})
-    rep.emit(args, args.started)
-    return 0 if r.agree() else 1
+    return _emit(args, C.name, r, label)
 
 
 def _cmd_precohesion(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("precohesion", C.name, _bounds_label(args.bound, C))
+    label = bound_label(C, args.bound)
     r = check_precohesive(enumerate_presheaves(C, args.bound, args.cap))
-    if not r.applicable:
-        rep.verdict("not-applicable")
-        rep.detail("failed_prereq", r.failed_prereq)
-    else:
-        rep.verdict("precohesive" if r.precohesive() else "fails")
-        for key in ("fully_faithful", "products_preserved", "counit_monic",
-                    "nullstellensatz"):
-            rep.detail(key, getattr(r, key))
-        if r.witnesses:
-            rep.witness(r.witnesses)
-    rep.emit(args, args.started)
-    return 0 if r.precohesive() else 1
+    return _emit(args, C.name, r, label)
+
+
+# The checks of theorem_ab_harness that make up theorems A and B.
+_AB_CHECKS = {"A": ("pi_left_adjoint", "pi_preserves_products"),
+              "B": ("exponential_ideal", "reflective_implies_dqo")}
 
 
 def _cmd_verify(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("verify %s" % args.theorem, C.name,
-                 _bounds_label(args.bound, C))
-    ok = False
+    label = bound_label(C, args.bound)
+    t = args.theorem
     try:
-        if args.theorem in ("A", "B", "C"):
+        if t in ("A", "B", "C"):
             require_ns(C)  # decided on the base alone, before enumerating
         corpus = enumerate_presheaves(C, args.bound, args.cap)
-        if args.theorem in ("A", "B"):
+        if t in ("A", "B"):
             r = theorem_ab_harness(corpus)
-            rep.detail("checks", r.checks)
-            if args.theorem == "A":
-                ok = r.checks["pi_left_adjoint"] and \
-                    r.checks["pi_preserves_products"]
-            else:
-                ok = r.checks["exponential_ideal"] and \
-                    r.checks["reflective_implies_dqo"]
-        elif args.theorem == "C":
+            ok = all(r.details["checks"][k] for k in _AB_CHECKS[t])
+            r = Result("holds" if ok else "fails", [], r.details)
+        elif t == "C":
             r = theorem_c_harness(corpus)
-            rep.detail("axioms_hold", r.left)
-            rep.detail("precohesive", r.right)
-            rep.detail("checks", {k: v for k, v in r.checks.items()
-                                  if k != "precohesion"})
-            ok = r.agree()
-        elif args.theorem == "D":
+        elif t == "D":
+            # whether the two sides agree; dec-topos shows the witnesses
             r = dec_is_topos_check(corpus)
-            rep.detail("monos_complemented", r.left)
-            rep.detail("pi_epic_on_dense", r.right)
-            ok = r.agree()
-        elif args.theorem == "lemma":
+            r = Result("holds" if r.holds() else "fails", [], r.details)
+        elif t == "lemma":
             r = lemma_report(corpus)
-            rep.detail("pairs_checked", r.checked)
-            rep.witness(r.witness)
-            ok = r.holds
-        elif args.theorem == "props":
-            names = args.props.split(",") if args.props else None
-            results = props_report(corpus, names)
-            rep.detail("properties", {r.name: r.holds for r in results})
-            for r in results:
-                rep.witness(r.witness)
-            ok = all(r.holds for r in results)
+        else:
+            r = props_report(corpus,
+                             args.props.split(",") if args.props else None)
     except AxiomPrereqFailed as exc:
-        rep.verdict("prerequisite-failed")
-        rep.detail("failed_prereq", str(exc))
-        rep.emit(args, args.started)
-        return 1
-    rep.verdict("holds" if ok else "fails")
-    rep.emit(args, args.started)
-    return 0 if ok else 1
+        r = Result("prerequisite-failed", [], {"failed_prereq": str(exc)})
+    return _emit(args, C.name, r, label)
 
 
 def _cmd_search(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("search-counterexample", C.name,
-                 _bounds_label(args.bound, C))
-    rep.detail("property", args.property)
+    label = bound_label(C, args.bound)
     w = search_counterexample(args.property,
                               enumerate_presheaves(C, args.bound, args.cap))
+    details = {"property": args.property}
     if w is None:
-        rep.verdict("none")
-    else:
-        rep.verdict("witness")
-        rep.witness(w)
-        rep.recheck("fptopos search-counterexample --property %s --base %s "
-                    "--bound %s" % (args.property, args.base,
-                                    args.raw_bound))
-    rep.emit(args, args.started)
-    return 0 if w is None else 1
+        return _emit(args, C.name, Result("none", [], details), label)
+    details["recheck"] = ("fptopos search-counterexample --property %s "
+                          "--base %s --bound %s"
+                          % (args.property, args.base, args.raw_bound))
+    return _emit(args, C.name, Result("witness", [w], details), label)
 
 
 def _cmd_enumerate(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("enumerate", C.name, _bounds_label(args.bound, C))
-    index = enumerate_presheaves(C, args.bound, args.cap)
-    rep.verdict("ok")
-    rep.detail("count", len(index))
-    rep.detail("counts_per_size_vector",
-               {",".join(map(str, k)): v for k, v in index.counts.items()})
+    label = bound_label(C, args.bound)
+    corpus = enumerate_presheaves(C, args.bound, args.cap)
+    details = {"count": len(corpus),
+               "counts_per_size_vector": {",".join(map(str, k)): v
+                                          for k, v in corpus.counts.items()}}
     if args.list:
-        rep.detail("presheaves", [presheaf_snippet(X) for X in index])
-    rep.emit(args, args.started)
-    return 0
+        details["presheaves"] = [presheaf_snippet(X) for X in corpus]
+    return _emit(args, C.name, Result("ok", [], details), label)
 
 
 def _cmd_force(args) -> int:
     C = resolve_base(args.base)
-    rep = Report("force", C.name, None)
     names = {}
     for n in builtin_objects.builtin_names(C):
         names[n] = PresheafSort(builtin_objects.builtin_object(C, n))
@@ -366,14 +283,8 @@ def _cmd_force(args) -> int:
         names[alias] = PresheafSort(_resolve_object(ref, C))
     phi = parse_formula(args.formula, names)
     cm = universally_valid(phi, {}, base=C)
-    rep.detail("formula", args.formula)
-    if cm is None:
-        rep.verdict("valid")
-    else:
-        rep.verdict("fails")
-        rep.witness({"stage": cm.stage, "bindings": cm.bindings})
-    rep.emit(args, args.started)
-    return 0 if cm is None else 1
+    return _emit(args, C.name,
+                 _countermodel(cm, "valid", {"formula": args.formula}))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +375,9 @@ def main(argv=None) -> int:
     if hasattr(args, "raw_bound"):
         try:
             args.bound = _parse_bounds(args.raw_bound)
-        except ValueError:
-            print("error: bad --bound %r" % args.raw_bound,
+        except ValueError as exc:
+            print("error: bad --bound %r%s" % (args.raw_bound,
+                                               str(exc) and ": %s" % exc),
                   file=sys.stderr)
             return 2
     try:

@@ -15,7 +15,7 @@ import itertools
 from collections import Counter
 
 from .decidable import is_decidable
-from .errors import SizeCapError, DEFAULT_SIZE_CAP
+from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import Presheaf, PresheafError, make_from_generators
 
@@ -57,10 +57,9 @@ class Corpus:
     session is used from one thread.
     """
 
-    def __init__(self, base: FinCategory, bounds: dict[str, int],
-                 presheaves: list[Presheaf], cap: int = DEFAULT_SIZE_CAP):
+    def __init__(self, base: FinCategory, presheaves: list[Presheaf],
+                 cap: int = DEFAULT_SIZE_CAP):
         self.base = base
-        self.bounds = bounds
         self.cap = cap
         self.presheaves = presheaves
         self.counts = Counter(X.size_vector() for X in presheaves)
@@ -75,10 +74,6 @@ class Corpus:
 
     def __getitem__(self, i):
         return self.presheaves[i]
-
-    def bound_label(self) -> str:
-        return ",".join("%s<=%d" % (c, self.bounds[c])
-                        for c in self.base.objects)
 
     def fact(self, check, X: Presheaf):
         """check(X, cap), memoized by corpus index when X is a corpus
@@ -98,15 +93,27 @@ class Corpus:
 
 
 def _norm_bounds(C: FinCategory, bounds) -> dict[str, int]:
+    """Per-stage bounds from one bound for every stage or a dict of
+    stage bounds (a stage it leaves out is bounded by 0)."""
     if isinstance(bounds, int):
-        b = {c: bounds for c in C.objects}
-    else:
-        b = dict(bounds)
+        bounds = {c: bounds for c in C.objects}
+    for c in bounds:
+        if c not in C.objects:
+            raise UnknownName("bound for %r, which is not an object of %s "
+                              "(objects: %s)"
+                              % (c, C.name, ", ".join(C.objects)))
+    b = {c: bounds.get(c, 0) for c in C.objects}
     for c in C.objects:
-        if b.get(c, 0) < 0:
+        if b[c] < 0:
             raise SizeCapError("negative bound for %r" % c)
-        b.setdefault(c, 0)
     return b
+
+
+def bound_label(C: FinCategory, bounds) -> str:
+    """The bounds as reports show them, e.g. 'V<=2,E<=1'; rejects a
+    stage that is not an object of C."""
+    b = _norm_bounds(C, bounds)
+    return ",".join("%s<=%d" % (c, b[c]) for c in C.objects)
 
 
 def _candidates(C: FinCategory, sizes: dict[str, int]):
@@ -153,4 +160,4 @@ def enumerate_presheaves(C: FinCategory, bounds,
     ordered = [X for _key, X in sorted(seen.items(), key=lambda kv: kv[0])]
     for i, X in enumerate(ordered):
         X.name = "X%d" % i
-    return Corpus(C, b, ordered, cap)
+    return Corpus(C, ordered, cap)

@@ -7,15 +7,16 @@ congruence enumeration, and the ¬¬-separated reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, factor_through, global_elements,
-                       is_epi, make_presheaf, nat_transformations, pel,
-                       product, quotient_by_pairs, sub_presheaf, subfunctors,
-                       two, yoneda)
+                       is_epi, is_isomorphic, make_presheaf,
+                       nat_transformations, pel, product, quotient_by_pairs,
+                       sub_presheaf, subfunctors, two, yoneda)
+from .report import Result
 from .sublattice import (Subobject, complemented_subobjects, is_complemented,
                          is_nn_dense_arrow, nn_closure)
 
@@ -30,21 +31,6 @@ class Congruence:
 
     ambient: Presheaf
     relation: Subobject  # of ambient×ambient (pair ids via pel)
-
-
-@dataclass
-class AxiomReport:
-    axiom: str
-    verdict: str  # holds | holds-at-bound | fails | unknown-at-bound
-    witness: dict | None = None
-    bound: str = "exact"
-
-    def holds(self) -> bool:
-        return self.verdict in ("holds", "holds-at-bound")
-
-    def to_dict(self) -> dict:
-        return {"axiom": self.axiom, "verdict": self.verdict,
-                "bound": self.bound, "witness": self.witness}
 
 
 def presheaf_snippet(X: Presheaf) -> dict:
@@ -81,7 +67,7 @@ def is_decidable(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
 # ---------------------------------------------------------------------------
 # the Nullstellensatz axiom
 
-def check_ns(C: FinCategory) -> AxiomReport:
+def check_ns(C: FinCategory) -> Result:
     """Exact NS decision: every object is initial or has a global element
     iff every representable has a global element.
 
@@ -97,23 +83,19 @@ def check_ns(C: FinCategory) -> AxiomReport:
             if first is None:
                 first = yc
     if failing:
-        return AxiomReport(
-            "NS", "fails",
-            {"representable": failing[0],
-             "all_failing": failing,
-             "presheaf": presheaf_snippet(first)})
-    return AxiomReport("NS", "holds")
+        return Result("fails", [{"representable": failing[0],
+                                 "all_failing": failing,
+                                 "presheaf": presheaf_snippet(first)}])
+    return Result("holds")
 
 
-def ns_brute_force(corpus: Corpus) -> AxiomReport:
+def ns_brute_force(corpus: Corpus) -> Result:
     """Bounded falsifier companion to check_ns: search the corpus for a
     nonempty presheaf without global elements."""
     for X in corpus:
         if not X.is_empty() and not global_elements(X):
-            return AxiomReport("NS", "fails",
-                               {"presheaf": presheaf_snippet(X)},
-                               corpus.bound_label())
-    return AxiomReport("NS", "holds-at-bound", None, corpus.bound_label())
+            return Result("fails", [{"presheaf": presheaf_snippet(X)}])
+    return Result("holds-at-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +165,19 @@ def pi_arrow(f: NatTrans, cap: int = DEFAULT_SIZE_CAP,
     return g
 
 
+def pi_product_failures(corpus: Corpus) -> Iterator[tuple]:
+    """The pairs (X, Y) of corpus objects at which Π does not preserve
+    the product, Π(X×Y) ≇ ΠX × ΠY, in corpus order."""
+    cap = corpus.cap
+    for X in corpus:
+        for Y in corpus:
+            P, _p1, _p2 = product(X, Y, cap)
+            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
+                                    corpus.fact(pi, Y).quotient, cap)
+            if not is_isomorphic(pi(P, cap).quotient, rhs):
+                yield X, Y
+
+
 def is_connected(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
     """Exactly two complemented subobjects (0 and X)."""
     return len(complemented_subobjects(X, cap)) == 2
@@ -230,7 +225,7 @@ def quotient(X: Presheaf, R: Congruence):
 # ---------------------------------------------------------------------------
 # DQO
 
-def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
+def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
     """DQO at X: K(X) = congruences whose quotient is decidable and
     factors every arrow X→2; DQO holds at X iff K(X) is a singleton."""
     t2, _i1, _i2 = two(X.base)
@@ -243,42 +238,39 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
         if all(factor_through(q, h) is not None for h in homs):
             witnesses.append((R, Q))
     if len(witnesses) == 1:
-        return AxiomReport("DQO", "holds",
-                           {"object": presheaf_snippet(X)})
-    return AxiomReport(
-        "DQO", "fails",
-        {"object": presheaf_snippet(X),
-         "factoring_congruences": [subobject_snippet(R.relation)
-                                   for R, _Q in witnesses]})
+        return Result("holds", [{"object": presheaf_snippet(X)}])
+    return Result("fails", [{
+        "object": presheaf_snippet(X),
+        "factoring_congruences": [subobject_snippet(R.relation)
+                                  for R, _Q in witnesses]}])
 
 
-def first_failure(corpus: Corpus, check) -> AxiomReport | None:
-    """The report of the first corpus object at which the per-object
+def first_failure(corpus: Corpus, check) -> Result | None:
+    """The result of the first corpus object at which the per-object
     axiom check fails, or None if it holds throughout."""
     for X in corpus:
-        report = corpus.fact(check, X)
-        if not report.holds():
-            return report
+        result = corpus.fact(check, X)
+        if not result.holds():
+            return result
     return None
 
 
-def _check_bounded(corpus: Corpus, axiom: str, check) -> AxiomReport:
+def _check_bounded(corpus: Corpus, check) -> Result:
     failure = first_failure(corpus, check)
     if failure is None:
-        return AxiomReport(axiom, "holds-at-bound", None,
-                           corpus.bound_label())
-    return AxiomReport(axiom, "fails", failure.witness, corpus.bound_label())
+        return Result("holds-at-bound")
+    return Result("fails", failure.witnesses)
 
 
-def check_dqo_bounded(corpus: Corpus) -> AxiomReport:
+def check_dqo_bounded(corpus: Corpus) -> Result:
     """DQO over all presheaves up to iso within the bounds."""
-    return _check_bounded(corpus, "DQO", check_dqo)
+    return _check_bounded(corpus, check_dqo)
 
 
 # ---------------------------------------------------------------------------
 # DSO
 
-def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
+def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
     """DSO at X: a unique decidable subobject through which every global
     point of X factors."""
     points = global_elements(X)
@@ -291,22 +283,19 @@ def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> AxiomReport:
                for p in points for c in X.base.objects):
             candidates.append(parts)
     if len(candidates) == 1:
-        return AxiomReport(
-            "DSO", "holds",
-            {"object": presheaf_snippet(X),
-             "subobject": {c: sorted(candidates[0][c])
-                           for c in X.base.objects}})
-    return AxiomReport(
-        "DSO", "fails",
-        {"object": presheaf_snippet(X),
-         "decidable_subobjects": [{c: sorted(p[c])
-                                   for c in X.base.objects}
-                                  for p in candidates]})
+        return Result("holds", [{
+            "object": presheaf_snippet(X),
+            "subobject": {c: sorted(candidates[0][c])
+                          for c in X.base.objects}}])
+    return Result("fails", [{
+        "object": presheaf_snippet(X),
+        "decidable_subobjects": [{c: sorted(p[c]) for c in X.base.objects}
+                                 for p in candidates]}])
 
 
-def check_dso_bounded(corpus: Corpus) -> AxiomReport:
+def check_dso_bounded(corpus: Corpus) -> Result:
     """DSO over all presheaves up to iso within the bounds."""
-    return _check_bounded(corpus, "DSO", check_dso)
+    return _check_bounded(corpus, check_dso)
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +323,10 @@ def separated_reflection(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
 # ---------------------------------------------------------------------------
 # dec(E) is a topos (both sides of the criterion)
 
-@dataclass
-class TwoSidedReport:
-    name: str
-    left: bool
-    right: bool
-    details: dict = field(default_factory=dict)
-    bound: str = ""
-
-    def agree(self) -> bool:
-        return self.left == self.right
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "left": self.left, "right": self.right,
-                "agree": self.agree(), "bound": self.bound,
-                "details": self.details}
-
-
-def dec_is_topos_check(corpus: Corpus) -> TwoSidedReport:
+def dec_is_topos_check(corpus: Corpus) -> Result:
     """Compare, over the corpus: (left) every mono between decidable
     objects is complemented; (right) Π(f) is epic for every ¬¬-dense
-    corpus arrow f."""
+    corpus arrow f.  The verdict is whether the two sides agree."""
     C, cap = corpus.base, corpus.cap
     left = True
     left_witness = None
@@ -388,10 +360,10 @@ def dec_is_topos_check(corpus: Corpus) -> TwoSidedReport:
         if not right:
             break
 
-    details = {}
+    witnesses = []
     if left_witness:
-        details["non_complemented_mono"] = left_witness
+        witnesses.append({"non_complemented_mono": left_witness})
     if right_witness:
-        details["dense_arrow_with_nonepic_pi"] = right_witness
-    return TwoSidedReport("dec-is-topos", left, right, details,
-                          corpus.bound_label())
+        witnesses.append({"dense_arrow_with_nonepic_pi": right_witness})
+    return Result("agree" if left == right else "disagree", witnesses,
+                  {"monos_complemented": left, "pi_epic_on_dense": right})

@@ -8,36 +8,18 @@ stage-size-lexicographically minimal by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, first_failure, is_connected,
-                        is_decidable, pi, presheaf_snippet,
-                        separated_reflection)
-from .errors import UnknownName, DEFAULT_SIZE_CAP
+                        is_decidable, pi, pi_product_failures,
+                        presheaf_snippet, separated_reflection)
+from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .forcing import has_pneumoconnected_fibers, pc_object
 from .presheaf import (NatTrans, Presheaf, exponential, factor_through,
                        global_elements, inclusion_of, is_epi, is_isomorphic,
                        nat_transformations, pairing, product, pullback,
                        sub_presheaf, subfunctors, terminal, two)
+from .report import Result
 from .sublattice import complemented_subobjects
-
-
-@dataclass
-class PropertyResult:
-    """One universally-quantified check over a corpus."""
-
-    name: str
-    base: str
-    bound: str
-    holds: bool
-    checked: int
-    witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "base": self.base, "bound": self.bound,
-                "holds": self.holds, "checked": self.checked,
-                "witness": self.witness}
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +79,13 @@ def _search_lemma(corpus: Corpus) -> dict | None:
     return None
 
 
-def lemma_report(corpus: Corpus) -> PropertyResult:
+def lemma_report(corpus: Corpus) -> Result:
     """Check that the three fiber conditions agree for every epi between
     corpus objects."""
     witness = _search_lemma(corpus)
-    return PropertyResult("lemma-equivalences", corpus.base.name,
-                          corpus.bound_label(), witness is None,
-                          len(corpus) ** 2, witness)
+    return Result("holds" if witness is None else "fails",
+                  [] if witness is None else [witness],
+                  {"pairs_checked": len(corpus) ** 2})
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +130,8 @@ def _prop_connected_products(corpus: Corpus):
 
 
 def _prop_pi_products(corpus: Corpus):
-    cap = corpus.cap
-    for X in corpus:
-        for Y in corpus:
-            P, _p1, _p2 = product(X, Y, cap)
-            lhs = pi(P, cap).quotient
-            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
-                                    corpus.fact(pi, Y).quotient, cap)
-            if not is_isomorphic(lhs, rhs):
-                return {"left": presheaf_snippet(X),
-                        "right": presheaf_snippet(Y)}
+    for X, Y in pi_product_failures(corpus):
+        return {"left": presheaf_snippet(X), "right": presheaf_snippet(Y)}
     return None
 
 
@@ -276,21 +250,32 @@ PROPERTIES = {
 }
 
 
-def props_report(corpus: Corpus,
-                 names: list[str] | None = None) -> list[PropertyResult]:
-    """Run the named property checks (all by default) over the corpus."""
+def props_report(corpus: Corpus, names: list[str] | None = None) -> Result:
+    """Run the named property checks (all by default) over the corpus.
+
+    Each property is true, false (with a witness naming the property) or
+    "unknown-at-cap" when its check hits the size cap; the battery
+    fails if any property is false, and is unknown at the cap if none is
+    false but one hit the cap."""
     selected = names if names is not None else sorted(PROPERTIES)
     for n in selected:
         if n not in PROPERTIES:
             raise UnknownName("unknown property %r (have: %s)"
                               % (n, ", ".join(sorted(PROPERTIES))))
-    results = []
+    properties, witnesses = {}, []
     for n in selected:
-        witness = PROPERTIES[n](corpus)
-        results.append(PropertyResult(n, corpus.base.name,
-                                      corpus.bound_label(), witness is None,
-                                      len(corpus), witness))
-    return results
+        try:
+            witness = PROPERTIES[n](corpus)
+        except SizeCapError:
+            properties[n] = "unknown-at-cap"
+            continue
+        properties[n] = witness is None
+        if witness is not None:
+            witnesses.append({"property": n, **witness})
+    values = list(properties.values())
+    verdict = ("fails" if False in values else
+               "unknown-at-cap" if "unknown-at-cap" in values else "holds")
+    return Result(verdict, witnesses, {"properties": properties})
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +283,12 @@ def props_report(corpus: Corpus,
 
 def _search_dqo(corpus: Corpus):
     failure = first_failure(corpus, check_dqo)
-    return None if failure is None else failure.witness
+    return None if failure is None else failure.witnesses[0]
 
 
 def _search_dso(corpus: Corpus):
     failure = first_failure(corpus, check_dso)
-    return None if failure is None else failure.witness
+    return None if failure is None else failure.witnesses[0]
 
 
 def _search_pneumo_pi(corpus: Corpus):

@@ -9,18 +9,20 @@ and runs the two-sided equivalence harnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, check_ns, is_decidable, pi,
-                        pi_arrow, presheaf_snippet, PiResult)
+                        pi_arrow, pi_product_failures, presheaf_snippet,
+                        PiResult)
 from .errors import (AxiomPrereqFailed, PresheafError,
                      TriangleIdentityFailed)
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, _encode_nat, exponential,
                        factor_through, identity_nat, inclusion_of,
                        is_epi, is_isomorphic, make_presheaf,
-                       nat_transformations, product, terminal, yoneda,
-                       yoneda_arrow)
+                       nat_transformations, terminal, yoneda, yoneda_arrow)
+from .report import Result
 from .sublattice import Subobject, is_nn_dense
 
 
@@ -29,6 +31,15 @@ def _hom(cache, X: Presheaf, Y: Presheaf):
     if key not in cache:
         cache[key] = nat_transformations(X, Y)
     return cache[key]
+
+
+def _pi_reflects(r: PiResult, S: Presheaf, homs) -> bool:
+    """Π ⊣ inclusion at (X, S): precomposition with the unit X → ΠX is
+    a bijection Hom(ΠX, S) ≅ Hom(X, S), with hom-sets from homs(X, S)."""
+    lhs = homs(r.quotient, S)
+    images = {r.map.then(g).key() for g in lhs}
+    return len(images) == len(lhs) and \
+        images == {g.key() for g in homs(r.source, S)}
 
 
 @dataclass(eq=False)
@@ -71,7 +82,7 @@ class AdjointString:
             if not report.holds():
                 raise PresheafError("DSOFails",
                                     "DSO fails at %r" % (X.name or "X"))
-            part = report.witness["subobject"]
+            part = report.witnesses[0]["subobject"]
             D, inc = inclusion_of(X, {c: frozenset(part[c])
                                       for c in self.base.objects})
             D.name = "f_*(%s)" % (X.name or "X")
@@ -258,15 +269,12 @@ class AdjointString:
         """Hom-set counts for all three adjunctions over the corpus."""
         bad = []
         decs = self.decidables()
+        homs = partial(_hom, self._homs)
         for X in self.corpus:
             r = self.f_shriek(X)
             D, i = self.f_star(X)
             for S in decs:
-                lhs = _hom(self._homs, r.quotient, S)
-                rhs = _hom(self._homs, X, S)
-                images = {r.map.then(g).key() for g in lhs}
-                if len(images) != len(lhs) or \
-                        images != {g.key() for g in rhs}:
+                if not _pi_reflects(r, S, homs):
                     bad.append("pi-adjunction@%s,%s" % (X.name, S.name))
                 lhs2 = _hom(self._homs, S, D)
                 rhs2 = _hom(self._homs, S, X)
@@ -317,7 +325,7 @@ def require_ns(C: FinCategory) -> None:
     ns = check_ns(C)
     if not ns.holds():
         raise AxiomPrereqFailed("NS fails on this base",
-                                witness=ns.witness)
+                                witness=ns.witnesses[0])
 
 
 def build_adjoint_string(corpus: Corpus) -> AdjointString:
@@ -341,134 +349,77 @@ def build_adjoint_string(corpus: Corpus) -> AdjointString:
     return adj
 
 
-@dataclass
-class PrecohesionReport:
-    base: str
-    bound: str
-    applicable: bool = True
-    failed_prereq: str | None = None
-    fully_faithful: bool = False
-    products_preserved: bool = False
-    counit_monic: bool = False
-    nullstellensatz: bool = False
-    witnesses: dict = field(default_factory=dict)
-
-    def precohesive(self) -> bool:
-        return (self.applicable and self.fully_faithful
-                and self.products_preserved and self.counit_monic
-                and self.nullstellensatz)
-
-    def to_dict(self) -> dict:
-        return {"base": self.base, "bound": self.bound,
-                "applicable": self.applicable,
-                "failed_prereq": self.failed_prereq,
-                "fully_faithful": self.fully_faithful,
-                "products_preserved": self.products_preserved,
-                "counit_monic": self.counit_monic,
-                "nullstellensatz": self.nullstellensatz,
-                "precohesive": self.precohesive(),
-                "witnesses": self.witnesses}
-
-
-def check_precohesive(corpus: Corpus) -> PrecohesionReport:
+def check_precohesive(corpus: Corpus) -> Result:
     """The four precohesion conditions over the bounded corpus."""
     return _precohesion(corpus)[0]
 
 
 def _precohesion(corpus: Corpus):
-    """The precohesion report, and the adjoint string it was checked on
+    """The precohesion result, and the adjoint string it was checked on
     (None when the string could not be built)."""
     C, cap = corpus.base, corpus.cap
-    report = PrecohesionReport(C.name, corpus.bound_label())
     try:
         adj = build_adjoint_string(corpus)
     except AxiomPrereqFailed as exc:
-        report.applicable = False
-        report.failed_prereq = str(exc)
-        return report, None
+        return _not_applicable(str(exc)), None
     except TriangleIdentityFailed as exc:
-        report.applicable = False
-        report.failed_prereq = "triangle identity: %s" % exc
-        return report, None
+        return _not_applicable("triangle identity: %s" % exc), None
+    witnesses = {}
 
     # Full faithfulness of the inclusion: maps between decidables agree
     # whether computed inside the subcategory or the ambient topos.
     decs = adj.decidables()
-    report.fully_faithful = True
     for S in decs:
         for T in decs:
             inside = nat_transformations(S, T)
             if len({h.key() for h in inside}) != len(inside):
-                report.fully_faithful = False
-                report.witnesses["fully_faithful"] = [S.name, T.name]
+                witnesses["fully_faithful"] = [S.name, T.name]
 
     # Product preservation: Π(X×Y) ≅ ΠX × ΠY for all pairs, Π(1) ≅ 1.
-    report.products_preserved = True
     one = terminal(C)
     if not is_isomorphic(pi(one, cap).quotient, one):
-        report.products_preserved = False
-        report.witnesses["products"] = ["1"]
-    for X in adj.corpus:
-        for Y in adj.corpus:
-            P, _p1, _p2 = product(X, Y, cap)
-            lhs = pi(P, cap).quotient
-            rhs, _q1, _q2 = product(adj.f_shriek(X).quotient,
-                                    adj.f_shriek(Y).quotient, cap)
-            if not is_isomorphic(lhs, rhs):
-                report.products_preserved = False
-                report.witnesses.setdefault("products", []) \
-                    .append([X.name, Y.name])
+        witnesses["products"] = ["1"]
+    for X, Y in pi_product_failures(corpus):
+        witnesses.setdefault("products", []).append([X.name, Y.name])
     # Counit monic: f_*X ↪ X pointwise injective.
-    report.counit_monic = True
     for X in adj.corpus:
         _D, i = adj.f_star(X)
         for c in C.objects:
             vals = list(i.components[c].values())
             if len(set(vals)) != len(vals):
-                report.counit_monic = False
-                report.witnesses["counit"] = [X.name, c]
+                witnesses["counit"] = [X.name, c]
     # Nullstellensatz: θ_X = p_X ∘ ι: f_*X → ΠX epic.
-    report.nullstellensatz = True
     for X in adj.corpus:
         _D, i = adj.f_star(X)
         theta = i.then(adj.unit_pi(X))
         if not is_epi(theta):
-            report.nullstellensatz = False
-            report.witnesses.setdefault("nullstellensatz", []) \
-                .append(X.name)
-    return report, adj
+            witnesses.setdefault("nullstellensatz", []).append(X.name)
+
+    # Each condition holds iff it left no witness.
+    details = {"fully_faithful": "fully_faithful" not in witnesses,
+               "products_preserved": "products" not in witnesses,
+               "counit_monic": "counit" not in witnesses,
+               "nullstellensatz": "nullstellensatz" not in witnesses}
+    verdict = "precohesive" if all(details.values()) else "fails"
+    return Result(verdict, [witnesses] if witnesses else [], details), adj
 
 
-@dataclass
-class HarnessReport:
-    name: str
-    base: str
-    bound: str
-    left: bool
-    right: bool
-    checks: dict = field(default_factory=dict)
-
-    def agree(self) -> bool:
-        return self.left == self.right
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "base": self.base, "bound": self.bound,
-                "left": self.left, "right": self.right,
-                "agree": self.agree(), "checks": self.checks}
+def _not_applicable(reason: str) -> Result:
+    return Result("not-applicable", [], {"failed_prereq": reason})
 
 
-def theorem_c_harness(corpus: Corpus) -> HarnessReport:
+def theorem_c_harness(corpus: Corpus) -> Result:
     """Two-sided check: (DQO ∧ DSO over the corpus) versus the
     precohesion verdict, plus the forward-direction ingredients (the
     decidable subobject f_*X is ¬¬-dense in X, and Π of that dense mono
-    is epic)."""
+    is epic).  Holds when the two sides agree."""
     C = corpus.base
     require_ns(C)
     left = all(corpus.fact(check_dqo, X).holds()
                and corpus.fact(check_dso, X).holds() for X in corpus)
     pre, adj = _precohesion(corpus)
-    right = pre.precohesive()
-    checks = {"precohesion": pre.to_dict()}
+    right = pre.holds()
+    checks = {}
     if left:
         dense_ok = True
         pi_epi_ok = True
@@ -483,49 +434,30 @@ def theorem_c_harness(corpus: Corpus) -> HarnessReport:
                 pi_epi_ok = False
         checks["dso_part_nn_dense"] = dense_ok
         checks["pi_of_dense_mono_epic"] = pi_epi_ok
-    return HarnessReport("theorem-c", C.name, corpus.bound_label(),
-                         left, right, checks)
+    return Result("holds" if left == right else "fails", [],
+                  {"axioms_hold": left, "precohesive": right,
+                   "checks": checks})
 
 
-def theorem_ab_harness(corpus: Corpus) -> HarnessReport:
+def theorem_ab_harness(corpus: Corpus) -> Result:
     """Reflection and exponential-ideal checks: (A) Π is left adjoint to
     the inclusion and preserves finite products; (B) Yˣ stays decidable
     for decidable Y; and reflectivity at the bound implies the
-    decidable-quotient uniqueness check passes everywhere."""
+    decidable-quotient uniqueness check passes everywhere.  Holds when
+    both A and B hold."""
     C, cap = corpus.base, corpus.cap
     require_ns(C)
     decs = corpus.decidables()
 
-    reflective = True
-    for X in corpus:
-        r = corpus.fact(pi, X)
-        for S in decs:
-            lhs = nat_transformations(r.quotient, S)
-            images = {r.map.then(g).key() for g in lhs}
-            rhs = {g.key() for g in nat_transformations(X, S)}
-            if len(images) != len(lhs) or images != rhs:
-                reflective = False
-    products = True
-    for X in corpus:
-        for Y in corpus:
-            P, _p1, _p2 = product(X, Y, cap)
-            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
-                                    corpus.fact(pi, Y).quotient, cap)
-            if not is_isomorphic(pi(P, cap).quotient, rhs):
-                products = False
-    exponential_ideal = True
-    for X in corpus:
-        for Y in decs:
-            E = exponential(X, Y, cap)
-            if not is_decidable(E, cap):
-                exponential_ideal = False
+    reflective = all(_pi_reflects(corpus.fact(pi, X), S, nat_transformations)
+                     for X in corpus for S in decs)
+    products = next(pi_product_failures(corpus), None) is None
+    exponential_ideal = all(is_decidable(exponential(X, Y, cap), cap)
+                            for X in corpus for Y in decs)
     dqo_everywhere = all(corpus.fact(check_dqo, X).holds() for X in corpus)
-
-    left = reflective and products
-    right = exponential_ideal and (not reflective or dqo_everywhere)
-    return HarnessReport(
-        "theorem-ab", C.name, corpus.bound_label(), left, right,
-        {"pi_left_adjoint": reflective,
-         "pi_preserves_products": products,
-         "exponential_ideal": exponential_ideal,
-         "reflective_implies_dqo": (not reflective) or dqo_everywhere})
+    checks = {"pi_left_adjoint": reflective,
+              "pi_preserves_products": products,
+              "exponential_ideal": exponential_ideal,
+              "reflective_implies_dqo": (not reflective) or dqo_everywhere}
+    return Result("holds" if all(checks.values()) else "fails", [],
+                  {"checks": checks})

@@ -1,0 +1,23 @@
+"""The one result type of every check and every command."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+# Verdicts that pass (exit code 0); any other verdict exits 1.
+PASSING = frozenset({"holds", "holds-at-bound", "agree", "precohesive",
+                     "ok", "decidable", "connected",
+                     "pneumoconnected-fibers", "valid", "none"})
+
+
+@dataclass
+class Result:
+    """A verdict, the witnesses that back it (each re-checkable from its
+    JSON alone) and the details a report shows beside them."""
+
+    verdict: str
+    witnesses: list = field(default_factory=list)
+    details: dict = field(default_factory=dict)
+
+    def holds(self) -> bool:
+        return self.verdict in PASSING

@@ -66,8 +66,8 @@ def test_criterion_02_ns_decisions_with_brute_force_cross_check():
             assert r.holds() == holds, name
             corpus = enumerate_presheaves(C, 3)
             assert ns_brute_force(corpus).holds() == holds, name
-        assert "y(E)" in check_ns(GR).witness["all_failing"]
-        assert check_ns(TD).witness["representable"].startswith("y(")
+        assert "y(E)" in check_ns(GR).witnesses[0]["all_failing"]
+        assert check_ns(TD).witnesses[0]["representable"].startswith("y(")
 
 
 def test_criterion_03_connected_iff_pi_is_terminal():
@@ -90,7 +90,7 @@ def test_criterion_04_pi_counts_components_and_is_discrete():
 def test_criterion_05_fiber_pneumoconnectedness_equivalences():
     with criterion(5, 600, "epi fiber conditions (i)=(ii)=(iii), bound 2"):
         r = lemma_report(enumerate_presheaves(RG, 2))
-        assert r.holds and r.witness is None
+        assert r.holds() and r.witnesses == []
 
 
 def test_criterion_06_pi_preserves_products_and_connected_products():
@@ -133,7 +133,7 @@ def test_criterion_09_dso_fails_on_lopsided_pair():
         X = make_presheaf(TD, {"a": ("a0",), "b": ()}, {})
         r = check_dso(X)
         assert r.verdict == "fails"
-        assert r.witness["decidable_subobjects"] == \
+        assert r.witnesses[0]["decidable_subobjects"] == \
             [{"a": [], "b": []}, {"a": ["a0"], "b": []}]
 
 
@@ -141,9 +141,10 @@ def test_criterion_10_theorem_c_harness():
     with criterion(10, 600, "axioms ⇔ precohesion on refgraph; NS gate on "
                             "graph"):
         h = theorem_c_harness(enumerate_presheaves(RG, 2))
-        assert h.agree() and h.left and h.right
-        assert h.checks["dso_part_nn_dense"]
-        assert h.checks["pi_of_dense_mono_epic"]
+        assert h.holds() and h.details["axioms_hold"] and \
+            h.details["precohesive"]
+        assert h.details["checks"]["dso_part_nn_dense"]
+        assert h.details["checks"]["pi_of_dense_mono_epic"]
         with pytest.raises(AxiomPrereqFailed) as exc:
             theorem_c_harness(enumerate_presheaves(GR, 2))
         assert "NS" in str(exc.value)

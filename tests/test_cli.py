@@ -110,6 +110,47 @@ def test_verify_lemma_and_props(capsys):
     assert len(rep["details"]["properties"]) == 2
 
 
+def test_props_cap_hit_is_unknown_for_that_property_only(capsys):
+    code, rep = run_json(capsys, "verify", "props", "--bound", "V=1,E=2",
+                         "--cap", "8")
+    assert code == 1 and rep["verdict"] == "unknown-at-cap"
+    props = rep["details"]["properties"]
+    assert len(props) == 10
+    assert sum(v is True for v in props.values()) == 6
+    assert set(props.values()) == {True, "unknown-at-cap"}
+
+
+def test_props_witnesses_name_their_property(capsys):
+    from fptopos.decidable import is_connected, pi
+    from fptopos.fincat import catalog
+    from fptopos.presheaf import is_isomorphic, make_presheaf, terminal
+    code, rep = run_json(capsys, "verify", "props", "--base", "graph",
+                         "--bound", "V=2,E=1", "--props",
+                         "pi-structure,connected-iff-pi-one,pi-products")
+    assert code == 1 and rep["verdict"] == "fails"
+    props = rep["details"]["properties"]
+    assert props == {"pi-structure": True, "connected-iff-pi-one": False,
+                     "pi-products": False}
+    assert [w["property"] for w in rep["witnesses"]] == \
+        ["connected-iff-pi-one", "pi-products"]
+    # The witness re-checks from its JSON alone.
+    w = rep["witnesses"][0]["object"]
+    GR = catalog("graph")
+    X = make_presheaf(GR, w["sets"], w["actions"])
+    assert is_connected(X) != is_isomorphic(pi(X).quotient, terminal(GR))
+
+
+def test_bound_stage_names_are_checked(capsys):
+    for argv in (("enumerate", "--bound", "v=2,E=1"),
+                 ("verify", "A", "--bound", "v=2,E=1"),
+                 ("enumerate", "--bound", "V=2,V=1"),
+                 ("verify", "B", "--bound", "V=2,V=1")):
+        assert main(list(argv)) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("'v'" if "v=2" in argv[-1] else "'V'") in captured.err
+
+
 def test_verify_theorem_c(capsys):
     code, rep = run_json(capsys, "verify", "C", "--bound", "V=1,E=2")
     assert code == 0 and rep["verdict"] == "holds"

@@ -44,7 +44,7 @@ def test_ns_decisions():
     assert check_ns(RG).verdict == "holds"
     r = check_ns(GR)
     assert r.verdict == "fails"
-    assert "y(E)" in r.witness["all_failing"]
+    assert "y(E)" in r.witnesses[0]["all_failing"]
     assert check_ns(TD).verdict == "fails"
     assert check_ns(catalog("sierpinski")).verdict == "fails"
 
@@ -143,7 +143,7 @@ def test_dqo_fails_at_a1_with_diagonal_and_total():
     assert is_decidable(A1)
     r = check_dqo(A1)
     assert r.verdict == "fails"
-    ws = r.witness["factoring_congruences"]
+    ws = r.witnesses[0]["factoring_congruences"]
     assert len(ws) == 2
     sizes = sorted((len(w["V"]), len(w["E"])) for w in ws)
     assert sizes == [(2, 1), (4, 1)]  # the diagonal and the total relation
@@ -152,18 +152,18 @@ def test_dqo_fails_at_a1_with_diagonal_and_total():
 def test_dqo_bounded_first_witness_is_a1():
     r = check_dqo_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}))
     assert r.verdict == "fails"
-    w = r.witness["object"]
+    w = r.witnesses[0]["object"]
     W = make_presheaf(GR, w["sets"], w["actions"])
     assert is_isomorphic(W, A1)
 
 
 def test_dso_examples():
     assert check_dso(P2).holds()
-    assert check_dso(P2).witness["subobject"] == {"V": ["0", "1"],
+    assert check_dso(P2).witnesses[0]["subobject"] == {"V": ["0", "1"],
                                                   "E": ["l0", "l1"]}
     r = check_dso(make_presheaf(TD, {"a": ("x",), "b": ()}, {}))
     assert r.verdict == "fails"
-    parts = r.witness["decidable_subobjects"]
+    parts = r.witnesses[0]["decidable_subobjects"]
     assert parts == [{"a": [], "b": []}, {"a": ["x"], "b": []}]
     for X in enumerate_presheaves(PT, 3):
         assert check_dso(X).holds()
@@ -186,4 +186,4 @@ def test_dec_topos_two_sided_agreement():
              ("graph", {"V": 2, "E": 1}), ("refgraph", {"V": 1, "E": 2})]
     for name, bound in cases:
         r = dec_is_topos_check(enumerate_presheaves(catalog(name), bound))
-        assert r.agree(), name
+        assert r.holds(), name

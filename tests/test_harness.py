@@ -39,15 +39,16 @@ def test_epi_conditions_for_pi_quotient():
 
 def test_lemma_report_refgraph_small():
     r = lemma_report(enumerate_presheaves(RG, {"V": 1, "E": 2}))
-    assert r.holds and r.witness is None
-    assert r.checked == len(enumerate_presheaves(RG, {"V": 1, "E": 2})) ** 2
+    assert r.holds() and r.witnesses == []
+    assert r.details["pairs_checked"] == \
+        len(enumerate_presheaves(RG, {"V": 1, "E": 2})) ** 2
 
 
 def test_props_report_runs_all_and_holds():
-    results = props_report(enumerate_presheaves(RG, {"V": 1, "E": 2}))
-    assert [r.name for r in results] == sorted(PROPERTIES)
-    for r in results:
-        assert r.holds, (r.name, r.witness)
+    r = props_report(enumerate_presheaves(RG, {"V": 1, "E": 2}))
+    assert list(r.details["properties"]) == sorted(PROPERTIES)
+    for name, holds in r.details["properties"].items():
+        assert holds is True, (name, r.witnesses)
 
 
 def test_props_report_unknown_name():

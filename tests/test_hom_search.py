@@ -5,7 +5,8 @@ import random
 
 import oracles
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import pi
+from fptopos.decidable import (check_dqo, check_dso, is_connected,
+                               is_decidable, pi)
 from fptopos.fincat import catalog
 from fptopos.presheaf import (find_iso, is_isomorphic, make_presheaf,
                               nat_transformations, product, terminal, two)
@@ -65,6 +66,10 @@ def test_verdicts_do_not_depend_on_element_names_or_order():
             R = _renamed(X, rng)
             assert pi(R).quotient.size_vector() == \
                 pi(X).quotient.size_vector()
+            assert is_decidable(R) == is_decidable(X)
+            assert is_connected(R) == is_connected(X)
+            assert check_dqo(R).verdict == check_dqo(X).verdict
+            assert check_dso(R).verdict == check_dso(X).verdict
             for Y in corpus:
                 assert len(nat_transformations(R, Y)) == \
                     len(nat_transformations(X, Y))

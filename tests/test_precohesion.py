@@ -70,23 +70,24 @@ def test_point_base_string_is_degenerate():
 
 def test_refgraph_is_precohesive_at_bound():
     r = check_precohesive(enumerate_presheaves(RG, BOUND2))
-    assert r.applicable
-    assert r.precohesive()
-    assert r.witnesses == {}
+    assert r.verdict != "not-applicable"
+    assert r.holds()
+    assert r.witnesses == []
 
 
 def test_graph_base_not_applicable():
     r = check_precohesive(enumerate_presheaves(GR, {"V": 1, "E": 1}))
-    assert not r.applicable
-    assert "NS" in r.failed_prereq
-    assert not r.precohesive()
+    assert r.verdict == "not-applicable"
+    assert "NS" in r.details["failed_prereq"]
+    assert not r.holds()
 
 
 def test_theorem_c_harness_agrees(adj):
     h = theorem_c_harness(enumerate_presheaves(RG, BOUND2))
-    assert h.agree() and h.left and h.right
-    assert h.checks["dso_part_nn_dense"]
-    assert h.checks["pi_of_dense_mono_epic"]
+    assert h.holds() and h.details["axioms_hold"] and \
+        h.details["precohesive"]
+    assert h.details["checks"]["dso_part_nn_dense"]
+    assert h.details["checks"]["pi_of_dense_mono_epic"]
 
 
 def test_theorem_c_mutation_flips_both_sides(monkeypatch):
@@ -94,21 +95,22 @@ def test_theorem_c_mutation_flips_both_sides(monkeypatch):
     must both turn false together; the harness is not hard-wired."""
     import fptopos.decidable as dec
     import fptopos.precohesion as pre
-    from fptopos.decidable import AxiomReport
+    from fptopos.report import Result
 
     def always_fails(X, cap=None):
-        return AxiomReport("DSO", "fails", {"object": X.name})
+        return Result("fails", [{"object": X.name}])
 
     monkeypatch.setattr(dec, "check_dso", always_fails)
     monkeypatch.setattr(pre, "check_dso", always_fails)
     h = theorem_c_harness(enumerate_presheaves(RG, {"V": 1, "E": 1}))
-    assert not h.left and not h.right and h.agree()
+    assert not h.details["axioms_hold"] and \
+        not h.details["precohesive"] and h.holds()
 
 
 def test_theorem_ab_harness():
     h = theorem_ab_harness(enumerate_presheaves(RG, {"V": 1, "E": 2}))
-    assert h.agree() and h.left and h.right
-    assert h.checks["pi_left_adjoint"]
-    assert h.checks["pi_preserves_products"]
-    assert h.checks["exponential_ideal"]
-    assert h.checks["reflective_implies_dqo"]
+    assert h.holds()  # theorems A and B both hold
+    assert h.details["checks"]["pi_left_adjoint"]
+    assert h.details["checks"]["pi_preserves_products"]
+    assert h.details["checks"]["exponential_ideal"]
+    assert h.details["checks"]["reflective_implies_dqo"]
