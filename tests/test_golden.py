@@ -2,10 +2,12 @@
 
 Each file in tests/golden/ is the stdout of `fptopos <command> --format
 json`, so a faster search behind these commands (hom-sets, isomorphisms,
-Π, corpora) or a new report layout must leave every report unchanged.
-The cases cover verdicts that hold and the failing paths: NS, DQO and DSO
-failures, a not-applicable precohesion check, a failed prerequisite and a
-counterexample search that finds a witness."""
+Π, complemented parts, P_c, corpora) or a new report layout must leave
+every report unchanged.  The cases cover verdicts that hold and the
+failing paths: NS, DQO and DSO failures, a not-applicable precohesion
+check, a failed prerequisite, a counterexample search that finds a
+witness, and a pneumoconnected-fibers failure whose witness names an
+element of P_c."""
 
 import pathlib
 
@@ -42,6 +44,14 @@ COMMANDS = {
     "search-dqo-graph-V2E1": (("search-counterexample", "--base", "graph",
                                "--bound", "V=2,E=1", "--property",
                                "dqo-uniqueness"), 1),
+    "subc-D3": (("subc", "--object", "D3"), 0),
+    "subc-two-discrete-1": (("subc", "--base", "two-discrete", "--object",
+                             "1"), 0),
+    "connected-2": (("connected", "--object", "2"), 1),
+    "pneumo-L-separated": (("pneumo", "--object", "L", "--map",
+                            "separated"), 0),
+    "pneumo-graph-A1-pi": (("pneumo", "--base", "graph", "--object", "A1",
+                            "--map", "pi"), 1),
 }
 
 
