@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
+from .errors import PresheafError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, factor_through, global_elements,
                        is_epi, is_isomorphic, make_presheaf,
@@ -18,7 +18,7 @@ from .presheaf import (NatTrans, Presheaf, factor_through, global_elements,
                        sub_presheaf, subfunctors, two, yoneda)
 from .report import Result
 from .sublattice import (Subobject, complemented_subobjects, is_complemented,
-                         is_nn_dense_arrow, nn_closure)
+                         is_nn_dense_arrow, maps_to_two, nn_closure)
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -114,9 +114,7 @@ def pi(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PiResult:
     X → 2^Hom(X,2), built directly (the full power of 2 is never
     materialized)."""
     C = X.base
-    t2, _i1, _i2 = two(C)
-    homs = sorted(nat_transformations(X, t2), key=lambda h: h.key())
-    _cap_guard(len(homs), cap)
+    homs = sorted(maps_to_two(X, cap), key=lambda h: h.key())
     tuples = {c: {x: "(%s)" % "|".join(h.apply(c, x) for h in homs)
                   for x in X.sets[c]}
               for c in C.objects}
@@ -143,11 +141,6 @@ def pi(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PiResult:
     Q = make_presheaf(C, sets, actions, "Π(%s)" % (X.name or "X"))
     q = NatTrans(X, Q, {c: dict(tuples[c]) for c in C.objects}, "p")
     return PiResult(X, Q, q, homs)
-
-
-def _cap_guard(n: int, cap: int):
-    if n > cap:
-        raise SizeCapError("Hom(X,2) has %d elements (cap %d)" % (n, cap))
 
 
 def pi_arrow(f: NatTrans, cap: int = DEFAULT_SIZE_CAP,
@@ -238,7 +231,7 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
         if all(factor_through(q, h) is not None for h in homs):
             witnesses.append((R, Q))
     if len(witnesses) == 1:
-        return Result("holds", [{"object": presheaf_snippet(X)}])
+        return Result("holds")
     return Result("fails", [{
         "object": presheaf_snippet(X),
         "factoring_congruences": [subobject_snippet(R.relation)

@@ -31,6 +31,21 @@ class FinCategory:
     generators: tuple[str, ...] = ()
     words: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # The morphism lists below, computed once in sorted name order.
+        names = tuple(sorted(self.morphisms))
+        self._identity_names = frozenset(self.identities.values())
+        self._names = names
+        self._nonidentity = tuple(m for m in names
+                                  if m not in self._identity_names)
+        self._into = {c: tuple(m for m in names if self.cod(m) == c)
+                      for c in self.objects}
+        self._from = {b: tuple(m for m in names if self.dom(m) == b)
+                      for b in self.objects}
+        self._hom = {(b, c): tuple(m for m in self._from[b]
+                                   if self.cod(m) == c)
+                     for b in self.objects for c in self.objects}
+
     def dom(self, m: str) -> str:
         return self.morphisms[m][0]
 
@@ -41,35 +56,31 @@ class FinCategory:
         return self.identities[c]
 
     def is_identity(self, m: str) -> bool:
-        d, c = self.morphisms[m]
-        return d == c and self.identities[d] == m
+        return m in self._identity_names
 
     def compose(self, g: str, f: str) -> str:
         """g∘f for cod(f) = dom(g)."""
         return self.composition[(g, f)]
 
-    def morphism_names(self) -> list[str]:
-        return sorted(self.morphisms)
+    def morphism_names(self) -> tuple[str, ...]:
+        return self._names
 
-    def nonidentity_morphisms(self) -> list[str]:
-        return [m for m in self.morphism_names() if not self.is_identity(m)]
+    def nonidentity_morphisms(self) -> tuple[str, ...]:
+        return self._nonidentity
 
-    def arrows_into(self, c: str) -> list[str]:
-        return [m for m in self.morphism_names() if self.cod(m) == c]
+    def arrows_into(self, c: str) -> tuple[str, ...]:
+        return self._into[c]
 
-    def arrows_from(self, b: str) -> list[str]:
-        return [m for m in self.morphism_names() if self.dom(m) == b]
+    def arrows_from(self, b: str) -> tuple[str, ...]:
+        return self._from[b]
 
-    def hom(self, b: str, c: str) -> list[str]:
-        return [m for m in self.morphism_names()
-                if self.morphisms[m] == (b, c)]
+    def hom(self, b: str, c: str) -> tuple[str, ...]:
+        return self._hom[(b, c)]
 
-    def generating_morphisms(self) -> list[str]:
+    def generating_morphisms(self) -> tuple[str, ...]:
         """A set of morphisms whose words generate every non-identity
         morphism; falls back to all non-identity morphisms."""
-        if self.generators:
-            return list(self.generators)
-        return self.nonidentity_morphisms()
+        return self.generators or self.nonidentity_morphisms()
 
     def to_raw(self) -> dict:
         """Serializable plain-data description, re-validatable."""

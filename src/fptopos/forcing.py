@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import (SizeCapError, SortError, UnboundVariable,
-                     DEFAULT_SIZE_CAP, ParseError)
-from .presheaf import (NatTrans, Presheaf, PowerObject, pel, power_object,
+from .errors import SortError, UnboundVariable, DEFAULT_SIZE_CAP, ParseError
+from .presheaf import (NatTrans, Presheaf, PowerObject, _relation_object, pel,
                        product)
-from .sublattice import Subobject
+from .sublattice import Subobject, complemented_subobjects, full_subobject
 
 
 # ---------------------------------------------------------------------------
@@ -33,30 +32,19 @@ class PresheafSort:
     def restrict_value(self, m: str, v: str) -> str:
         return self.carrier.act(m, v)
 
-    def describe(self) -> str:
-        return self.carrier.name or "X"
-
 
 @dataclass(eq=False)
 class PowerSort:
-    """The sort of a power object P(X), optionally restricted to a
-    subobject of its carrier (e.g. the complemented-parts object)."""
+    """The sort of a power object P(X), or of any relation object built
+    like it, such as the complemented-parts object P_c(X)."""
 
     power: PowerObject
-    restrict: Subobject | None = None
 
     def values_at(self, c: str):
-        if self.restrict is None:
-            return self.power.carrier.sets[c]
-        return tuple(u for u in self.power.carrier.sets[c]
-                     if u in self.restrict.parts[c])
+        return self.power.carrier.sets[c]
 
     def restrict_value(self, m: str, v: str) -> str:
         return self.power.carrier.act(m, v)
-
-    def describe(self) -> str:
-        base = "P(%s)" % (self.power.of.name or "X")
-        return base if self.restrict is None else "Pc-part of " + base
 
 
 Sort = PresheafSort | PowerSort
@@ -361,11 +349,6 @@ class Countermodel:
     stage: str
     bindings: dict[str, str]
 
-    def describe(self) -> str:
-        parts = ", ".join("%s=%s" % (k, v)
-                          for k, v in sorted(self.bindings.items()))
-        return "stage %s with %s" % (self.stage, parts or "no bindings")
-
 
 def universally_valid(phi: Formula, free: dict[str, Sort],
                       base=None) -> Countermodel | None:
@@ -393,41 +376,23 @@ def universally_valid(phi: Formula, free: dict[str, Sort],
 
 @dataclass(eq=False)
 class PcObject:
+    """P_c(X) with its membership data; `sub` is its whole carrier."""
+
     power: PowerObject
     sub: Subobject  # of power.carrier
 
     def sort(self) -> PowerSort:
-        return PowerSort(self.power, self.sub)
+        return PowerSort(self.power)
 
 
-def pc_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP,
-              power: PowerObject | None = None) -> PcObject:
-    """The subobject of P(X) of internally complemented parts:
-    stage c keeps the u with  ⊩_c ∀x:X (x ∈ u ∨ ¬ x ∈ u)."""
-    po = power if power is not None else power_object(X, cap)
-    xsort = PresheafSort(X)
-    u = VarT("u")
-    phi = Forall("x", xsort,
-                 Or(Mem(VarT("x"), u), Not(Mem(VarT("x"), u))))
-    usort = PowerSort(po)
-    parts = {}
-    memo = {}
-    for c in X.base.objects:
-        keep = set()
-        for uval in po.carrier.sets[c]:
-            env = {"u": (usort, uval)}
-            if _forces(c, env, phi, memo):
-                keep.add(uval)
-        parts[c] = frozenset(keep)
-    sub = Subobject(po.carrier, parts)
-    # Forcing is monotone, so this must be a subfunctor; check anyway.
-    C = X.base
-    for m in C.nonidentity_morphisms():
-        d, c = C.morphisms[m]
-        for uval in parts[c]:
-            if po.carrier.act(m, uval) not in parts[d]:
-                raise SizeCapError("P_c(X) failed subfunctor closure")
-    return PcObject(po, sub)
+def pc_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PcObject:
+    """The object of complemented parts of X: stage c holds the
+    complemented subfunctors of X×y(c), i.e. the maps X×y(c) → 2, as
+    relations named like those of P(X); restriction by pullback."""
+    po = _relation_object(
+        X, lambda B: [S.parts for S in complemented_subobjects(B, cap)],
+        cap, "P_c(%s)" % (X.name or "X"))
+    return PcObject(po, full_subobject(po.carrier))
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,12 @@ def _search_lemma(corpus: Corpus) -> dict | None:
     cap = corpus.cap
     decidables = corpus.decidables()
     for X in corpus:
-        pcx = None
         for Y in corpus:
             for q in nat_transformations(X, Y):
                 if not is_epi(q):
                     continue
-                if pcx is None:
-                    # reuse the P_c(X) object across epis out of X
-                    pcx = pc_object(X, cap)
-                i, ii, iii = epi_conditions(q, decidables, cap, pcx)
+                i, ii, iii = epi_conditions(q, decidables, cap,
+                                            corpus.fact(pc_object, X))
                 if not (i == ii == iii):
                     return {"dom": presheaf_snippet(X),
                             "cod": presheaf_snippet(Y),
@@ -145,9 +142,9 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
             if not arrows:
                 continue
             points = global_elements(Y)
-            pcx = pc_object(X, cap)
             for f in arrows:
-                if not has_pneumoconnected_fibers(f, cap, pcx):
+                if not has_pneumoconnected_fibers(f, cap,
+                                                  corpus.fact(pc_object, X)):
                     continue
                 for b in points:
                     F = fiber(f, b)
@@ -159,22 +156,34 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
     return None
 
 
+def _pneumo_epis(corpus: Corpus):
+    """The epis between corpus objects with pneumoconnected fibers, in
+    corpus order of domain, then codomain, then hom-search order."""
+    for X in corpus:
+        for Y in corpus:
+            for f in nat_transformations(X, Y):
+                if is_epi(f) and has_pneumoconnected_fibers(
+                        f, corpus.cap, corpus.fact(pc_object, X)):
+                    yield f
+
+
 def _prop_pneumo_product_closed(corpus: Corpus):
     """f, g with pneumoconnected fibers ⇒ f×g has pneumoconnected
     fibers (epis only, to keep the arrow space small)."""
     cap = corpus.cap
-    epis = []
-    for X in corpus:
-        for Y in corpus:
-            for f in nat_transformations(X, Y):
-                if is_epi(f) and has_pneumoconnected_fibers(f, cap):
-                    epis.append(f)
+    epis = list(_pneumo_epis(corpus))
+    # Each product of two domains, with its P_c, is built once.
+    dom_products = {}
     for f in epis:
         for g in epis:
-            P, p1, p2 = product(f.dom, g.dom, cap)
+            key = (f.dom, g.dom)
+            if key not in dom_products:
+                P, p1, p2 = product(f.dom, g.dom, cap)
+                dom_products[key] = (p1, p2, pc_object(P, cap))
+            p1, p2, pcp = dom_products[key]
             Q, _q1, _q2 = product(f.cod, g.cod, cap)
             fg = pairing(p1.then(f), p2.then(g), Q)
-            if not has_pneumoconnected_fibers(fg, cap):
+            if not has_pneumoconnected_fibers(fg, cap, pcp):
                 return {"left_cod": presheaf_snippet(f.cod),
                         "right_cod": presheaf_snippet(g.cod)}
     return None
@@ -184,18 +193,14 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
     """Any pullback of an epi with pneumoconnected fibers again has
     pneumoconnected fibers."""
     cap = corpus.cap
-    for X in corpus:
-        for Y in corpus:
-            for f in nat_transformations(X, Y):
-                if not (is_epi(f) and has_pneumoconnected_fibers(f, cap)):
-                    continue
-                for Z in corpus:
-                    for g in nat_transformations(Z, Y):
-                        _P, pr1, _pr2 = pullback(g, f)
-                        if not has_pneumoconnected_fibers(pr1, cap):
-                            return {"arrow_dom": presheaf_snippet(X),
-                                    "along_dom": presheaf_snippet(Z),
-                                    "cod": presheaf_snippet(Y)}
+    for f in _pneumo_epis(corpus):
+        for Z in corpus:
+            for g in nat_transformations(Z, f.cod):
+                _P, pr1, _pr2 = pullback(g, f)
+                if not has_pneumoconnected_fibers(pr1, cap):
+                    return {"arrow_dom": presheaf_snippet(f.dom),
+                            "along_dom": presheaf_snippet(Z),
+                            "cod": presheaf_snippet(f.cod)}
     return None
 
 
@@ -302,7 +307,6 @@ def _search_pneumo_pi(corpus: Corpus):
 def _search_pneumo_epis(corpus: Corpus):
     C, cap = corpus.base, corpus.cap
     for X in corpus:
-        pcx = None
         for Y in corpus:
             for q in nat_transformations(X, Y):
                 if not is_epi(q):
@@ -311,9 +315,8 @@ def _search_pneumo_epis(corpus: Corpus):
                 if any(factor_through(q, h) is None
                        for h in nat_transformations(X, t2)):
                     continue  # family: epis inverting all maps to 2
-                if pcx is None:
-                    pcx = pc_object(X, cap)
-                if not has_pneumoconnected_fibers(q, cap, pcx):
+                if not has_pneumoconnected_fibers(
+                        q, cap, corpus.fact(pc_object, X)):
                     return {"dom": presheaf_snippet(X),
                             "cod": presheaf_snippet(Y),
                             "epi": {c: dict(q.components[c])

@@ -543,7 +543,7 @@ def yoneda(C: FinCategory, c: str) -> Presheaf:
     precomposition."""
     if c not in C.objects:
         raise UnknownName("unknown object %r" % c)
-    sets = {b: tuple(C.hom(b, c)) for b in C.objects}
+    sets = {b: C.hom(b, c) for b in C.objects}
     actions = {}
     for m in C.nonidentity_morphisms():
         _d, b = C.morphisms[m]
@@ -727,33 +727,27 @@ def _relation_id(C: FinCategory, rel: dict) -> str:
     return "{" + ";".join(chunks) + "}"
 
 
-def power_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PowerObject:
-    """The power object P(X): P(X)(c) = subfunctors of X×y(c), with
+def _relation_object(X: Presheaf, parts_of, cap: int,
+                     name: str) -> PowerObject:
+    """The presheaf whose stage c holds the subfunctors of X×y(c) that
+    parts_of(X×y(c)) lists, each decoded as stage → set of (x, hom)
+    pairs and named by _relation_id (stages in id order), with
     restriction by pullback along id×y(f)."""
     C = X.base
     stage_rels = {}
     relations = {}
     for c in C.objects:
         yc = yoneda(C, c)
-        # Relations R ⊆ X×y(c): enumerate subfunctors of the product, but
-        # decoded as (x, hom) pairs per stage.
         B, _p1, _p2 = product(X, yc, cap)
-        decode = {}
-        for d in C.objects:
-            decode[d] = {pel(x, g): (x, g)
-                         for x in X.sets[d] for g in yc.sets[d]}
-        subs = subfunctors(B, cap)
-        _cap(len(subs), cap, "power object")
-        rels = []
-        for parts in subs:
+        decode = {d: {pel(x, g): (x, g)
+                      for x in X.sets[d] for g in yc.sets[d]}
+                  for d in C.objects}
+        stage_rels[c] = {}
+        for parts in parts_of(B):
             rel = {d: frozenset(decode[d][e] for e in parts[d])
                    for d in C.objects}
-            rels.append(rel)
-        named = sorted(((_relation_id(C, r), r) for r in rels),
-                       key=lambda t: t[0])
-        stage_rels[c] = dict(named)
-        for n, r in named:
-            relations.setdefault(n, r)
+            stage_rels[c][_relation_id(C, rel)] = rel
+        relations.update(stage_rels[c])
 
     sets = {c: tuple(sorted(stage_rels[c])) for c in C.objects}
     actions = {}
@@ -764,20 +758,27 @@ def power_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PowerObject:
             rel = stage_rels[c][n]
             restricted = {}
             for d in C.objects:
-                pairs = set()
-                for x in X.sets[d]:
-                    for g in C.hom(d, b):
-                        if (x, C.compose(m, g)) in rel[d]:
-                            pairs.add((x, g))
-                restricted[d] = frozenset(pairs)
+                restricted[d] = frozenset(
+                    (x, g) for x in X.sets[d] for g in C.hom(d, b)
+                    if (x, C.compose(m, g)) in rel[d])
             rid = _relation_id(C, restricted)
             if rid not in stage_rels[b]:
                 raise PresheafError("NotFunctorial",
-                                    "power-object restriction escaped stage")
+                                    "restriction escaped stage %r of %s"
+                                    % (b, name))
             table[n] = rid
         actions[m] = table
-    carrier = make_presheaf(C, sets, actions, "P(%s)" % (X.name or "X"))
-    return PowerObject(X, carrier, relations)
+    return PowerObject(X, make_presheaf(C, sets, actions, name), relations)
+
+
+def power_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PowerObject:
+    """The power object P(X): P(X)(c) = subfunctors of X×y(c), with
+    restriction by pullback along id×y(f)."""
+    def parts_of(B):
+        subs = subfunctors(B, cap)
+        _cap(len(subs), cap, "power object")
+        return subs
+    return _relation_object(X, parts_of, cap, "P(%s)" % (X.name or "X"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
-from .presheaf import NatTrans, Presheaf, subfunctors, two
+from .presheaf import (NatTrans, Presheaf, nat_transformations,
+                       subfunctors, two)
 
 
 @dataclass(eq=False)
@@ -115,31 +116,27 @@ def is_complemented(S: Subobject) -> bool:
     return join(S, negation(S)).is_full()
 
 
+def maps_to_two(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[NatTrans]:
+    """Hom(X, 2) in hom-search order; raises SizeCapError above cap."""
+    homs = nat_transformations(X, two(X.base)[0])
+    if len(homs) > cap:
+        raise SizeCapError("Hom(X,2) has %d elements (cap %d)"
+                           % (len(homs), cap))
+    return homs
+
+
 def complemented_subobjects(X: Presheaf,
                             cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
-    return [S for S in subobjects(X, cap) if is_complemented(S)]
-
-
-def classify_by_two(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
-    """The bijection Sub_c(X) ↔ Hom(X, 2): each complemented subobject
-    goes to one injection of 2 = 1+1 and its complement to the other.
-
-    Returns a list of (subobject, characteristic arrow) pairs; raises if
-    the correspondence fails to be bijective.
-    """
-    from .presheaf import nat_transformations
-    t2, _i1, _i2 = two(X.base)
-    arrows = []
-    for S in complemented_subobjects(X, cap):
-        comps = {c: {x: ("inl(*)" if x in S.parts[c] else "inr(*)")
-                     for x in X.sets[c]}
-                 for c in X.base.objects}
-        arrows.append((S, NatTrans(X, t2, comps, "chi")))
-    homs = {h.key() for h in nat_transformations(X, t2)}
-    keys = {h.key() for _S, h in arrows}
-    if keys != homs or len(keys) != len(arrows):
-        raise SizeCapError("Sub_c(X) ↔ Hom(X,2) failed to be a bijection")
-    return arrows
+    """Sub_c(X): the preimages of inl(*) under the maps X → 2 = 1+1,
+    ordered by their sorted stage parts."""
+    C = X.base
+    subs = [Subobject(X, {c: frozenset(x for x in X.sets[c]
+                                       if h.apply(c, x) == "inl(*)")
+                          for c in C.objects})
+            for h in maps_to_two(X, cap)]
+    subs.sort(key=lambda S: tuple(tuple(sorted(S.parts[c]))
+                                  for c in C.objects))
+    return subs
 
 
 def nn_closure(S: Subobject) -> Subobject:

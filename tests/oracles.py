@@ -4,9 +4,11 @@ Everything here is deliberately written without reusing the library's
 own machinery for the thing it checks: classical truth-table semantics
 for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
-for corpus sizes (with the brute-force iso search below), and
-stage-wise hom and iso searches (whole stages filled in, then checked)
-as the reference for `presheaf._hom_search`.
+for corpus sizes (with the brute-force iso search below), stage-wise
+hom and iso searches (whole stages filled in, then checked) as the
+reference for `presheaf._hom_search`, and complemented parts found by
+filtering every subobject (Sub_c(X)) or every element of the power
+object by forcing (P_c(X)), as the reference for the maps into 2.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from __future__ import annotations
 import itertools
 import random
 
+from fptopos.corpus import enumerate_presheaves
+from fptopos.errors import DEFAULT_SIZE_CAP
+from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
-                             Not, Or, PairT, PresheafSort, SubConst, Top,
-                             VarT)
-from fptopos.presheaf import NatTrans, _same_base, pel
+                             Not, Or, PairT, PowerSort, PresheafSort,
+                             SubConst, Top, VarT, forces)
+from fptopos.presheaf import (NatTrans, PowerObject, _same_base, pel,
+                              power_object, product, sub_presheaf, terminal,
+                              two)
+from fptopos.sublattice import is_complemented, subobjects
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +255,50 @@ def brute_force_iso(X, Y):
         return None
 
     return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# complemented parts by filtering every subobject, and P_c(X) by forcing
+# inside the whole power object
+
+def filtered_complemented_subobjects(X, cap=DEFAULT_SIZE_CAP):
+    """Sub_c(X) as the subfunctors S of X with S ∨ ¬S = X."""
+    return [S for S in subobjects(X, cap) if is_complemented(S)]
+
+
+def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
+    """P_c(X) as the part of P(X) whose u force ∀x (x ∈ u ∨ ¬ x ∈ u) at
+    their stage, with the relations of the kept u."""
+    po = power_object(X, cap)
+    u = VarT("u")
+    phi = Forall("x", PresheafSort(X),
+                 Or(Mem(VarT("x"), u), Not(Mem(VarT("x"), u))))
+    usort = PowerSort(po)
+    memo = {}
+    parts = {c: frozenset(v for v in po.carrier.sets[c]
+                          if forces(c, {"u": (usort, v)}, phi, memo))
+             for c in X.base.objects}
+    kept = set().union(*parts.values())
+    return PowerObject(X, sub_presheaf(po.carrier, parts),
+                       {v: r for v, r in po.relations.items() if v in kept})
+
+
+# ---------------------------------------------------------------------------
+# sample objects: the bound-2 corpora of the five catalog bases, 1, 2 and
+# the pairwise products of each base's first six corpus objects
+
+BOUND_TWO = (("point", 2), ("two-discrete", 2), ("sierpinski", 2),
+             ("graph", {"V": 2, "E": 2}), ("refgraph", 2))
+
+
+def bound_two_corpora():
+    """(base, bound-2 corpus as a list) for each catalog base."""
+    for name, bounds in BOUND_TWO:
+        C = catalog(name)
+        yield C, list(enumerate_presheaves(C, bounds))
+
+
+def sample_objects(C, corpus) -> list:
+    first = corpus[:6]
+    return corpus + [terminal(C), two(C)[0]] + \
+        [product(A, B)[0] for A in first for B in first]

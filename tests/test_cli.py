@@ -116,7 +116,7 @@ def test_props_cap_hit_is_unknown_for_that_property_only(capsys):
     assert code == 1 and rep["verdict"] == "unknown-at-cap"
     props = rep["details"]["properties"]
     assert len(props) == 10
-    assert sum(v is True for v in props.values()) == 6
+    assert sum(v is True for v in props.values()) == 8
     assert set(props.values()) == {True, "unknown-at-cap"}
 
 

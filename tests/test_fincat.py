@@ -16,7 +16,7 @@ def test_catalog_names():
 def test_point_category():
     C = catalog("point")
     assert C.objects == ("*",)
-    assert C.morphism_names() == ["1_*"]
+    assert C.morphism_names() == ("1_*",)
     assert C.is_identity("1_*")
 
 

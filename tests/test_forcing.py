@@ -107,7 +107,7 @@ def test_double_negation_elimination_countermodel_on_l():
 
 def test_pc_object_of_p2():
     pc = pc_object(P2)
-    assert pc.power.carrier.size_vector() == (5, 72)
+    assert pc.power.carrier.size_vector() == (2, 2)
     assert tuple(len(pc.sub.parts[c]) for c in RG.objects) == (2, 2)
 
 

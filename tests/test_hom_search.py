@@ -4,30 +4,16 @@ and verdicts under renaming and reordering of elements."""
 import random
 
 import oracles
-from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (check_dqo, check_dso, is_connected,
                                is_decidable, pi)
-from fptopos.fincat import catalog
 from fptopos.presheaf import (find_iso, is_isomorphic, make_presheaf,
-                              nat_transformations, product, terminal, two)
-
-BOUND_TWO = (("point", 2), ("two-discrete", 2), ("sierpinski", 2),
-             ("graph", {"V": 2, "E": 2}), ("refgraph", 2))
-
-
-def _corpora():
-    for name, bounds in BOUND_TWO:
-        yield catalog(name), list(enumerate_presheaves(catalog(name),
-                                                       bounds))
+                              nat_transformations)
 
 
 def test_kernel_matches_brute_force_oracle():
     pairs = 0
-    for C, corpus in _corpora():
-        first = corpus[:6]
-        sources = corpus + [terminal(C), two(C)[0]] + \
-            [product(A, B)[0] for A in first for B in first]
-        for X in sources:
+    for C, corpus in oracles.bound_two_corpora():
+        for X in oracles.sample_objects(C, corpus):
             for Y in corpus:
                 got = nat_transformations(X, Y)
                 want = oracles.brute_force_homs(X, Y)
@@ -61,7 +47,7 @@ def _renamed(X, rng):
 
 def test_verdicts_do_not_depend_on_element_names_or_order():
     rng = random.Random(20231)
-    for _C, corpus in _corpora():
+    for _C, corpus in oracles.bound_two_corpora():
         for X in corpus:
             R = _renamed(X, rng)
             assert pi(R).quotient.size_vector() == \

@@ -2,11 +2,14 @@
 
 import pytest
 
+import oracles
+
 from fptopos.builtins import builtin_object
 from fptopos.errors import AmbientMismatch
 from fptopos.fincat import catalog
-from fptopos.presheaf import terminal, two
-from fptopos.sublattice import (classify_by_two, complemented_subobjects,
+from fptopos.forcing import pc_object
+from fptopos.presheaf import terminal
+from fptopos.sublattice import (complemented_subobjects,
                                 empty_subobject, full_subobject,
                                 implication, is_complemented, is_nn_dense,
                                 join, meet, negation, nn_closure,
@@ -55,15 +58,22 @@ def test_p2_has_two_complemented_subobjects():
     assert len(complemented_subobjects(P2)) == 2
 
 
-def test_classify_by_two_bijection():
-    for X in (P2, L, builtin_object(RG, "D2")):
-        arrows = classify_by_two(X)
-        assert len(arrows) == len(complemented_subobjects(X))
-        for S, chi in arrows:
-            for c in RG.objects:
-                for x in X.sets[c]:
-                    assert (chi.apply(c, x) == "inl(*)") == \
-                        S.contains(c, x)
+def test_complemented_parts_match_the_filter_oracles():
+    # Sub_c(X) from the maps X → 2 against the subfunctors S with
+    # S ∨ ¬S = X, and P_c(X) built from them against the elements of
+    # P(X) that force ∀x (x ∈ u ∨ ¬ x ∈ u).
+    checked = 0
+    for C, corpus in oracles.bound_two_corpora():
+        for X in oracles.sample_objects(C, corpus):
+            got = complemented_subobjects(X)
+            want = oracles.filtered_complemented_subobjects(X)
+            assert [S.parts for S in got] == [S.parts for S in want], X
+            pc, ref = pc_object(X).power, oracles.forced_pc_object(X)
+            assert pc.carrier.sets == ref.carrier.sets, X
+            assert pc.carrier.actions == ref.carrier.actions, X
+            assert pc.relations == ref.relations, X
+            checked += 1
+    assert checked == 180
 
 
 def test_nn_closure_is_a_closure_operator():
