@@ -376,7 +376,8 @@ def universally_valid(phi: Formula, free: dict[str, Sort],
 
 @dataclass(eq=False)
 class PcObject:
-    """P_c(X) with its membership data; `sub` is its whole carrier."""
+    """P_c(X) with its membership data.  `sub` is its whole carrier;
+    only benchmarks/tracer.py reads it."""
 
     power: PowerObject
     sub: Subobject  # of power.carrier

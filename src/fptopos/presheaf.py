@@ -707,8 +707,9 @@ def exponential(X: Presheaf, Y: Presheaf,
 
 @dataclass(eq=False)
 class PowerObject:
-    """P(X) with its membership data: each element of P(X)(c) is a
-    subfunctor of X×y(c), decoded as stage → set of (x, hom) pairs."""
+    """P(X), or a relation object such as P_c(X), with its membership
+    data: each element at stage c is a subfunctor of X×y(c), decoded
+    as stage → set of (x, hom) pairs."""
 
     of: Presheaf
     carrier: Presheaf
