@@ -3,7 +3,8 @@
 Each file in tests/golden/ is the stdout of `fptopos <command> --format
 json`, so a faster search behind these commands (hom-sets, isomorphisms,
 Π, complemented parts, P_c, corpora) or a new report layout must leave
-every report unchanged.  The cases cover verdicts that hold and the
+every report unchanged.  The `enumerate --list` cases pin corpora:
+their representatives, action tables and order.  The cases cover verdicts that hold and the
 failing paths: NS, DQO and DSO failures, a not-applicable precohesion
 check, a failed prerequisite, a counterexample search that finds a
 witness, and a pneumoconnected-fibers failure whose witness names an
@@ -52,6 +53,17 @@ COMMANDS = {
                             "separated"), 0),
     "pneumo-graph-A1-pi": (("pneumo", "--base", "graph", "--object", "A1",
                             "--map", "pi"), 1),
+    "enumerate-graph-V3E2": (("enumerate", "--list", "--base", "graph",
+                              "--bound", "V=3,E=2"), 0),
+    "enumerate-sierpinski-3": (("enumerate", "--list", "--base",
+                                "sierpinski", "--bound", "3"), 0),
+    "enumerate-refgraph-V2E3": (("enumerate", "--list", "--base",
+                                 "refgraph", "--bound", "V=2,E=3"), 0),
+    "enumerate-refgraph.cat-V2E2": (("enumerate", "--list", "--base",
+                                     "samples/refgraph.cat", "--bound",
+                                     "V=2,E=2"), 0),
+    "enumerate-two-discrete-2": (("enumerate", "--list", "--base",
+                                  "two-discrete", "--bound", "2"), 0),
 }
 
 
