@@ -67,9 +67,11 @@ def _resolve_object(ref: str, C):
     return builtin_objects.builtin_object(C, ref)
 
 
-def _emit(args, base: str, r: Result, bounds: str | None = None) -> int:
+def _emit(args, base: str, r: Result, bounds: str | None = None,
+          counts: dict | None = None) -> int:
     """Print the result in the report envelope (command, base, bounds,
-    timings); the exit code is 0 if it holds, else 1."""
+    timings, which with --timings also holds `counts`); the exit code is
+    0 if it holds, else 1."""
     command = args.subcommand
     if command == "verify":
         command += " " + args.theorem
@@ -77,7 +79,8 @@ def _emit(args, base: str, r: Result, bounds: str | None = None) -> int:
             "verdict": r.verdict, "witnesses": r.witnesses,
             "details": r.details, "timings": None}
     if args.timings:
-        data["timings"] = {"seconds": round(time.time() - args.started, 3)}
+        data["timings"] = {"seconds": round(time.time() - args.started, 3),
+                           **(counts or {})}
     if args.format == "json":
         print(json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False))
     else:
@@ -92,6 +95,8 @@ def _emit(args, base: str, r: Result, bounds: str | None = None) -> int:
             print("witness: %s" % _short(w))
         if data["timings"]:
             print("seconds: %s" % data["timings"]["seconds"])
+            for key in sorted(counts or {}):
+                print("%s: %s" % (key, counts[key]))
     return 0 if r.holds() else 1
 
 
@@ -270,7 +275,8 @@ def _cmd_enumerate(args) -> int:
                                           for k, v in corpus.counts.items()}}
     if args.list:
         details["presheaves"] = [presheaf_snippet(X) for X in corpus]
-    return _emit(args, C.name, Result("ok", [], details), label)
+    return _emit(args, C.name, Result("ok", [], details), label,
+                 corpus.stats)
 
 
 def _cmd_force(args) -> int:

@@ -1,12 +1,19 @@
 """Bounded enumeration of presheaves up to isomorphism.
 
-Presheaves are generated per stage-size vector by assigning actions to the
-base category's generating morphisms and discarding assignments that break
-functoriality.  Isomorphism pruning is by canonical form: the minimum of
-the relabeled action tables over all stage-wise permutations, after a
-first cut on the stage cardinality vector.  The enumeration order is fully
-deterministic, so regeneration is bit-identical.  The result is a
-`Corpus` session that every corpus-quantified check of one command shares.
+For each stage-size vector, a backtracking search fills in the tables of
+the base category's generating morphisms entry by entry and checks each
+functoriality equation as soon as every entry it reads is set, so only
+functorial tables reach a leaf; each leaf is built and validated by
+`make_from_generators`.  Leaves are deduplicated by a refined key: the
+elements are colour-refined until the colours are stable, and the key is
+the minimum relabeled generator table over the labellings that follow
+the colour order, which is equal for two leaves exactly when they are
+isomorphic.  The first leaf of each class represents it, and the
+representatives are sorted by `canonical_key` (the minimum relabeled
+table over all stage-wise permutations), computed once per class.  The
+enumeration order is fully deterministic, so regeneration is
+bit-identical.  The result is a `Corpus` session that every
+corpus-quantified check of one command shares.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from collections import Counter
 from .decidable import is_decidable
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
-from .presheaf import Presheaf, PresheafError, make_from_generators
+from .presheaf import Presheaf, make_from_generators
 
 
 def canonical_key(X: Presheaf):
@@ -58,10 +65,12 @@ class Corpus:
     """
 
     def __init__(self, base: FinCategory, presheaves: list[Presheaf],
-                 cap: int = DEFAULT_SIZE_CAP):
+                 cap: int = DEFAULT_SIZE_CAP, stats: dict | None = None):
         self.base = base
         self.cap = cap
         self.presheaves = presheaves
+        # What generating the corpus searched (see enumerate_presheaves).
+        self.stats = stats or {}
         self.counts = Counter(X.size_vector() for X in presheaves)
         self._index = {X: i for i, X in enumerate(presheaves)}
         self._facts: dict[tuple, object] = {}
@@ -116,48 +125,206 @@ def bound_label(C: FinCategory, bounds) -> str:
     return ",".join("%s<=%d" % (c, b[c]) for c in C.objects)
 
 
-def _candidates(C: FinCategory, sizes: dict[str, int]):
-    """All functorial presheaves with the given stage sizes (with
-    duplicates across isomorphism)."""
-    sets = {c: tuple("%s%d" % (c, i) for i in range(sizes[c]))
-            for c in C.objects}
+def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
+    """The functorial presheaves with the given stage sizes (with
+    duplicates across isomorphism), each with its generator tables as
+    tuples of element indices.
+
+    A backtracking search fills the generator tables entry by entry in
+    product order: generators in `generating_morphisms()` order, the
+    elements of each generator's codomain stage in order, values in
+    domain-stage order.  Each functoriality equation
+    X(f)(X(g)(x)) = X(g∘f)(x), with composite actions read through the
+    closure words, is checked as soon as every entry it reads is
+    assigned (a relation check in the sense of Mackworth 1977, without
+    look-ahead), so a partial table that breaks one is dropped at once.
+    The leaves are the tables that `make_from_generators` accepts, in
+    the order of the full product.
+    """
     gens = C.generating_morphisms()
-    spaces = []
-    for m in gens:
-        d, c = C.morphisms[m]
-        if sets[c] and not sets[d]:
-            return  # no function into an empty set
-        spaces.append(list(itertools.product(sets[d],
-                                             repeat=len(sets[c]))))
-    for combo in itertools.product(*spaces):
-        gen_actions = {}
-        for m, values in zip(gens, combo):
-            _d, c = C.morphisms[m]
-            gen_actions[m] = dict(zip(sets[c], values))
-        try:
-            yield make_from_generators(C, sets, gen_actions)
-        except PresheafError:
+    names = {c: tuple("%s%d" % (c, i) for i in range(sizes[c]))
+             for c in C.objects}
+    offset = {}  # gen -> index of its first table entry
+    entries = []  # (gen, element, number of values), in product order
+    for g in gens:
+        offset[g] = len(entries)
+        n_dom = sizes[C.dom(g)]
+        entries += [(g, x, n_dom) for x in range(sizes[C.cod(g)])]
+    tables = {g: [None] * sizes[C.cod(g)] for g in gens}
+
+    def path(m):
+        # The generator tables X(m) reads, in the order it applies them.
+        return tuple(reversed(C.words.get(m, (m,))))
+
+    # watch[k]: equations that can next be evaluated once entry k is set.
+    watch = [[] for _ in entries]
+    equations = set()
+    for (g, f), gf in C.composition.items():
+        if C.is_identity(g) or C.is_identity(f):
             continue
+        lhs, rhs = path(g) + path(f), () if C.is_identity(gf) else path(gf)
+        for x in range(sizes[C.cod(g)]):
+            eq = (lhs, rhs, x)
+            if lhs != rhs and eq not in equations:
+                equations.add(eq)
+                watch[offset[lhs[0]] + x].append(eq)
+
+    def run(steps, x):
+        # x pushed along the tables, or (None, entry it waits for).
+        for g in steps:
+            y = tables[g][x]
+            if y is None:
+                return None, offset[g] + x
+            x = y
+        return x, -1
+
+    def settle(eq, added) -> bool:
+        # False if eq fails; if it waits for an entry, watch that entry.
+        lhs, rhs, x = eq
+        a, k = run(lhs, x)
+        if k < 0:
+            b, k = run(rhs, x)
+            if k < 0:
+                return a == b
+        watch[k].append(eq)
+        added.append(k)
+        return True
+
+    def search(k):
+        if k == len(entries):
+            stats["leaves_validated"] += 1
+            values = {g: tuple(t) for g, t in tables.items()}
+            gen_actions = {
+                g: dict(zip(names[C.cod(g)],
+                            (names[C.dom(g)][y] for y in values[g])))
+                for g in gens}
+            yield make_from_generators(C, names, gen_actions), values
+            return
+        g, x, n_values = entries[k]
+        for y in range(n_values):
+            stats["candidate_tables_tried"] += 1
+            tables[g][x] = y
+            added = []
+            if all(settle(eq, added) for eq in watch[k]):
+                yield from search(k + 1)
+            for j in added:
+                watch[j].pop()
+        tables[g][x] = None
+
+    yield from search(0)
+
+
+def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
+    """A complete isomorphism invariant of the presheaf whose generator
+    tables (tuples of element indices) are `tables`: equal keys iff
+    isomorphic.
+
+    The elements of each stage are colour-refined until the colours are
+    stable: an element's next colour ranks, among those at its stage,
+    its colour, the colours of its images under the generators and the
+    sorted colours of its preimages.  The key is the minimum relabeled
+    table over the labellings that give labels in colour order and
+    permute only within colour classes (invariant refinement before
+    permutation search: McKay & Piperno 2014).
+    """
+    def preimages(t, n):
+        pre = [[] for _ in range(n)]
+        for x, y in enumerate(t):
+            pre[y].append(x)
+        return pre
+
+    stage = {c: i for i, c in enumerate(C.objects)}
+    gens = [(stage[C.dom(g)], stage[C.cod(g)], t) for g, t in tables.items()]
+    # Per stage s: (stage, table) of each generator acting on X(s), and
+    # (stage, preimage lists) of each generator acting into X(s).
+    outs = [[(d, t) for d, c, t in gens if c == s] for s in stage.values()]
+    ins = [[(c, preimages(t, n)) for d, c, t in gens if d == s]
+           for s, n in zip(stage.values(), vector)]
+    colours = [[0] * n for n in vector]
+    classes = 0
+    while classes < sum(vector):
+        for s, n in enumerate(vector):
+            col = colours[s]
+            outs_s = [(colours[d], t) for d, t in outs[s]]
+            ins_s = [(colours[c], pre) for c, pre in ins[s]]
+            sigs = []
+            for x in range(n):
+                sig = [col[x]]
+                for cd, t in outs_s:
+                    sig.append(cd[t[x]])
+                for cc, pre in ins_s:
+                    sig.append(tuple(sorted([cc[z] for z in pre[x]])))
+                sigs.append(tuple(sig))
+            rank = {v: r for r, v in enumerate(sorted(set(sigs)))}
+            colours[s] = [rank[v] for v in sigs]
+        now = sum(len(set(col)) for col in colours)
+        if now == classes:
+            break
+        classes = now
+    # Each stage's orders: (order, label), order[j] the element labelled
+    # j.  Twins (same colour and images, no preimages) are swapped by an
+    # automorphism, so orders that differ only among twins are skipped.
+    touched = sorted({s for d, c, _t in gens for s in (d, c)})
+    spaces = []
+    for s in touched:
+        blocks = [[] for _ in range(max(colours[s], default=-1) + 1)]
+        for x, r in enumerate(colours[s]):
+            blocks[r].append(x)
+        per_block = []
+        for block in blocks:
+            if len(block) == 1:
+                per_block.append([block])
+                continue
+            twins = {}
+            for x in block:
+                alone = not any(pre[x] for _c, pre in ins[s])
+                twins.setdefault(tuple(t[x] for _d, t in outs[s])
+                                 if alone else x, []).append(x)
+            groups = list(twins.values())
+            seq = [i for i, group in enumerate(groups) for _x in group]
+            orders = []
+            for p in set(itertools.permutations(seq)):
+                pools = [iter(group) for group in groups]
+                orders.append([next(pools[i]) for i in p])
+            per_block.append(orders)
+        stage_orders = []
+        for parts in itertools.product(*per_block):
+            order = list(itertools.chain(*parts))
+            label = [0] * vector[s]
+            for j, x in enumerate(order):
+                label[x] = j
+            stage_orders.append((order, label))
+        spaces.append(stage_orders)
+    at = [(touched.index(d), touched.index(c), t) for d, c, t in gens]
+    best = None
+    for choice in itertools.product(*spaces):
+        table = tuple(tuple([choice[i][1][t[x]] for x in choice[j][0]])
+                      for i, j, t in at)
+        if best is None or table < best:
+            best = table
+    return (vector, best)
 
 
 def enumerate_presheaves(C: FinCategory, bounds,
                          cap: int = DEFAULT_SIZE_CAP) -> Corpus:
     """The session over all presheaves with stage sizes within the
-    bounds, one canonical representative per isomorphism class, in
-    deterministic order."""
+    bounds, one representative per isomorphism class (the first
+    candidate of its class), ordered by `canonical_key`."""
     b = _norm_bounds(C, bounds)
     for c in C.objects:
         if b[c] > cap:
             raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))
+    stats = Counter(candidate_tables_tried=0, leaves_validated=0,
+                    refined_keys=0)
     seen: dict[tuple, Presheaf] = {}
     ranges = [range(b[c] + 1) for c in C.objects]
     for vector in itertools.product(*ranges):
         sizes = dict(zip(C.objects, vector))
-        for X in _candidates(C, sizes):
-            key = canonical_key(X)
-            if key not in seen:
-                seen[key] = X
-    ordered = [X for _key, X in sorted(seen.items(), key=lambda kv: kv[0])]
+        for X, tables in _candidates(C, sizes, stats):
+            stats["refined_keys"] += 1
+            seen.setdefault(_refined_key(C, vector, tables), X)
+    stats["canonical_key_calls"] = len(seen)
+    ordered = sorted(seen.values(), key=canonical_key)
     for i, X in enumerate(ordered):
         X.name = "X%d" % i
-    return Corpus(C, ordered, cap)
+    return Corpus(C, ordered, cap, dict(stats))

@@ -216,12 +216,16 @@ def make_from_generators(C: FinCategory, sets, gen_actions,
 
 def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
     """Build and functoriality-check a presheaf from full tables
-    (identities are filled in automatically)."""
+    (identities are filled in automatically); a stage may not list an
+    element twice."""
     full = {}
     for m in C.morphism_names():
         _d, c = C.morphisms[m]
         if C.is_identity(m):
             full[m] = {x: x for x in sets[c]}
+            if len(full[m]) != len(sets[c]):
+                raise PresheafError("DanglingElement",
+                                    "duplicate elements at %r" % c)
         else:
             full[m] = dict(actions[m])
     X = Presheaf(C, {c: tuple(sets[c]) for c in C.objects}, full, name)

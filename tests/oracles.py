@@ -4,11 +4,13 @@ Everything here is deliberately written without reusing the library's
 own machinery for the thing it checks: classical truth-table semantics
 for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
-for corpus sizes (with the brute-force iso search below), stage-wise
-hom and iso searches (whole stages filled in, then checked) as the
-reference for `presheaf._hom_search`, and complemented parts found by
-filtering every subobject (Sub_c(X)) or every element of the power
-object by forcing (P_c(X)), as the reference for the maps into 2.
+for corpus sizes (with the brute-force iso search below), the corpus
+from the full product of generator tables deduplicated by
+`canonical_key` as the reference for `corpus.enumerate_presheaves`,
+stage-wise hom and iso searches (whole stages filled in, then checked)
+as the reference for `presheaf._hom_search`, and complemented parts
+found by filtering every subobject (Sub_c(X)) or every element of the
+power object by forcing (P_c(X)), as the reference for the maps into 2.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from fptopos.corpus import enumerate_presheaves
-from fptopos.errors import DEFAULT_SIZE_CAP
+from fptopos.corpus import canonical_key, enumerate_presheaves
+from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError
 from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces)
-from fptopos.presheaf import (NatTrans, PowerObject, _same_base, pel,
+from fptopos.presheaf import (NatTrans, PowerObject, _same_base,
+                              make_from_generators, make_presheaf, pel,
                               power_object, product, sub_presheaf, terminal,
                               two)
 from fptopos.sublattice import is_complemented, subobjects
@@ -136,34 +139,53 @@ def recount_classes(candidates) -> int:
     return len(reps)
 
 
+def product_candidates(C, sizes: dict, element="%s%d"):
+    """Every functorial presheaf with the given stage sizes (with
+    duplicates across isomorphism), in the order of the full product of
+    generator tables, each validated by make_from_generators; elements
+    are named element % (stage, index)."""
+    sets = {c: tuple(element % (c, i) for i in range(sizes[c]))
+            for c in C.objects}
+    gens = C.generating_morphisms()
+    spaces = []
+    for m in gens:
+        d, c = C.morphisms[m]
+        if sets[c] and not sets[d]:
+            return  # no function into an empty set
+        spaces.append(list(itertools.product(sets[d],
+                                             repeat=len(sets[c]))))
+    for combo in itertools.product(*spaces):
+        gen_actions = {m: dict(zip(sets[C.cod(m)], values))
+                       for m, values in zip(gens, combo)}
+        try:
+            yield make_from_generators(C, sets, gen_actions)
+        except PresheafError:
+            continue
+
+
 def brute_force_presheaves(C, bounds: dict):
     """Every functorial presheaf (with duplicates across isomorphism)
     whose stage sizes meet the bounds, built independently of the
     library's corpus generator."""
-    from fptopos.presheaf import PresheafError, make_from_generators
-    gens = C.generating_morphisms()
     ranges = [range(bounds[c] + 1) for c in C.objects]
     for vector in itertools.product(*ranges):
-        sizes = dict(zip(C.objects, vector))
-        sets = {c: tuple("%s#%d" % (c, i) for i in range(sizes[c]))
-                for c in C.objects}
-        spaces = []
-        ok = True
-        for m in gens:
-            d, c = C.morphisms[m]
-            if sets[c] and not sets[d]:
-                ok = False
-                break
-            spaces.append([dict(zip(sets[c], combo)) for combo in
-                           itertools.product(sets[d],
-                                             repeat=len(sets[c]))])
-        if not ok:
-            continue
-        for combo in itertools.product(*spaces):
-            try:
-                yield make_from_generators(C, sets, dict(zip(gens, combo)))
-            except PresheafError:
-                continue
+        yield from product_candidates(C, dict(zip(C.objects, vector)),
+                                      "%s#%d")
+
+
+def canonical_dedup_corpus(C, bounds: dict) -> list:
+    """The corpus as enumerate_presheaves built it before its search
+    propagated relations: every product candidate, the first of each
+    canonical_key kept, sorted by that key and named X0, X1, ..."""
+    seen = {}
+    ranges = [range(bounds[c] + 1) for c in C.objects]
+    for vector in itertools.product(*ranges):
+        for X in product_candidates(C, dict(zip(C.objects, vector))):
+            seen.setdefault(canonical_key(X), X)
+    ordered = [X for _key, X in sorted(seen.items(), key=lambda kv: kv[0])]
+    for i, X in enumerate(ordered):
+        X.name = "X%d" % i
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +306,9 @@ def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
 
 
 # ---------------------------------------------------------------------------
-# sample objects: the bound-2 corpora of the five catalog bases, 1, 2 and
-# the pairwise products of each base's first six corpus objects
+# renaming, and sample objects: the bound-2 corpora of the five catalog
+# bases, 1, 2 and the pairwise products of each base's first six corpus
+# objects
 
 BOUND_TWO = (("point", 2), ("two-discrete", 2), ("sierpinski", 2),
              ("graph", {"V": 2, "E": 2}), ("refgraph", 2))
@@ -296,6 +319,22 @@ def bound_two_corpora():
     for name, bounds in BOUND_TWO:
         C = catalog(name)
         yield C, list(enumerate_presheaves(C, bounds))
+
+
+def renamed(X, rng):
+    """A copy of X with fresh element ids and each stage shuffled."""
+    C = X.base
+    ids = {}
+    sets = {}
+    for c in C.objects:
+        tokens = rng.sample(range(10 ** 6), len(X.sets[c]))
+        ids[c] = {x: "n%d" % t for x, t in zip(X.sets[c], tokens)}
+        sets[c] = list(ids[c].values())
+        rng.shuffle(sets[c])
+    actions = {m: {ids[C.cod(m)][x]: ids[C.dom(m)][y]
+                   for x, y in X.actions[m].items()}
+               for m in C.nonidentity_morphisms()}
+    return make_presheaf(C, sets, actions, X.name)
 
 
 def sample_objects(C, corpus) -> list:

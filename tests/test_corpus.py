@@ -1,8 +1,15 @@
-"""The bounded enumeration of presheaves up to isomorphism."""
+"""The bounded enumeration of presheaves up to isomorphism, and the
+propagating candidate search and refined key against the full product
+of generator tables deduplicated by `canonical_key`."""
+
+import random
+
+import pytest
 
 import oracles
-from fptopos.corpus import canonical_key, enumerate_presheaves
+from fptopos.corpus import _refined_key, canonical_key, enumerate_presheaves
 from fptopos.fincat import catalog
+from fptopos.files import resolve_base
 from fptopos.presheaf import is_isomorphic, make_from_generators
 
 PT = catalog("point")
@@ -71,3 +78,65 @@ def test_every_enumerated_object_is_within_bounds():
 def test_no_duplicate_iso_classes():
     objs = list(enumerate_presheaves(RG, {"V": 2, "E": 3}))
     assert oracles.recount_classes(objs) == len(objs)
+
+
+CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
+
+
+def _bounds(C, n):
+    return {c: n for c in C.objects}
+
+
+def _shape(X):
+    """Name, stages and action tables of X, down to dict order."""
+    return (X.name, list(X.sets.items()),
+            [(m, list(table.items())) for m, table in X.actions.items()])
+
+
+ORACLE_CASES = {**{"%s-3" % name: (name, 3) for name in CATALOG},
+                "refgraph-V2E3": ("refgraph", {"V": 2, "E": 3}),
+                "refgraph.cat-V3E2": ("samples/refgraph.cat",
+                                      {"V": 3, "E": 2})}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_corpus_matches_the_product_oracle(case):
+    base, bounds = ORACLE_CASES[case]
+    C = resolve_base(base)
+    if isinstance(bounds, int):
+        bounds = _bounds(C, bounds)
+    got = enumerate_presheaves(C, bounds)
+    want = oracles.canonical_dedup_corpus(C, bounds)
+    assert [_shape(X) for X in got] == [_shape(X) for X in want]
+    assert got.stats["canonical_key_calls"] == len(want)
+
+
+@pytest.mark.parametrize("base", CATALOG)
+def test_bound_three_counts_match_brute_force(base):
+    C = catalog(base)
+    raw = list(oracles.brute_force_presheaves(C, _bounds(C, 3)))
+    assert len(enumerate_presheaves(C, 3)) == oracles.recount_classes(raw)
+
+
+def _refined_key_of(X):
+    C = X.base
+    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in C.objects}
+    tables = {g: tuple(index[C.dom(g)][X.act(g, x)]
+                       for x in X.sets[C.cod(g)])
+              for g in C.generating_morphisms()}
+    return _refined_key(C, X.size_vector(), tables)
+
+
+def test_keys_are_relabeling_invariant_and_separate_classes():
+    rng = random.Random(31)
+    for base in CATALOG:
+        C = catalog(base)
+        corpus = enumerate_presheaves(C, 3)
+        keys = set()
+        for X in corpus:
+            R = oracles.renamed(X, rng)
+            key = _refined_key_of(X)
+            assert _refined_key_of(R) == key, X
+            assert canonical_key(R) == canonical_key(X), X
+            keys.add(key)
+        assert len(keys) == len(corpus), base

@@ -3,12 +3,12 @@
 Each file in tests/golden/ is the stdout of `fptopos <command> --format
 json`, so a faster search behind these commands (hom-sets, isomorphisms,
 Π, complemented parts, P_c, corpora) or a new report layout must leave
-every report unchanged.  The `enumerate --list` cases pin corpora:
-their representatives, action tables and order.  The cases cover verdicts that hold and the
+every report unchanged.  The cases cover verdicts that hold and the
 failing paths: NS, DQO and DSO failures, a not-applicable precohesion
 check, a failed prerequisite, a counterexample search that finds a
 witness, and a pneumoconnected-fibers failure whose witness names an
-element of P_c."""
+element of P_c.  The `enumerate --list` cases pin corpora: their
+representatives, action tables and order."""
 
 import pathlib
 

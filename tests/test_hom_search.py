@@ -6,8 +6,7 @@ import random
 import oracles
 from fptopos.decidable import (check_dqo, check_dso, is_connected,
                                is_decidable, pi)
-from fptopos.presheaf import (find_iso, is_isomorphic, make_presheaf,
-                              nat_transformations)
+from fptopos.presheaf import find_iso, is_isomorphic, nat_transformations
 
 
 def test_kernel_matches_brute_force_oracle():
@@ -29,27 +28,11 @@ def test_kernel_matches_brute_force_oracle():
     assert pairs == 1584
 
 
-def _renamed(X, rng):
-    """A copy of X with fresh element ids and each stage shuffled."""
-    C = X.base
-    ids = {}
-    sets = {}
-    for c in C.objects:
-        tokens = rng.sample(range(10 ** 6), len(X.sets[c]))
-        ids[c] = {x: "n%d" % t for x, t in zip(X.sets[c], tokens)}
-        sets[c] = list(ids[c].values())
-        rng.shuffle(sets[c])
-    actions = {m: {ids[C.cod(m)][x]: ids[C.dom(m)][y]
-                   for x, y in X.actions[m].items()}
-               for m in C.nonidentity_morphisms()}
-    return make_presheaf(C, sets, actions, X.name)
-
-
 def test_verdicts_do_not_depend_on_element_names_or_order():
     rng = random.Random(20231)
     for _C, corpus in oracles.bound_two_corpora():
         for X in corpus:
-            R = _renamed(X, rng)
+            R = oracles.renamed(X, rng)
             assert pi(R).quotient.size_vector() == \
                 pi(X).quotient.size_vector()
             assert is_decidable(R) == is_decidable(X)

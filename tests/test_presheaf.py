@@ -37,6 +37,20 @@ def test_validate_rejects_dangling_element():
     assert exc.value.kind in ("DanglingElement", "NotFunctorial")
 
 
+def test_make_presheaf_rejects_duplicate_elements():
+    PT = catalog("point")
+    with pytest.raises(PresheafError) as exc:
+        make_presheaf(PT, {"*": ("u", "u")}, {})
+    assert exc.value.kind == "DanglingElement"
+    # Pasted pair ids collide: ("a,b", "c") and ("a", "b,c") are both
+    # "(a,b,c)", so the product would have 4 elements but 3 ids.
+    X = make_presheaf(PT, {"*": ("a,b", "a")}, {})
+    Y = make_presheaf(PT, {"*": ("c", "b,c")}, {})
+    with pytest.raises(PresheafError) as exc:
+        product(X, Y)
+    assert "duplicate elements" in str(exc.value)
+
+
 def test_validate_rejects_non_functorial():
     # two vertices, sigma sends a vertex to an edge with the wrong source
     with pytest.raises(PresheafError) as exc:
