@@ -7,8 +7,11 @@ every report unchanged.  The cases cover verdicts that hold and the
 failing paths: NS, DQO and DSO failures, a not-applicable precohesion
 check, a failed prerequisite, a counterexample search that finds a
 witness, and a pneumoconnected-fibers failure whose witness names an
-element of P_c.  The `enumerate --list` cases pin corpora: their
-representatives, action tables and order."""
+element of P_c.  The fiber cases run the three fiber conditions over
+corpus epis (`verify lemma`, `search-counterexample`) and the pneumo
+properties, including P_c of product domains and of pullbacks.  The
+`enumerate --list` cases pin corpora: their representatives, action
+tables and order."""
 
 import pathlib
 
@@ -53,6 +56,20 @@ COMMANDS = {
                             "separated"), 0),
     "pneumo-graph-A1-pi": (("pneumo", "--base", "graph", "--object", "A1",
                             "--map", "pi"), 1),
+    "verify-props-sierpinski-2": (("verify", "props", "--base",
+                                   "sierpinski", "--bound", "2"), 1),
+    "verify-props-refgraph-2": (("verify", "props", "--base", "refgraph",
+                                 "--bound", "2"), 0),
+    "verify-lemma-graph-V3E2": (("verify", "lemma", "--base", "graph",
+                                 "--bound", "V=3,E=2"), 1),
+    "search-pneumo-epis-graph-V2E1": (("search-counterexample", "--base",
+                                       "graph", "--bound", "V=2,E=1",
+                                       "--property",
+                                       "pneumo-two-inverting-epis"), 1),
+    "verify-props-pneumo-closed-V2E3": (("verify", "props", "--bound",
+                                         "V=2,E=3", "--props",
+                                         "pneumo-pullback-closed,"
+                                         "pneumo-product-closed"), 1),
     "enumerate-graph-V3E2": (("enumerate", "--list", "--base", "graph",
                               "--bound", "V=3,E=2"), 0),
     "enumerate-sierpinski-3": (("enumerate", "--list", "--base",
