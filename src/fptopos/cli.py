@@ -228,6 +228,7 @@ def _cmd_verify(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
     t = args.theorem
+    counts = None
     try:
         if t in ("A", "B", "C"):
             require_ns(C)  # decided on the base alone, before enumerating
@@ -243,27 +244,29 @@ def _cmd_verify(args) -> int:
             r = dec_is_topos_check(corpus)
             r = Result("holds" if r.holds() else "fails", [], r.details)
         elif t == "lemma":
-            r = lemma_report(corpus)
+            r, counts = lemma_report(corpus), corpus.stats
         else:
-            r = props_report(corpus,
-                             args.props.split(",") if args.props else None)
+            r, counts = props_report(corpus, args.props.split(",")
+                                     if args.props else None), corpus.stats
     except AxiomPrereqFailed as exc:
         r = Result("prerequisite-failed", [], {"failed_prereq": str(exc)})
-    return _emit(args, C.name, r, label)
+    return _emit(args, C.name, r, label, counts)
 
 
 def _cmd_search(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
-    w = search_counterexample(args.property,
-                              enumerate_presheaves(C, args.bound, args.cap))
+    corpus = enumerate_presheaves(C, args.bound, args.cap)
+    w = search_counterexample(args.property, corpus)
     details = {"property": args.property}
     if w is None:
-        return _emit(args, C.name, Result("none", [], details), label)
+        return _emit(args, C.name, Result("none", [], details), label,
+                     corpus.stats)
     details["recheck"] = ("fptopos search-counterexample --property %s "
                           "--base %s --bound %s"
                           % (args.property, args.base, args.raw_bound))
-    return _emit(args, C.name, Result("witness", [w], details), label)
+    return _emit(args, C.name, Result("witness", [w], details), label,
+                 corpus.stats)
 
 
 def _cmd_enumerate(args) -> int:

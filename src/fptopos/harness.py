@@ -14,7 +14,7 @@ from .decidable import (check_dqo, check_dso, first_failure, is_connected,
                         presheaf_snippet, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .forcing import has_pneumoconnected_fibers, pc_object
-from .presheaf import (NatTrans, Presheaf, exponential, factor_through,
+from .presheaf import (NatTrans, Presheaf, exponential,
                        global_elements, inclusion_of, is_epi, is_isomorphic,
                        nat_transformations, pairing, product, pullback,
                        sub_presheaf, subfunctors, terminal, two)
@@ -39,40 +39,92 @@ def fiber(f: NatTrans, point: NatTrans) -> Presheaf:
 # ---------------------------------------------------------------------------
 # the three equivalent fiber conditions
 
+# What the fiber conditions searched, kept on Corpus.stats: epis whose
+# conditions were checked, (stage, y, w) triples decided by the fiber
+# check, and hom-sets computed out of a domain (Hom(X, 2), Hom(X, D)).
+FIBER_COUNTS = ("epis_checked", "fiber_checks", "domain_hom_sets")
+
+
+def _fiber_stats(corpus: Corpus) -> dict:
+    """corpus.stats, with the fiber-condition counts started at 0."""
+    for key in FIBER_COUNTS:
+        corpus.stats.setdefault(key, 0)
+    return corpus.stats
+
+
+def _domain_maps(X: Presheaf, decidables: list[Presheaf],
+                 stats: dict | None = None) -> tuple[list, list]:
+    """The components of the maps X → 2, and of the maps from X to each
+    decidable in order."""
+    t2, _i1, _i2 = two(X.base)
+    if stats is not None:
+        stats["domain_hom_sets"] += 1 + len(decidables)
+    return tuple([h.components for Z in targets
+                  for h in nat_transformations(X, Z)]
+                 for targets in ([t2], decidables))
+
+
+def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
+    """Whether every map out of q's domain (as components) factors
+    through q, that is, q is epi and each is constant on q's fibers;
+    true when there are no maps, as for `factor_through` one by one."""
+    if not maps:
+        return True
+    if not is_epi(q):
+        return False
+    # (c, x, x0): x and an earlier x0 of its fiber, which a map
+    # constant on the fibers sends to the same place.
+    pairs = []
+    for c, comp in q.components.items():
+        first = {}
+        for x, y in comp.items():
+            x0 = first.setdefault(y, x)
+            if x0 != x:
+                pairs.append((c, x, x0))
+    return all(h[c][x] == h[c][x0] for h in maps for c, x, x0 in pairs)
+
+
+def _conditions(q: NatTrans, maps: tuple[list, list], cap: int, pc,
+                stats: dict | None = None) -> tuple[bool, bool, bool]:
+    """The three fiber conditions of q, given its domain's maps."""
+    to_two, to_decidables = maps
+    return (_factor_all(q, to_two),
+            has_pneumoconnected_fibers(q, cap, pc, stats),
+            _factor_all(q, to_decidables))
+
+
 def epi_conditions(q: NatTrans, decidables: list[Presheaf],
                    cap: int = DEFAULT_SIZE_CAP,
                    pc=None) -> tuple[bool, bool, bool]:
     """For an epi q: X↠Y — (i) every X→2 factors through q,
     (ii) q has pneumoconnected fibers, (iii) every map from X to a
     decidable object factors through q."""
-    t2, _i1, _i2 = two(q.dom.base)
-    cond_i = all(factor_through(q, h) is not None
-                 for h in nat_transformations(q.dom, t2))
-    cond_ii = has_pneumoconnected_fibers(q, cap, pc)
-    cond_iii = all(factor_through(q, h) is not None
-                   for D in decidables
-                   for h in nat_transformations(q.dom, D))
-    return cond_i, cond_ii, cond_iii
+    return _conditions(q, _domain_maps(q.dom, decidables), cap, pc)
 
 
 def _search_lemma(corpus: Corpus) -> dict | None:
     """The first epi between corpus objects at which the three fiber
-    conditions disagree."""
-    cap = corpus.cap
+    conditions disagree.  The maps out of each domain into 2 and into
+    the decidables are found once, at its first epi."""
+    cap, stats = corpus.cap, _fiber_stats(corpus)
     decidables = corpus.decidables()
     for X in corpus:
+        maps = None
         for Y in corpus:
             for q in nat_transformations(X, Y):
                 if not is_epi(q):
                     continue
-                i, ii, iii = epi_conditions(q, decidables, cap,
-                                            corpus.fact(pc_object, X))
-                if not (i == ii == iii):
+                stats["epis_checked"] += 1
+                if maps is None:
+                    maps = _domain_maps(X, decidables, stats)
+                conditions = _conditions(q, maps, cap,
+                                         corpus.fact(pc_object, X), stats)
+                if len(set(conditions)) > 1:
                     return {"dom": presheaf_snippet(X),
                             "cod": presheaf_snippet(Y),
                             "epi": {c: dict(q.components[c])
                                     for c in X.base.objects},
-                            "conditions": [i, ii, iii]}
+                            "conditions": list(conditions)}
     return None
 
 
@@ -135,7 +187,7 @@ def _prop_pi_products(corpus: Corpus):
 def _prop_pneumo_fibers_connected(corpus: Corpus):
     """If f has pneumoconnected fibers then no fiber over a global point
     has a nontrivial complemented subobject."""
-    cap = corpus.cap
+    cap, stats = corpus.cap, _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
             arrows = nat_transformations(X, Y)
@@ -143,8 +195,8 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
                 continue
             points = global_elements(Y)
             for f in arrows:
-                if not has_pneumoconnected_fibers(f, cap,
-                                                  corpus.fact(pc_object, X)):
+                if not has_pneumoconnected_fibers(
+                        f, cap, corpus.fact(pc_object, X), stats):
                     continue
                 for b in points:
                     F = fiber(f, b)
@@ -159,18 +211,22 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
 def _pneumo_epis(corpus: Corpus):
     """The epis between corpus objects with pneumoconnected fibers, in
     corpus order of domain, then codomain, then hom-search order."""
+    stats = _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
             for f in nat_transformations(X, Y):
-                if is_epi(f) and has_pneumoconnected_fibers(
-                        f, corpus.cap, corpus.fact(pc_object, X)):
+                if not is_epi(f):
+                    continue
+                stats["epis_checked"] += 1
+                if has_pneumoconnected_fibers(
+                        f, corpus.cap, corpus.fact(pc_object, X), stats):
                     yield f
 
 
 def _prop_pneumo_product_closed(corpus: Corpus):
     """f, g with pneumoconnected fibers ⇒ f×g has pneumoconnected
     fibers (epis only, to keep the arrow space small)."""
-    cap = corpus.cap
+    cap, stats = corpus.cap, _fiber_stats(corpus)
     epis = list(_pneumo_epis(corpus))
     # Each product of two domains, with its P_c, is built once.
     dom_products = {}
@@ -183,7 +239,7 @@ def _prop_pneumo_product_closed(corpus: Corpus):
             p1, p2, pcp = dom_products[key]
             Q, _q1, _q2 = product(f.cod, g.cod, cap)
             fg = pairing(p1.then(f), p2.then(g), Q)
-            if not has_pneumoconnected_fibers(fg, cap, pcp):
+            if not has_pneumoconnected_fibers(fg, cap, pcp, stats):
                 return {"left_cod": presheaf_snippet(f.cod),
                         "right_cod": presheaf_snippet(g.cod)}
     return None
@@ -192,12 +248,12 @@ def _prop_pneumo_product_closed(corpus: Corpus):
 def _prop_pneumo_pullback_closed(corpus: Corpus):
     """Any pullback of an epi with pneumoconnected fibers again has
     pneumoconnected fibers."""
-    cap = corpus.cap
+    cap, stats = corpus.cap, _fiber_stats(corpus)
     for f in _pneumo_epis(corpus):
         for Z in corpus:
             for g in nat_transformations(Z, f.cod):
                 _P, pr1, _pr2 = pullback(g, f)
-                if not has_pneumoconnected_fibers(pr1, cap):
+                if not has_pneumoconnected_fibers(pr1, cap, stats=stats):
                     return {"arrow_dom": presheaf_snippet(f.dom),
                             "along_dom": presheaf_snippet(Z),
                             "cod": presheaf_snippet(f.cod)}
@@ -205,9 +261,10 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
 
 
 def _prop_separated_reflection_pneumo(corpus: Corpus):
+    stats = _fiber_stats(corpus)
     for X in corpus:
         _M, m = separated_reflection(X, corpus.cap)
-        if not has_pneumoconnected_fibers(m, corpus.cap):
+        if not has_pneumoconnected_fibers(m, corpus.cap, stats=stats):
             return {"object": presheaf_snippet(X)}
     return None
 
@@ -267,6 +324,7 @@ def props_report(corpus: Corpus, names: list[str] | None = None) -> Result:
         if n not in PROPERTIES:
             raise UnknownName("unknown property %r (have: %s)"
                               % (n, ", ".join(sorted(PROPERTIES))))
+    _fiber_stats(corpus)
     properties, witnesses = {}, []
     for n in selected:
         try:
@@ -297,26 +355,32 @@ def _search_dso(corpus: Corpus):
 
 
 def _search_pneumo_pi(corpus: Corpus):
+    stats = _fiber_stats(corpus)
     for X in corpus:
         r = corpus.fact(pi, X)
-        if not has_pneumoconnected_fibers(r.map, corpus.cap):
+        if not has_pneumoconnected_fibers(r.map, corpus.cap, stats=stats):
             return {"object": presheaf_snippet(X), "family": "pi-quotient"}
     return None
 
 
 def _search_pneumo_epis(corpus: Corpus):
-    C, cap = corpus.base, corpus.cap
+    """The first epi inverting every map to 2 (so every X→2 factors
+    through it) without pneumoconnected fibers.  The maps out of each
+    domain into 2 are found once, at its first epi."""
+    C, cap, stats = corpus.base, corpus.cap, _fiber_stats(corpus)
     for X in corpus:
+        to_two = None
         for Y in corpus:
             for q in nat_transformations(X, Y):
                 if not is_epi(q):
                     continue
-                t2, _i1, _i2 = two(C)
-                if any(factor_through(q, h) is None
-                       for h in nat_transformations(X, t2)):
+                stats["epis_checked"] += 1
+                if to_two is None:
+                    to_two, _none = _domain_maps(X, [], stats)
+                if not _factor_all(q, to_two):
                     continue  # family: epis inverting all maps to 2
                 if not has_pneumoconnected_fibers(
-                        q, cap, corpus.fact(pc_object, X)):
+                        q, cap, corpus.fact(pc_object, X), stats):
                     return {"dom": presheaf_snippet(X),
                             "cod": presheaf_snippet(Y),
                             "epi": {c: dict(q.components[c])
@@ -342,4 +406,5 @@ def search_counterexample(prop: str, corpus: Corpus) -> dict | None:
     if prop not in SEARCHES:
         raise UnknownName("unknown property %r (have: %s)"
                           % (prop, ", ".join(sorted(SEARCHES))))
+    _fiber_stats(corpus)
     return SEARCHES[prop](corpus)

@@ -10,7 +10,9 @@ from the full product of generator tables deduplicated by
 stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
-power object by forcing (P_c(X)), as the reference for the maps into 2.
+power object by forcing (P_c(X)), as the reference for the maps into 2,
+and the pneumoconnected-fiber formula evaluated by the forcing
+interpreter, as the reference for the direct stage-wise check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError
 from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
-                             SubConst, Top, VarT, forces)
+                             SubConst, Top, VarT, forces, graph_of,
+                             pc_object, universally_valid)
 from fptopos.presheaf import (NatTrans, PowerObject, _same_base,
                               make_from_generators, make_presheaf, pel,
                               power_object, product, sub_presheaf, terminal,
@@ -303,6 +306,27 @@ def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
     kept = set().union(*parts.values())
     return PowerObject(X, sub_presheaf(po.carrier, parts),
                        {v: r for v, r in po.relations.items() if v in kept})
+
+
+def forced_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
+    """The fiber formula of f: X→Y,
+    ¬¬(f⁻¹(y)∩w = ∅ ∨ f⁻¹(y)∩w^c = ∅) with y ∈ Y and w ∈ P_c(X), built
+    as a formula (emptiness as ∀x:X ¬(⟨x,y⟩ ∈ |f| ∧ x ∈ w)) and
+    evaluated by `universally_valid`."""
+    X, Y = f.dom, f.cod
+    if pc is None:
+        pc = pc_object(X, cap)
+    G = SubConst(graph_of(f, cap).sub, "|f|")
+    xsort, ysort = PresheafSort(X), PresheafSort(Y)
+
+    def fiber_meets(w_membership):
+        in_fiber = Mem(PairT(VarT("x"), VarT("y")), G)
+        return Forall("x", xsort, Not(And(in_fiber, w_membership)))
+
+    misses_w = fiber_meets(Mem(VarT("x"), VarT("w")))
+    misses_wc = fiber_meets(Not(Mem(VarT("x"), VarT("w"))))
+    phi = Not(Not(Or(misses_w, misses_wc)))
+    return universally_valid(phi, {"y": ysort, "w": pc.sort()})
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,28 @@ def test_enumerate(capsys):
                       "canonical_key_calls": 8}
 
 
+def test_fiber_counts_with_timings(capsys):
+    # --timings adds what the fiber conditions searched, beside the
+    # corpus counts: on sierpinski at bound 2, 22 epis out of 8 domains,
+    # each domain's maps into 2 and into its 6 decidables found once.
+    code, rep = run_json(capsys, "verify", "lemma", "--base", "sierpinski",
+                         "--bound", "2")
+    assert code == 0 and rep["timings"] is None
+    code, rep = run_json(capsys, "verify", "lemma", "--base", "sierpinski",
+                         "--bound", "2", "--timings")
+    counts = {k: v for k, v in rep["timings"].items() if k != "seconds"}
+    assert counts == {"candidate_tables_tried": 11, "leaves_validated": 11,
+                      "refined_keys": 11, "canonical_key_calls": 8,
+                      "epis_checked": 22, "fiber_checks": 142,
+                      "domain_hom_sets": 56}
+    for argv in (("verify", "props", "--base", "sierpinski", "--bound", "1"),
+                 ("search-counterexample", "--base", "graph", "--bound",
+                  "V=2,E=1", "--property", "pneumo-two-inverting-epis")):
+        code, rep = run_json(capsys, *argv, "--timings")
+        assert {"epis_checked", "fiber_checks", "domain_hom_sets"} <= \
+            set(rep["timings"])
+
+
 def test_force_formula(capsys):
     code, rep = run_json(capsys, "force",
                          "--formula", "all x : P2 . x = x",

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from fptopos.builtins import builtin_object
+from fptopos.corpus import enumerate_presheaves
+from fptopos.decidable import pi, separated_reflection
 from fptopos.errors import ParseError
-from fptopos.fincat import catalog
+from fptopos.fincat import catalog, close_generators
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PresheafSort, SubConst, Top,
                              VarT, _restrict_env, arrow_from_graph, forces,
@@ -15,8 +17,8 @@ from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              is_graph, parse_formula, pc_object,
                              pneumoconnected_countermodel,
                              universally_valid)
-from fptopos.presheaf import (make_presheaf, nat_transformations, terminal,
-                              two)
+from fptopos.presheaf import (is_epi, make_presheaf, nat_transformations,
+                              pairing, product, terminal, two)
 from fptopos.sublattice import Subobject, subobjects
 
 import oracles
@@ -141,6 +143,52 @@ def test_pneumo_fails_for_two_point_collapse_on_point_base():
     q = nat_transformations(X, terminal(PT))[0]
     cm = pneumoconnected_countermodel(q)
     assert cm is not None
+
+
+def _fiber_check_arrows(C, corpus):
+    """(arrow, P_c of its domain): every arrow between the corpus
+    objects, their Π and separated-reflection maps, and f×g for the
+    first three epis f, g with pneumoconnected fibers."""
+    pcs = {id(X): pc_object(X) for X in corpus}
+    homs = [(f, pcs[id(X)]) for X in corpus for Y in corpus
+            for f in nat_transformations(X, Y)]
+    epis = [f for f, pc in homs
+            if is_epi(f) and has_pneumoconnected_fibers(f, pc=pc)][:3]
+    arrows = homs + [(pi(X).map, pcs[id(X)]) for X in corpus] + \
+        [(separated_reflection(X)[1], pcs[id(X)]) for X in corpus]
+    for f in epis:
+        for g in epis:
+            P, p1, p2 = product(f.dom, g.dom)
+            Q, _q1, _q2 = product(f.cod, g.cod)
+            fg = pairing(p1.then(f), p2.then(g), Q)
+            arrows.append((fg, pc_object(P)))
+    return arrows
+
+
+def test_direct_fiber_check_matches_forcing_oracle():
+    # The same least countermodel (stage and bindings), or None, as the
+    # fiber formula evaluated by the forcing interpreter.  The catalog
+    # bases list the domain of each arrow before its codomain, and there
+    # a failure of the outer ¬¬ clause along m: b→c is first seen at
+    # stage b; the graph base with its stages listed E, V is added so
+    # that the outer clause decides which countermodel is the least.
+    edges_first = close_generators("graph-EV", ("E", "V"),
+                                   [("s", "V", "E"), ("t", "V", "E")])
+    bases = [*oracles.bound_two_corpora(),
+             (edges_first, list(enumerate_presheaves(edges_first, 2)))]
+    holding = failing = 0
+    for C, corpus in bases:
+        for f, pc in _fiber_check_arrows(C, corpus):
+            got = pneumoconnected_countermodel(f, pc=pc)
+            want = oracles.forced_pneumo_countermodel(f, pc=pc)
+            if want is None:
+                assert got is None, (C.name, f.dom, f.cod)
+                holding += 1
+            else:
+                assert (got.stage, got.bindings) == \
+                    (want.stage, want.bindings), (C.name, f.dom, f.cod)
+                failing += 1
+    assert (holding, failing) == (520, 367)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """The propagating hom search against the stage-wise reference search,
-and verdicts under renaming and reordering of elements."""
+and verdicts under renaming and reordering of elements, down to the
+fiber conditions of each epi."""
 
 import random
+from collections import Counter
 
 import oracles
 from fptopos.decidable import (check_dqo, check_dso, is_connected,
                                is_decidable, pi)
-from fptopos.presheaf import find_iso, is_isomorphic, nat_transformations
+from fptopos.forcing import has_pneumoconnected_fibers, pc_object
+from fptopos.harness import epi_conditions
+from fptopos.presheaf import (find_iso, is_epi, is_isomorphic,
+                              nat_transformations)
 
 
 def test_kernel_matches_brute_force_oracle():
@@ -28,9 +33,21 @@ def test_kernel_matches_brute_force_oracle():
     assert pairs == 1584
 
 
+def _fiber_profile(X, Y, decidables):
+    """The multiset of fiber-condition triples over the epis X → Y, and
+    the number of arrows X → Y with pneumoconnected fibers."""
+    pc = pc_object(X)
+    arrows = nat_transformations(X, Y)
+    triples = Counter(epi_conditions(q, decidables, pc=pc)
+                      for q in arrows if is_epi(q))
+    return triples, sum(has_pneumoconnected_fibers(f, pc=pc)
+                        for f in arrows)
+
+
 def test_verdicts_do_not_depend_on_element_names_or_order():
     rng = random.Random(20231)
     for _C, corpus in oracles.bound_two_corpora():
+        decidables = [X for X in corpus if is_decidable(X)]
         for X in corpus:
             R = oracles.renamed(X, rng)
             assert pi(R).quotient.size_vector() == \
@@ -46,3 +63,5 @@ def test_verdicts_do_not_depend_on_element_names_or_order():
                     len(nat_transformations(Y, X))
                 assert is_isomorphic(R, Y) == is_isomorphic(X, Y) == \
                     (X is Y)
+                assert _fiber_profile(R, Y, decidables) == \
+                    _fiber_profile(X, Y, decidables)
