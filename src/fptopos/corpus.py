@@ -10,7 +10,8 @@ the minimum relabeled generator table over the labellings that follow
 the colour order, which is equal for two leaves exactly when they are
 isomorphic.  The first leaf of each class represents it, and the
 representatives are sorted by `canonical_key` (the minimum relabeled
-table over all stage-wise permutations), computed once per class.  The
+table over all stage-wise permutations, by the same labelling search
+with each stage one colour class), computed once per class.  The
 enumeration order is fully deterministic, so regeneration is
 bit-identical.  The result is a `Corpus` session that every
 corpus-quantified check of one command shares.
@@ -28,30 +29,19 @@ from .presheaf import Presheaf, make_from_generators
 
 
 def canonical_key(X: Presheaf):
-    """Canonical form of a presheaf: minimal relabeled action table over
-    all per-stage permutations."""
+    """Canonical form of a presheaf: the minimum relabeled table of its
+    non-identity morphisms over all stage-wise permutations, found by the
+    labelling search of the refined key with each stage one colour
+    class."""
     C = X.base
-    objs = list(C.objects)
-    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in objs}
-    morphs = C.nonidentity_morphisms()
-    best = None
-    perm_spaces = [list(itertools.permutations(range(len(X.sets[c]))))
-                   for c in objs]
-    for perms in itertools.product(*perm_spaces):
-        relabel = {c: perms[i] for i, c in enumerate(objs)}
-        # relabel[c][i] is the new label of old element i at stage c
-        table = []
-        for m in morphs:
-            d, c = C.morphisms[m]
-            row = [0] * len(X.sets[c])
-            for x in X.sets[c]:
-                row[relabel[c][index[c][x]]] = \
-                    relabel[d][index[d][X.act(m, x)]]
-            table.append(tuple(row))
-        key = tuple(table)
-        if best is None or key < best:
-            best = key
-    return (X.size_vector(), best)
+    stage = {c: i for i, c in enumerate(C.objects)}
+    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in C.objects}
+    tables = []
+    for m in C.nonidentity_morphisms():
+        d, c = C.morphisms[m]
+        tables.append((stage[d], stage[c],
+                       tuple(index[d][X.act(m, x)] for x in X.sets[c])))
+    return _least_table(X.size_vector(), tables, refine=False)
 
 
 class Corpus:
@@ -217,15 +207,24 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
 def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
     """A complete isomorphism invariant of the presheaf whose generator
     tables (tuples of element indices) are `tables`: equal keys iff
-    isomorphic.
+    isomorphic."""
+    stage = {c: i for i, c in enumerate(C.objects)}
+    return _least_table(vector, [(stage[C.dom(g)], stage[C.cod(g)], t)
+                                 for g, t in tables.items()], refine=True)
 
-    The elements of each stage are colour-refined until the colours are
-    stable: an element's next colour ranks, among those at its stage,
-    its colour, the colours of its images under the generators and the
-    sorted colours of its preimages.  The key is the minimum relabeled
-    table over the labellings that give labels in colour order and
-    permute only within colour classes (invariant refinement before
-    permutation search: McKay & Piperno 2014).
+
+def _least_table(vector: tuple[int, ...], tables: list, refine: bool):
+    """(vector, the minimum of the relabeled `tables`) over the
+    labellings that give labels in colour order and permute only within
+    colours; each table is (domain stage, codomain stage, images of the
+    codomain's elements), with stages and elements as indices.
+
+    Each stage is one colour unless `refine`: then its elements are
+    colour-refined until stable, an element's next colour ranking its
+    colour, the colours of its images and the sorted colours of its
+    preimages (invariant refinement before permutation search: McKay &
+    Piperno 2014).  Colours are isomorphism-invariant, so the result is
+    equal for two presheaves iff they are isomorphic.
     """
     def preimages(t, n):
         pre = [[] for _ in range(n)]
@@ -233,16 +232,15 @@ def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
             pre[y].append(x)
         return pre
 
-    stage = {c: i for i, c in enumerate(C.objects)}
-    gens = [(stage[C.dom(g)], stage[C.cod(g)], t) for g, t in tables.items()]
-    # Per stage s: (stage, table) of each generator acting on X(s), and
-    # (stage, preimage lists) of each generator acting into X(s).
-    outs = [[(d, t) for d, c, t in gens if c == s] for s in stage.values()]
-    ins = [[(c, preimages(t, n)) for d, c, t in gens if d == s]
-           for s, n in zip(stage.values(), vector)]
+    stages = range(len(vector))
+    # Per stage s: (stage, table) of each table acting on X(s), and
+    # (stage, preimage lists) of each table acting into X(s).
+    outs = [[(d, t) for d, c, t in tables if c == s] for s in stages]
+    ins = [[(c, preimages(t, n)) for d, c, t in tables if d == s]
+           for s, n in zip(stages, vector)]
     colours = [[0] * n for n in vector]
     classes = 0
-    while classes < sum(vector):
+    while refine and classes < sum(vector):
         for s, n in enumerate(vector):
             col = colours[s]
             outs_s = [(colours[d], t) for d, t in outs[s]]
@@ -264,7 +262,7 @@ def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
     # Each stage's orders: (order, label), order[j] the element labelled
     # j.  Twins (same colour and images, no preimages) are swapped by an
     # automorphism, so orders that differ only among twins are skipped.
-    touched = sorted({s for d, c, _t in gens for s in (d, c)})
+    touched = sorted({s for d, c, _t in tables for s in (d, c)})
     spaces = []
     for s in touched:
         blocks = [[] for _ in range(max(colours[s], default=-1) + 1)]
@@ -295,7 +293,7 @@ def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
                 label[x] = j
             stage_orders.append((order, label))
         spaces.append(stage_orders)
-    at = [(touched.index(d), touched.index(c), t) for d, c, t in gens]
+    at = [(touched.index(d), touched.index(c), t) for d, c, t in tables]
     best = None
     for choice in itertools.product(*spaces):
         table = tuple(tuple([choice[i][1][t[x]] for x in choice[j][0]])

@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import PresheafError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
-from .presheaf import (NatTrans, Presheaf, factor_through, global_elements,
-                       is_epi, is_isomorphic, make_presheaf,
+from .presheaf import (NatTrans, Presheaf, _factor_all, factor_through,
+                       global_elements, is_epi, is_isomorphic, make_presheaf,
                        nat_transformations, pel, product, quotient_by_pairs,
                        sub_presheaf, subfunctors, two, yoneda)
 from .report import Result
@@ -59,9 +59,13 @@ def diagonal(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
 
 
 def is_decidable(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """X is decidable iff its diagonal is complemented in Sub(X×X)."""
-    _P, delta = diagonal(X, cap)
-    return is_complemented(delta)
+    """X is decidable (its diagonal is complemented in Sub(X×X)) iff
+    every restriction map of X is injective: the complement of Δ is
+    then the pairs of distinct elements, which restriction keeps
+    distinct.  The cap is unused, as no object is built."""
+    return all(len(set(table.values())) == len(table)
+               for m, table in X.actions.items()
+               if not X.base.is_identity(m))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +226,11 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
     """DQO at X: K(X) = congruences whose quotient is decidable and
     factors every arrow X→2; DQO holds at X iff K(X) is a singleton."""
     t2, _i1, _i2 = two(X.base)
-    homs = nat_transformations(X, t2)
+    homs = [h.components for h in nat_transformations(X, t2)]
     witnesses = []
     for R in congruences(X, cap):
         Q, q = quotient(X, R)
-        if not is_decidable(Q, cap):
-            continue
-        if all(factor_through(q, h) is not None for h in homs):
+        if is_decidable(Q, cap) and _factor_all(q, homs):
             witnesses.append((R, Q))
     if len(witnesses) == 1:
         return Result("holds")

@@ -71,9 +71,6 @@ class FinCategory:
     def arrows_into(self, c: str) -> tuple[str, ...]:
         return self._into[c]
 
-    def arrows_from(self, b: str) -> tuple[str, ...]:
-        return self._from[b]
-
     def hom(self, b: str, c: str) -> tuple[str, ...]:
         return self._hom[(b, c)]
 

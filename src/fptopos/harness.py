@@ -8,13 +8,15 @@ stage-size-lexicographically minimal by construction.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, first_failure, is_connected,
                         is_decidable, pi, pi_product_failures,
                         presheaf_snippet, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .forcing import has_pneumoconnected_fibers, pc_object
-from .presheaf import (NatTrans, Presheaf, exponential,
+from .presheaf import (NatTrans, Presheaf, _factor_all, exponential,
                        global_elements, inclusion_of, is_epi, is_isomorphic,
                        nat_transformations, pairing, product, pullback,
                        sub_presheaf, subfunctors, terminal, two)
@@ -64,26 +66,6 @@ def _domain_maps(X: Presheaf, decidables: list[Presheaf],
                  for targets in ([t2], decidables))
 
 
-def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
-    """Whether every map out of q's domain (as components) factors
-    through q, that is, q is epi and each is constant on q's fibers;
-    true when there are no maps, as for `factor_through` one by one."""
-    if not maps:
-        return True
-    if not is_epi(q):
-        return False
-    # (c, x, x0): x and an earlier x0 of its fiber, which a map
-    # constant on the fibers sends to the same place.
-    pairs = []
-    for c, comp in q.components.items():
-        first = {}
-        for x, y in comp.items():
-            x0 = first.setdefault(y, x)
-            if x0 != x:
-                pairs.append((c, x, x0))
-    return all(h[c][x] == h[c][x0] for h in maps for c, x, x0 in pairs)
-
-
 def _conditions(q: NatTrans, maps: tuple[list, list], cap: int, pc,
                 stats: dict | None = None) -> tuple[bool, bool, bool]:
     """The three fiber conditions of q, given its domain's maps."""
@@ -102,12 +84,13 @@ def epi_conditions(q: NatTrans, decidables: list[Presheaf],
     return _conditions(q, _domain_maps(q.dom, decidables), cap, pc)
 
 
-def _search_lemma(corpus: Corpus) -> dict | None:
-    """The first epi between corpus objects at which the three fiber
-    conditions disagree.  The maps out of each domain into 2 and into
-    the decidables are found once, at its first epi."""
-    cap, stats = corpus.cap, _fiber_stats(corpus)
-    decidables = corpus.decidables()
+def _corpus_epis(corpus: Corpus, decidables: list[Presheaf] | None = None):
+    """The epis q: X ↠ Y between corpus objects, in corpus order of
+    domain, then codomain, then hom-search order, each counted in
+    `epis_checked`.  Each comes with its domain's maps into 2 and into
+    the given decidables (see `_domain_maps`), found once, at the
+    domain's first epi; None when no decidables are given."""
+    stats = _fiber_stats(corpus)
     for X in corpus:
         maps = None
         for Y in corpus:
@@ -115,16 +98,25 @@ def _search_lemma(corpus: Corpus) -> dict | None:
                 if not is_epi(q):
                     continue
                 stats["epis_checked"] += 1
-                if maps is None:
+                if maps is None and decidables is not None:
                     maps = _domain_maps(X, decidables, stats)
-                conditions = _conditions(q, maps, cap,
-                                         corpus.fact(pc_object, X), stats)
-                if len(set(conditions)) > 1:
-                    return {"dom": presheaf_snippet(X),
-                            "cod": presheaf_snippet(Y),
-                            "epi": {c: dict(q.components[c])
-                                    for c in X.base.objects},
-                            "conditions": list(conditions)}
+                yield q, maps
+
+
+def _epi_witness(q: NatTrans) -> dict:
+    return {"dom": presheaf_snippet(q.dom), "cod": presheaf_snippet(q.cod),
+            "epi": {c: dict(q.components[c]) for c in q.dom.base.objects}}
+
+
+def _search_lemma(corpus: Corpus) -> dict | None:
+    """The first epi between corpus objects at which the three fiber
+    conditions disagree."""
+    for q, maps in _corpus_epis(corpus, corpus.decidables()):
+        conditions = _conditions(q, maps, corpus.cap,
+                                 corpus.fact(pc_object, q.dom),
+                                 corpus.stats)
+        if len(set(conditions)) > 1:
+            return {**_epi_witness(q), "conditions": list(conditions)}
     return None
 
 
@@ -210,17 +202,12 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
 
 def _pneumo_epis(corpus: Corpus):
     """The epis between corpus objects with pneumoconnected fibers, in
-    corpus order of domain, then codomain, then hom-search order."""
-    stats = _fiber_stats(corpus)
-    for X in corpus:
-        for Y in corpus:
-            for f in nat_transformations(X, Y):
-                if not is_epi(f):
-                    continue
-                stats["epis_checked"] += 1
-                if has_pneumoconnected_fibers(
-                        f, corpus.cap, corpus.fact(pc_object, X), stats):
-                    yield f
+    the order of `_corpus_epis`."""
+    for f, _maps in _corpus_epis(corpus):
+        if has_pneumoconnected_fibers(f, corpus.cap,
+                                      corpus.fact(pc_object, f.dom),
+                                      corpus.stats):
+            yield f
 
 
 def _prop_pneumo_product_closed(corpus: Corpus):
@@ -344,13 +331,10 @@ def props_report(corpus: Corpus, names: list[str] | None = None) -> Result:
 # ---------------------------------------------------------------------------
 # counterexample search
 
-def _search_dqo(corpus: Corpus):
-    failure = first_failure(corpus, check_dqo)
-    return None if failure is None else failure.witnesses[0]
-
-
-def _search_dso(corpus: Corpus):
-    failure = first_failure(corpus, check_dso)
+def _first_witness(check, corpus: Corpus):
+    """The witness of the first corpus object at which the per-object
+    check fails, or None."""
+    failure = first_failure(corpus, check)
     return None if failure is None else failure.witnesses[0]
 
 
@@ -365,32 +349,19 @@ def _search_pneumo_pi(corpus: Corpus):
 
 def _search_pneumo_epis(corpus: Corpus):
     """The first epi inverting every map to 2 (so every X→2 factors
-    through it) without pneumoconnected fibers.  The maps out of each
-    domain into 2 are found once, at its first epi."""
-    C, cap, stats = corpus.base, corpus.cap, _fiber_stats(corpus)
-    for X in corpus:
-        to_two = None
-        for Y in corpus:
-            for q in nat_transformations(X, Y):
-                if not is_epi(q):
-                    continue
-                stats["epis_checked"] += 1
-                if to_two is None:
-                    to_two, _none = _domain_maps(X, [], stats)
-                if not _factor_all(q, to_two):
-                    continue  # family: epis inverting all maps to 2
-                if not has_pneumoconnected_fibers(
-                        q, cap, corpus.fact(pc_object, X), stats):
-                    return {"dom": presheaf_snippet(X),
-                            "cod": presheaf_snippet(Y),
-                            "epi": {c: dict(q.components[c])
-                                    for c in C.objects}}
+    through it) without pneumoconnected fibers."""
+    for q, (to_two, _none) in _corpus_epis(corpus, []):
+        if not _factor_all(q, to_two):
+            continue  # family: epis inverting all maps to 2
+        if not has_pneumoconnected_fibers(
+                q, corpus.cap, corpus.fact(pc_object, q.dom), corpus.stats):
+            return _epi_witness(q)
     return None
 
 
 SEARCHES = {
-    "dqo-uniqueness": _search_dqo,
-    "dso-uniqueness": _search_dso,
+    "dqo-uniqueness": partial(_first_witness, check_dqo),
+    "dso-uniqueness": partial(_first_witness, check_dso),
     "pneumo-pi-quotients": _search_pneumo_pi,
     "pneumo-separated-reflections": _prop_separated_reflection_pneumo,
     "pneumo-two-inverting-epis": _search_pneumo_epis,

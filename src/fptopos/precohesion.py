@@ -33,13 +33,11 @@ def _hom(cache, X: Presheaf, Y: Presheaf):
     return cache[key]
 
 
-def _pi_reflects(r: PiResult, S: Presheaf, homs) -> bool:
-    """Π ⊣ inclusion at (X, S): precomposition with the unit X → ΠX is
-    a bijection Hom(ΠX, S) ≅ Hom(X, S), with hom-sets from homs(X, S)."""
-    lhs = homs(r.quotient, S)
-    images = {r.map.then(g).key() for g in lhs}
-    return len(images) == len(lhs) and \
-        images == {g.key() for g in homs(r.source, S)}
+def _bijective(transpose, lhs: list[NatTrans], rhs: list[NatTrans]) -> bool:
+    """Whether transpose maps the hom-set lhs one-to-one onto the
+    hom-set rhs (arrows compared by their components)."""
+    images = {transpose(g).key() for g in lhs}
+    return len(images) == len(lhs) and images == {g.key() for g in rhs}
 
 
 @dataclass(eq=False)
@@ -274,20 +272,17 @@ class AdjointString:
             r = self.f_shriek(X)
             D, i = self.f_star(X)
             for S in decs:
-                if not _pi_reflects(r, S, homs):
+                # Π ⊣ inclusion: precomposition with the unit X → ΠX.
+                if not _bijective(r.map.then, homs(r.quotient, S),
+                                  homs(X, S)):
                     bad.append("pi-adjunction@%s,%s" % (X.name, S.name))
-                lhs2 = _hom(self._homs, S, D)
-                rhs2 = _hom(self._homs, S, X)
-                images2 = {g.then(i).key() for g in lhs2}
-                if len(images2) != len(lhs2) or \
-                        images2 != {g.key() for g in rhs2}:
+                # inclusion ⊣ f_*: postcomposition with f_*X ↪ X.
+                if not _bijective(lambda g: g.then(i), homs(S, D),
+                                  homs(S, X)):
                     bad.append("dso-adjunction@%s,%s" % (S.name, X.name))
-                FS = self.f_upper_shriek(S)
-                lhs3 = _hom(self._homs, D, S)
-                rhs3 = _hom(self._homs, X, FS)
-                images3 = {self.phi(X, S, g).key() for g in lhs3}
-                if len(images3) != len(lhs3) or \
-                        images3 != {g.key() for g in rhs3}:
+                # f_* ⊣ f^!: the transpose phi.
+                if not _bijective(partial(self.phi, X, S), homs(D, S),
+                                  homs(X, self.f_upper_shriek(S))):
                     bad.append("fs-adjunction@%s,%s" % (X.name, S.name))
         return bad
 
@@ -449,8 +444,13 @@ def theorem_ab_harness(corpus: Corpus) -> Result:
     require_ns(C)
     decs = corpus.decidables()
 
-    reflective = all(_pi_reflects(corpus.fact(pi, X), S, nat_transformations)
-                     for X in corpus for S in decs)
+    # Π ⊣ inclusion: precomposition with each unit X → ΠX is a
+    # bijection Hom(ΠX, S) ≅ Hom(X, S).
+    units = (corpus.fact(pi, X) for X in corpus)
+    reflective = all(_bijective(r.map.then,
+                                nat_transformations(r.quotient, S),
+                                nat_transformations(r.source, S))
+                     for r in units for S in decs)
     products = next(pi_product_failures(corpus), None) is None
     exponential_ideal = all(is_decidable(exponential(X, Y, cap), cap)
                             for X in corpus for Y in decs)

@@ -539,6 +539,26 @@ def factor_through(q: NatTrans, h: NatTrans):
     return NatTrans(Q, Z, comps)
 
 
+def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
+    """Whether every map out of q's domain (as components) factors
+    through q, that is, q is epi and each is constant on q's fibers;
+    true when there are no maps, as for `factor_through` one by one."""
+    if not maps:
+        return True
+    if not is_epi(q):
+        return False
+    # (c, x, x0): x and an earlier x0 of its fiber, which a map
+    # constant on the fibers sends to the same place.
+    pairs = []
+    for c, comp in q.components.items():
+        first = {}
+        for x, y in comp.items():
+            x0 = first.setdefault(y, x)
+            if x0 != x:
+                pairs.append((c, x, x0))
+    return all(h[c][x] == h[c][x0] for h in maps for c, x, x0 in pairs)
+
+
 # ---------------------------------------------------------------------------
 # Yoneda, classifier, exponentials, power objects
 

@@ -4,15 +4,19 @@ Everything here is deliberately written without reusing the library's
 own machinery for the thing it checks: classical truth-table semantics
 for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
-for corpus sizes (with the brute-force iso search below), the corpus
-from the full product of generator tables deduplicated by
-`canonical_key` as the reference for `corpus.enumerate_presheaves`,
+for corpus sizes (with the brute-force iso search below), the least
+relabeled table over every stage-wise permutation as the reference for
+`corpus.canonical_key`, the corpus from the full product of generator
+tables deduplicated by that key as the reference for
+`corpus.enumerate_presheaves`,
 stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
 power object by forcing (P_c(X)), as the reference for the maps into 2,
-and the pneumoconnected-fiber formula evaluated by the forcing
-interpreter, as the reference for the direct stage-wise check.
+the pneumoconnected-fiber formula evaluated by the forcing interpreter,
+as the reference for the direct stage-wise check, and a complemented
+diagonal as the reference for decidability read off the restriction
+maps.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from fptopos.corpus import canonical_key, enumerate_presheaves
+from fptopos.corpus import enumerate_presheaves
+from fptopos.decidable import diagonal
 from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError
 from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
@@ -176,15 +181,43 @@ def brute_force_presheaves(C, bounds: dict):
                                       "%s#%d")
 
 
+def brute_force_canonical_key(X):
+    """Canonical form of a presheaf: minimal relabeled action table over
+    all per-stage permutations, each tried."""
+    C = X.base
+    objs = list(C.objects)
+    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in objs}
+    morphs = C.nonidentity_morphisms()
+    best = None
+    perm_spaces = [list(itertools.permutations(range(len(X.sets[c]))))
+                   for c in objs]
+    for perms in itertools.product(*perm_spaces):
+        relabel = {c: perms[i] for i, c in enumerate(objs)}
+        # relabel[c][i] is the new label of old element i at stage c
+        table = []
+        for m in morphs:
+            d, c = C.morphisms[m]
+            row = [0] * len(X.sets[c])
+            for x in X.sets[c]:
+                row[relabel[c][index[c][x]]] = \
+                    relabel[d][index[d][X.act(m, x)]]
+            table.append(tuple(row))
+        key = tuple(table)
+        if best is None or key < best:
+            best = key
+    return (X.size_vector(), best)
+
+
 def canonical_dedup_corpus(C, bounds: dict) -> list:
     """The corpus as enumerate_presheaves built it before its search
     propagated relations: every product candidate, the first of each
-    canonical_key kept, sorted by that key and named X0, X1, ..."""
+    brute-force canonical key kept, sorted by that key and named X0,
+    X1, ..."""
     seen = {}
     ranges = [range(bounds[c] + 1) for c in C.objects]
     for vector in itertools.product(*ranges):
         for X in product_candidates(C, dict(zip(C.objects, vector))):
-            seen.setdefault(canonical_key(X), X)
+            seen.setdefault(brute_force_canonical_key(X), X)
     ordered = [X for _key, X in sorted(seen.items(), key=lambda kv: kv[0])]
     for i, X in enumerate(ordered):
         X.name = "X%d" % i
@@ -280,6 +313,17 @@ def brute_force_iso(X, Y):
         return None
 
     return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# decidability as the definition states it: the diagonal is complemented
+
+def diagonal_is_complemented(X, cap=DEFAULT_SIZE_CAP) -> bool:
+    """Whether Δ_X is complemented in Sub(X×X): Δ ∨ ¬Δ = X×X, with ¬Δ
+    found as a Heyting negation in the subobject lattice of the
+    product."""
+    _P, delta = diagonal(X, cap)
+    return is_complemented(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
                                dec_is_topos_check, diagonal, is_connected,
                                is_decidable, ns_brute_force, pi, pi_arrow,
                                quotient, separated_reflection)
+from fptopos.errors import SizeCapError
 from fptopos.fincat import catalog
 from fptopos.presheaf import (global_elements, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
-                              nat_transformations, terminal, two)
+                              nat_transformations, product, sub_presheaf,
+                              subfunctors, terminal, two)
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -32,6 +34,30 @@ def test_decidable_examples():
     assert not is_decidable(L)
     for C in (PT, TD, RG, GR):
         assert is_decidable(two(C)[0])
+
+
+CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
+
+
+@pytest.mark.parametrize("base", CATALOG)
+def test_injective_restrictions_iff_complemented_diagonal(base):
+    # On the bound-3 corpus, the Π quotients, all pairwise products and
+    # all sub-presheaves of its objects, leaving out any object whose
+    # diagonal is past the size cap.
+    corpus = list(enumerate_presheaves(catalog(base), 3))
+    objects = corpus + [pi(X).quotient for X in corpus] + \
+        [product(X, Y)[0] for X in corpus for Y in corpus] + \
+        [sub_presheaf(X, parts) for X in corpus for parts in subfunctors(X)]
+    verdicts = set()
+    for X in objects:
+        try:
+            want = oracles.diagonal_is_complemented(X)
+        except SizeCapError:
+            continue
+        assert is_decidable(X) == want, X
+        verdicts.add(want)
+    assert verdicts == ({True} if base in ("point", "two-discrete")
+                        else {True, False})
 
 
 def test_diagonal_is_a_subobject_of_the_square():

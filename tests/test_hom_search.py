@@ -1,15 +1,21 @@
 """The propagating hom search against the stage-wise reference search,
 and verdicts under renaming and reordering of elements, down to the
-fiber conditions of each epi."""
+fiber conditions of each epi, and up to the verdicts quantified over a
+whole corpus."""
 
 import random
 from collections import Counter
 
 import oracles
-from fptopos.decidable import (check_dqo, check_dso, is_connected,
+from fptopos.corpus import Corpus
+from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
+                               check_dso_bounded, check_ns,
+                               dec_is_topos_check, is_connected,
                                is_decidable, pi)
 from fptopos.forcing import has_pneumoconnected_fibers, pc_object
-from fptopos.harness import epi_conditions
+from fptopos.harness import epi_conditions, lemma_report, props_report
+from fptopos.precohesion import (check_precohesive, theorem_ab_harness,
+                                 theorem_c_harness)
 from fptopos.presheaf import (find_iso, is_epi, is_isomorphic,
                               nat_transformations)
 
@@ -65,3 +71,28 @@ def test_verdicts_do_not_depend_on_element_names_or_order():
                     (X is Y)
                 assert _fiber_profile(R, Y, decidables) == \
                     _fiber_profile(X, Y, decidables)
+
+
+CORPUS_CHECKS = (check_dqo_bounded, check_dso_bounded, dec_is_topos_check,
+                 check_precohesive, lemma_report, props_report)
+
+
+def test_corpus_verdicts_do_not_depend_on_element_names_or_order():
+    # A corpus of renamed, reordered copies gives each corpus-quantified
+    # check the same verdict and details; the theorem harnesses need NS.
+    rng = random.Random(8)
+    seen = Counter()
+    for C, corpus in oracles.bound_two_corpora():
+        copies = [oracles.renamed(X, rng) for X in corpus]
+        checks = CORPUS_CHECKS
+        if check_ns(C).holds():
+            checks += (theorem_c_harness, theorem_ab_harness)
+        for check in checks:
+            want = check(Corpus(C, corpus))
+            got = check(Corpus(C, copies))
+            assert (got.verdict, got.details) == \
+                (want.verdict, want.details), (C.name, check.__name__)
+            seen[want.verdict] += 1
+    # Failing and not-applicable paths are among those compared.
+    assert seen == {"holds-at-bound": 6, "agree": 5, "precohesive": 2,
+                    "holds": 10, "fails": 8, "not-applicable": 3}
