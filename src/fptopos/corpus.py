@@ -3,7 +3,11 @@
 For each stage-size vector, a backtracking search fills in the tables of
 the base category's generating morphisms entry by entry and checks each
 functoriality equation as soon as every entry it reads is set, so only
-functorial tables reach a leaf; each leaf is built and validated by
+functorial tables reach a leaf.  The search is orderly (Read 1978;
+McKay 1998): a partial table that a swap of two elements of one stage
+makes lexicographically smaller is dropped with everything under it,
+since none of its leaves is the least, and so the first, table of its
+class.  Each leaf that is left is built and validated by
 `make_from_generators`.  Leaves are deduplicated by a refined key: the
 elements are colour-refined until the colours are stable, and the key is
 the minimum relabeled generator table over the labellings that follow
@@ -128,8 +132,19 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
     closure words, is checked as soon as every entry it reads is
     assigned (a relation check in the sense of Mackworth 1977, without
     look-ahead), so a partial table that breaks one is dropped at once.
-    The leaves are the tables that `make_from_generators` accepts, in
-    the order of the full product.
+
+    A partial table is also dropped when a transposition of two elements
+    of one stage relabels it into a smaller one: smaller at the first
+    entry where the two differ, with that entry and every entry before
+    it decided (the entry and the entry it takes its value from under
+    the swap are both set), so every completion is smaller too.  Leaves
+    come in lexicographic order of their tables and every relabelling of
+    a leaf is a leaf, so the first leaf of each isomorphism class is the
+    least table of its orbit under stage-wise permutations; no swap makes
+    any prefix of it smaller, and it is never dropped.  The leaves are
+    therefore the tables that `make_from_generators` accepts, in the
+    order of the full product, less some that are not first in their
+    class (a transposition does not catch every one).
     """
     gens = C.generating_morphisms()
     names = {c: tuple("%s%d" % (c, i) for i in range(sizes[c]))
@@ -180,6 +195,37 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
         added.append(k)
         return True
 
+    # swaps: for each transposition (i j) of two elements of one stage,
+    # the entry each entry takes its value from in the relabelled table,
+    # and whether that value is relabelled too.
+    swaps = []
+    for s in C.objects:
+        flip = [C.dom(g) == s for g, _x, _n in entries]
+        for i, j in itertools.combinations(range(sizes[s]), 2):
+            src = [offset[g] + (i + j - x if C.cod(g) == s and x in (i, j)
+                                else x) for g, x, _n in entries]
+            swaps.append((src, flip, i, j))
+    flat = [None] * len(entries)  # entry values; read only up to entry k
+
+    def smaller_by_swap(k) -> bool:
+        # True if a swap makes every completion of entries 0..k smaller:
+        # the relabelled table is smaller at the first entry where the two
+        # differ, and that entry and all before it are decided (set, and
+        # their source entries too).
+        for src, flip, i, j in swaps:
+            for p in range(k + 1):
+                q = src[p]
+                if q > k:
+                    break
+                v = flat[q]
+                if flip[p] and (v == i or v == j):
+                    v = i + j - v
+                if v != flat[p]:
+                    if v < flat[p]:
+                        return True
+                    break
+        return False
+
     def search(k):
         if k == len(entries):
             stats["leaves_validated"] += 1
@@ -193,10 +239,13 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
         g, x, n_values = entries[k]
         for y in range(n_values):
             stats["candidate_tables_tried"] += 1
-            tables[g][x] = y
+            tables[g][x] = flat[k] = y
             added = []
             if all(settle(eq, added) for eq in watch[k]):
-                yield from search(k + 1)
+                if smaller_by_swap(k):
+                    stats["prefixes_pruned"] += 1
+                else:
+                    yield from search(k + 1)
             for j in added:
                 watch[j].pop()
         tables[g][x] = None
@@ -312,8 +361,8 @@ def enumerate_presheaves(C: FinCategory, bounds,
     for c in C.objects:
         if b[c] > cap:
             raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))
-    stats = Counter(candidate_tables_tried=0, leaves_validated=0,
-                    refined_keys=0)
+    stats = Counter(candidate_tables_tried=0, prefixes_pruned=0,
+                    leaves_validated=0, refined_keys=0)
     seen: dict[tuple, Presheaf] = {}
     ranges = [range(b[c] + 1) for c in C.objects]
     for vector in itertools.product(*ranges):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import PresheafError, DEFAULT_SIZE_CAP
+from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, _factor_all, factor_through,
                        global_elements, is_epi, is_isomorphic, make_presheaf,
@@ -240,21 +240,36 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
                                   for R, _Q in witnesses]}])
 
 
-def first_failure(corpus: Corpus, check) -> Result | None:
+def first_failure(corpus: Corpus, check,
+                  capped: list | None = None) -> Result | None:
     """The result of the first corpus object at which the per-object
-    axiom check fails, or None if it holds throughout."""
+    axiom check fails, or None if it holds throughout.  Given a list
+    `capped`, an object whose check hits the size cap is appended to it
+    and the scan goes on; otherwise the SizeCapError propagates."""
     for X in corpus:
-        result = corpus.fact(check, X)
+        try:
+            result = corpus.fact(check, X)
+        except SizeCapError:
+            if capped is None:
+                raise
+            capped.append(X)
+            continue
         if not result.holds():
             return result
     return None
 
 
 def _check_bounded(corpus: Corpus, check) -> Result:
-    failure = first_failure(corpus, check)
-    if failure is None:
-        return Result("holds-at-bound")
-    return Result("fails", failure.witnesses)
+    """Fails at the first failing object; otherwise unknown at the cap
+    if the check hit the size cap at some object, else holds at the
+    bound.  The objects at the cap are named in `details["capped"]`."""
+    capped = []
+    failure = first_failure(corpus, check, capped)
+    r = (Result("fails", failure.witnesses) if failure is not None else
+         Result("unknown-at-cap") if capped else Result("holds-at-bound"))
+    if capped:
+        r.details["capped"] = [X.name for X in capped]
+    return r
 
 
 def check_dqo_bounded(corpus: Corpus) -> Result:

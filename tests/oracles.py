@@ -6,9 +6,10 @@ for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
 for corpus sizes (with the brute-force iso search below), the least
 relabeled table over every stage-wise permutation as the reference for
-`corpus.canonical_key`, the corpus from the full product of generator
-tables deduplicated by that key as the reference for
-`corpus.enumerate_presheaves`,
+`corpus.canonical_key` and for the corpus representatives (each the
+least relabelling of its generator tables), the corpus from the full
+product of generator tables deduplicated by that key as the reference
+for `corpus.enumerate_presheaves`,
 stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
@@ -184,10 +185,25 @@ def brute_force_presheaves(C, bounds: dict):
 def brute_force_canonical_key(X):
     """Canonical form of a presheaf: minimal relabeled action table over
     all per-stage permutations, each tried."""
+    return (X.size_vector(),
+            brute_force_least_tables(X, X.base.nonidentity_morphisms()))
+
+
+def action_tables(X, morphs) -> tuple:
+    """The tables of the morphisms `morphs` in X, each the indices of the
+    images of the elements of its codomain stage, in stage order."""
+    C = X.base
+    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in C.objects}
+    return tuple(tuple(index[C.dom(m)][X.act(m, x)]
+                       for x in X.sets[C.cod(m)]) for m in morphs)
+
+
+def brute_force_least_tables(X, morphs) -> tuple:
+    """The minimum of `action_tables(X, morphs)` over all relabellings of
+    X by per-stage permutations, each tried."""
     C = X.base
     objs = list(C.objects)
     index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in objs}
-    morphs = C.nonidentity_morphisms()
     best = None
     perm_spaces = [list(itertools.permutations(range(len(X.sets[c]))))
                    for c in objs]
@@ -205,7 +221,7 @@ def brute_force_canonical_key(X):
         key = tuple(table)
         if best is None or key < best:
             best = key
-    return (X.size_vector(), best)
+    return best
 
 
 def canonical_dedup_corpus(C, bounds: dict) -> list:

@@ -184,11 +184,12 @@ def test_enumerate(capsys):
     assert len(rep["details"]["presheaves"]) == 3
     assert rep["timings"] is None
     # --timings adds what the corpus search did: on refgraph at bound 3,
-    # 39 functorial tables reach a leaf, for 8 classes.
+    # 63 partial tables are dropped because a swap of two elements makes
+    # them smaller, and 10 functorial tables reach a leaf, for 8 classes.
     code, rep = run_json(capsys, "enumerate", "--bound", "3", "--timings")
     counts = {k: v for k, v in rep["timings"].items() if k != "seconds"}
-    assert counts == {"candidate_tables_tried": 5083,
-                      "leaves_validated": 39, "refined_keys": 39,
+    assert counts == {"candidate_tables_tried": 723, "prefixes_pruned": 63,
+                      "leaves_validated": 10, "refined_keys": 10,
                       "canonical_key_calls": 8}
 
 
@@ -202,8 +203,9 @@ def test_fiber_counts_with_timings(capsys):
     code, rep = run_json(capsys, "verify", "lemma", "--base", "sierpinski",
                          "--bound", "2", "--timings")
     counts = {k: v for k, v in rep["timings"].items() if k != "seconds"}
-    assert counts == {"candidate_tables_tried": 11, "leaves_validated": 11,
-                      "refined_keys": 11, "canonical_key_calls": 8,
+    assert counts == {"candidate_tables_tried": 9, "prefixes_pruned": 2,
+                      "leaves_validated": 8, "refined_keys": 8,
+                      "canonical_key_calls": 8,
                       "epis_checked": 22, "fiber_checks": 142,
                       "domain_hom_sets": 56}
     for argv in (("verify", "props", "--base", "sierpinski", "--bound", "1"),

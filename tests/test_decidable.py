@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
+from fptopos.decidable import (_check_bounded, check_dqo,
+                               check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns, congruences,
                                dec_is_topos_check, diagonal, is_connected,
                                is_decidable, ns_brute_force, pi, pi_arrow,
@@ -181,6 +182,26 @@ def test_dqo_bounded_first_witness_is_a1():
     w = r.witnesses[0]["object"]
     W = make_presheaf(GR, w["sets"], w["actions"])
     assert is_isomorphic(W, A1)
+
+
+def test_bounded_check_names_the_objects_at_the_cap():
+    # An object whose check passes the size cap does not abort the scan:
+    # it is named, and the verdict is unknown at the cap unless another
+    # object fails.
+    r = check_dqo_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}, 16))
+    assert (r.verdict, r.witnesses) == ("unknown-at-cap", [])
+    assert r.details == {"capped": ["X4", "X5"]}
+
+    def capped_at_x1(X, cap):
+        if X.name == "X1":
+            raise SizeCapError("capped")
+        return check_dqo(X, cap)
+
+    r = _check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}),
+                       capped_at_x1)
+    assert r.verdict == "fails" and r.details == {"capped": ["X1"]}
+    w = r.witnesses[0]["object"]
+    assert is_isomorphic(make_presheaf(GR, w["sets"], w["actions"]), A1)
 
 
 def test_dso_examples():
