@@ -257,11 +257,14 @@ def _cmd_search(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
     corpus = enumerate_presheaves(C, args.bound, args.cap)
-    w = search_counterexample(args.property, corpus)
+    capped = []
+    w = search_counterexample(args.property, corpus, capped)
     details = {"property": args.property}
     if w is None:
-        return _emit(args, C.name, Result("none", [], details), label,
-                     corpus.stats)
+        if capped:
+            details["capped"] = [X.name for X in capped]
+        r = Result("unknown-at-cap" if capped else "none", [], details)
+        return _emit(args, C.name, r, label, corpus.stats)
     details["recheck"] = ("fptopos search-counterexample --property %s "
                           "--base %s --bound %s"
                           % (args.property, args.base, args.raw_bound))

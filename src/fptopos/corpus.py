@@ -12,12 +12,11 @@ class.  Each leaf that is left is built and validated by
 elements are colour-refined until the colours are stable, and the key is
 the minimum relabeled generator table over the labellings that follow
 the colour order, which is equal for two leaves exactly when they are
-isomorphic.  The first leaf of each class represents it, and the
-representatives are sorted by `canonical_key` (the minimum relabeled
-table over all stage-wise permutations, by the same labelling search
-with each stage one colour class), computed once per class.  The
-enumeration order is fully deterministic, so regeneration is
-bit-identical.  The result is a `Corpus` session that every
+isomorphic.  The first leaf of each class represents it.  Leaves come
+in lexicographic order of their tables, so the representatives are
+already in canonical order: by size vector, then by least generator
+tables.  The enumeration order is fully deterministic, so regeneration
+is bit-identical.  The result is a `Corpus` session that every
 corpus-quantified check of one command shares.
 """
 
@@ -30,22 +29,6 @@ from .decidable import is_decidable
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import Presheaf, make_from_generators
-
-
-def canonical_key(X: Presheaf):
-    """Canonical form of a presheaf: the minimum relabeled table of its
-    non-identity morphisms over all stage-wise permutations, found by the
-    labelling search of the refined key with each stage one colour
-    class."""
-    C = X.base
-    stage = {c: i for i, c in enumerate(C.objects)}
-    index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in C.objects}
-    tables = []
-    for m in C.nonidentity_morphisms():
-        d, c = C.morphisms[m]
-        tables.append((stage[d], stage[c],
-                       tuple(index[d][X.act(m, x)] for x in X.sets[c])))
-    return _least_table(X.size_vector(), tables, refine=False)
 
 
 class Corpus:
@@ -255,26 +238,22 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
 
 def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
     """A complete isomorphism invariant of the presheaf whose generator
-    tables (tuples of element indices) are `tables`: equal keys iff
-    isomorphic."""
-    stage = {c: i for i, c in enumerate(C.objects)}
-    return _least_table(vector, [(stage[C.dom(g)], stage[C.cod(g)], t)
-                                 for g, t in tables.items()], refine=True)
+    tables (tuples of element indices) are `tables`: (vector, the
+    minimum of the relabeled tables) over the labellings that give
+    labels in colour order and permute only within colours.
 
-
-def _least_table(vector: tuple[int, ...], tables: list, refine: bool):
-    """(vector, the minimum of the relabeled `tables`) over the
-    labellings that give labels in colour order and permute only within
-    colours; each table is (domain stage, codomain stage, images of the
-    codomain's elements), with stages and elements as indices.
-
-    Each stage is one colour unless `refine`: then its elements are
-    colour-refined until stable, an element's next colour ranking its
-    colour, the colours of its images and the sorted colours of its
-    preimages (invariant refinement before permutation search: McKay &
-    Piperno 2014).  Colours are isomorphism-invariant, so the result is
-    equal for two presheaves iff they are isomorphic.
+    The elements of each stage are colour-refined until stable, an
+    element's next colour ranking its colour, the colours of its images
+    and the sorted colours of its preimages (invariant refinement before
+    permutation search: McKay & Piperno 2014).  Colours are
+    isomorphism-invariant, so the key is equal for two presheaves iff
+    they are isomorphic.
     """
+    stage = {c: i for i, c in enumerate(C.objects)}
+    # (domain stage, codomain stage, images of the codomain's elements)
+    tables = [(stage[C.dom(g)], stage[C.cod(g)], t)
+              for g, t in tables.items()]
+
     def preimages(t, n):
         pre = [[] for _ in range(n)]
         for x, y in enumerate(t):
@@ -289,7 +268,7 @@ def _least_table(vector: tuple[int, ...], tables: list, refine: bool):
            for s, n in zip(stages, vector)]
     colours = [[0] * n for n in vector]
     classes = 0
-    while refine and classes < sum(vector):
+    while classes < sum(vector):
         for s, n in enumerate(vector):
             col = colours[s]
             outs_s = [(colours[d], t) for d, t in outs[s]]
@@ -355,8 +334,11 @@ def _least_table(vector: tuple[int, ...], tables: list, refine: bool):
 def enumerate_presheaves(C: FinCategory, bounds,
                          cap: int = DEFAULT_SIZE_CAP) -> Corpus:
     """The session over all presheaves with stage sizes within the
-    bounds, one representative per isomorphism class (the first
-    candidate of its class), ordered by `canonical_key`."""
+    bounds, one representative per isomorphism class: the first leaf of
+    its class, which is its least generator table.  Size vectors are
+    searched in lexicographic order and the leaves of each in
+    lexicographic order of their tables, so the corpus is ordered by
+    (size vector, least generator tables)."""
     b = _norm_bounds(C, bounds)
     for c in C.objects:
         if b[c] > cap:
@@ -370,8 +352,7 @@ def enumerate_presheaves(C: FinCategory, bounds,
         for X, tables in _candidates(C, sizes, stats):
             stats["refined_keys"] += 1
             seen.setdefault(_refined_key(C, vector, tables), X)
-    stats["canonical_key_calls"] = len(seen)
-    ordered = sorted(seen.values(), key=canonical_key)
+    ordered = list(seen.values())
     for i, X in enumerate(ordered):
         X.name = "X%d" % i
     return Corpus(C, ordered, cap, dict(stats))

@@ -24,15 +24,6 @@ if TYPE_CHECKING:
     from .corpus import Corpus
 
 
-@dataclass(eq=False)
-class Congruence:
-    """An internal equivalence relation: a subfunctor of X×X that is
-    stage-wise reflexive, symmetric and transitive."""
-
-    ambient: Presheaf
-    relation: Subobject  # of ambient×ambient (pair ids via pel)
-
-
 def presheaf_snippet(X: Presheaf) -> dict:
     """Serializable witness form of a presheaf (re-checkable)."""
     return {
@@ -183,14 +174,12 @@ def is_connected(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
 # ---------------------------------------------------------------------------
 # congruences and quotients
 
-def congruences(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[Congruence]:
-    """All subfunctors of X×X that are stage-wise equivalence relations."""
+def congruences(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
+    """All subfunctors of X×X (pair ids via pel) that are stage-wise
+    equivalence relations."""
     P, _p1, _p2 = product(X, X, cap)
-    out = []
-    for parts in subfunctors(P, cap):
-        if _is_equivalence(X, parts):
-            out.append(Congruence(X, Subobject(P, parts)))
-    return out
+    return [Subobject(P, parts) for parts in subfunctors(P, cap)
+            if _is_equivalence(X, parts)]
 
 
 def _is_equivalence(X: Presheaf, parts) -> bool:
@@ -210,12 +199,13 @@ def _is_equivalence(X: Presheaf, parts) -> bool:
     return True
 
 
-def quotient(X: Presheaf, R: Congruence):
-    """Exact quotient of X by a congruence (pointwise set quotient)."""
+def quotient(X: Presheaf, R: Subobject):
+    """Exact quotient of X by a congruence R ↣ X×X (pointwise set
+    quotient)."""
     pairs = {}
     for c in X.base.objects:
         pairs[c] = [(x, y) for x in X.sets[c] for y in X.sets[c]
-                    if pel(x, y) in R.relation.parts[c]]
+                    if pel(x, y) in R.parts[c]]
     return quotient_by_pairs(X, pairs)
 
 
@@ -231,13 +221,13 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
     for R in congruences(X, cap):
         Q, q = quotient(X, R)
         if is_decidable(Q, cap) and _factor_all(q, homs):
-            witnesses.append((R, Q))
+            witnesses.append(R)
     if len(witnesses) == 1:
         return Result("holds")
     return Result("fails", [{
         "object": presheaf_snippet(X),
-        "factoring_congruences": [subobject_snippet(R.relation)
-                                  for R, _Q in witnesses]}])
+        "factoring_congruences": [subobject_snippet(R)
+                                  for R in witnesses]}])
 
 
 def first_failure(corpus: Corpus, check,
@@ -316,11 +306,10 @@ def separated_reflection(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
     ¬¬-separated and the map is the separated reflection."""
     _P, delta = diagonal(X, cap)
     closed = nn_closure(delta)
-    R = Congruence(X, closed)
     if not _is_equivalence(X, closed.parts):
         raise PresheafError("NotFunctorial",
                             "¬¬Δ is not a stage-wise equivalence relation")
-    M, m = quotient(X, R)
+    M, m = quotient(X, closed)
     M.name = "M(%s)" % (X.name or "X")
     # Separatedness: the diagonal of M is ¬¬-closed.
     _PM, deltaM = diagonal(M, cap)

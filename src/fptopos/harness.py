@@ -331,10 +331,10 @@ def props_report(corpus: Corpus, names: list[str] | None = None) -> Result:
 # ---------------------------------------------------------------------------
 # counterexample search
 
-def _first_witness(check, corpus: Corpus):
+def _first_witness(check, corpus: Corpus, capped: list | None = None):
     """The witness of the first corpus object at which the per-object
-    check fails, or None."""
-    failure = first_failure(corpus, check)
+    check fails, or None; `capped` as in `first_failure`."""
+    failure = first_failure(corpus, check, capped)
     return None if failure is None else failure.witnesses[0]
 
 
@@ -359,9 +359,13 @@ def _search_pneumo_epis(corpus: Corpus):
     return None
 
 
+# The searches for the first corpus object at which a per-object check
+# fails, which can go on past an object at the size cap.
+OBJECT_CHECKS = {"dqo-uniqueness": check_dqo, "dso-uniqueness": check_dso}
+
 SEARCHES = {
-    "dqo-uniqueness": partial(_first_witness, check_dqo),
-    "dso-uniqueness": partial(_first_witness, check_dso),
+    **{prop: partial(_first_witness, check)
+       for prop, check in OBJECT_CHECKS.items()},
     "pneumo-pi-quotients": _search_pneumo_pi,
     "pneumo-separated-reflections": _prop_separated_reflection_pneumo,
     "pneumo-two-inverting-epis": _search_pneumo_epis,
@@ -370,12 +374,18 @@ SEARCHES = {
 }
 
 
-def search_counterexample(prop: str, corpus: Corpus) -> dict | None:
+def search_counterexample(prop: str, corpus: Corpus,
+                          capped: list | None = None) -> dict | None:
     """First witness violating the registered property, in deterministic
     corpus order (hence stage-size minimal); None if the bound is
-    exhausted without one."""
+    exhausted without one.  Given a list `capped`, a search over a
+    per-object check (`OBJECT_CHECKS`) appends each object whose check
+    hits the size cap to it and goes on; otherwise a cap hit raises
+    SizeCapError."""
     if prop not in SEARCHES:
         raise UnknownName("unknown property %r (have: %s)"
                           % (prop, ", ".join(sorted(SEARCHES))))
     _fiber_stats(corpus)
+    if prop in OBJECT_CHECKS:
+        return SEARCHES[prop](corpus, capped)
     return SEARCHES[prop](corpus)

@@ -6,10 +6,10 @@ for forcing on the one-object base, a union-find component counter for
 the decidable-quotient point count, a quadratic iso-dedup recount
 for corpus sizes (with the brute-force iso search below), the least
 relabeled table over every stage-wise permutation as the reference for
-`corpus.canonical_key` and for the corpus representatives (each the
-least relabelling of its generator tables), the corpus from the full
-product of generator tables deduplicated by that key as the reference
-for `corpus.enumerate_presheaves`,
+the corpus representatives (each the least relabelling of its
+generator tables) and for the corpus order, the corpus from the full
+product of generator tables deduplicated and sorted by that key as the
+reference for `corpus.enumerate_presheaves`,
 stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the

@@ -13,8 +13,9 @@ properties, including P_c of product domains and of pullbacks.  The
 `enumerate --list` cases pin corpora: their representatives, action
 tables and order; the bound-4 and sierpinski bound-5 corpora were pinned
 from the corpus search before it pruned tables that a swap of two
-elements makes smaller.  A bounded DQO check whose size cap is hit at
-some objects reports them as unknown at the cap instead of aborting."""
+elements makes smaller.  A bounded DQO check, and a DQO counterexample
+search that finds no witness, whose size cap is hit at some objects
+report them as unknown at the cap instead of aborting."""
 
 import pathlib
 
@@ -92,6 +93,9 @@ COMMANDS = {
                           0),
     "check-dqo-sierpinski-3": (("check-dqo", "--base", "sierpinski",
                                 "--bound", "3"), 1),
+    "search-dqo-sierpinski-3": (("search-counterexample", "--base",
+                                 "sierpinski", "--bound", "3", "--property",
+                                 "dqo-uniqueness"), 1),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import is_decidable, pi
-from fptopos.errors import UnknownName
+from fptopos.errors import SizeCapError, UnknownName
 from fptopos.fincat import catalog
 from fptopos.harness import (PROPERTIES, SEARCHES, epi_conditions, fiber,
                              lemma_report, props_report,
@@ -65,6 +65,17 @@ def test_search_dqo_finds_a1_on_graph_base():
     from fptopos.presheaf import make_presheaf as mk
     W = mk(GR, w["object"]["sets"], w["object"]["actions"])
     assert is_isomorphic(W, builtin_object(GR, "A1"))
+
+
+def test_search_names_the_objects_at_the_cap():
+    # Given a list, the DQO search goes on past an object whose check
+    # passes the size cap and names it; without one, the cap hit raises.
+    corpus = enumerate_presheaves(GR, {"V": 2, "E": 1}, 16)
+    capped = []
+    assert search_counterexample("dqo-uniqueness", corpus, capped) is None
+    assert [X.name for X in capped] == ["X4", "X5"]
+    with pytest.raises(SizeCapError):
+        search_counterexample("dqo-uniqueness", corpus)
 
 
 def test_search_dso_finds_lopsided_pair_on_two_discrete():
