@@ -8,11 +8,12 @@ McKay 1998): a partial table that a swap of two elements of one stage
 makes lexicographically smaller is dropped with everything under it,
 since none of its leaves is the least, and so the first, table of its
 class.  Each leaf that is left is built and validated by
-`make_from_generators`.  Leaves are deduplicated by a refined key: the
+`make_from_generators`.  Leaves are bucketed by an invariant: the
 elements are colour-refined until the colours are stable, and the key is
-the minimum relabeled generator table over the labellings that follow
-the colour order, which is equal for two leaves exactly when they are
-isomorphic.  The first leaf of each class represents it.  Leaves come
+the history of the refinement.  A leaf starts a new class unless the hom
+search finds an isomorphism to a representative in its bucket, each
+element trying only the representative's elements of its colour.  The
+first leaf of each class represents it.  Leaves come
 in lexicographic order of their tables, so the representatives are
 already in canonical order: by size vector, then by least generator
 tables.  The enumeration order is fully deterministic, so regeneration
@@ -28,7 +29,7 @@ from collections import Counter
 from .decidable import is_decidable
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
-from .presheaf import Presheaf, make_from_generators
+from .presheaf import Presheaf, _hom_search, make_from_generators
 
 
 class Corpus:
@@ -123,7 +124,7 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
     the swap are both set), so every completion is smaller too.  Leaves
     come in lexicographic order of their tables and every relabelling of
     a leaf is a leaf, so the first leaf of each isomorphism class is the
-    least table of its orbit under stage-wise permutations; no swap makes
+    least table of its orbit under stage-wise relabellings; no swap makes
     any prefix of it smaller, and it is never dropped.  The leaves are
     therefore the tables that `make_from_generators` accepts, in the
     order of the full product, less some that are not first in their
@@ -237,17 +238,19 @@ def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
 
 
 def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
-    """A complete isomorphism invariant of the presheaf whose generator
-    tables (tuples of element indices) are `tables`: (vector, the
-    minimum of the relabeled tables) over the labellings that give
-    labels in colour order and permute only within colours.
+    """An isomorphism invariant of the presheaf whose generator tables
+    (tuples of element indices) are `tables`, with the stable colours of
+    its elements: ((vector, history), colours), colours[s][x] the colour
+    of element x of stage s.
 
     The elements of each stage are colour-refined until stable, an
     element's next colour ranking its colour, the colours of its images
-    and the sorted colours of its preimages (invariant refinement before
-    permutation search: McKay & Piperno 2014).  Colours are
-    isomorphism-invariant, so the key is equal for two presheaves iff
-    they are isomorphic.
+    and the sorted colours of its preimages (McKay & Piperno 2014).  The
+    history holds each round's sorted signatures per stage, and a colour
+    is a rank among them, so two presheaves with equal keys have the
+    same colours, each meaning the same thing; an isomorphism maps each
+    element to one of its colour.  Non-isomorphic presheaves can share a
+    key.
     """
     stage = {c: i for i, c in enumerate(C.objects)}
     # (domain stage, codomain stage, images of the codomain's elements)
@@ -267,6 +270,7 @@ def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
     ins = [[(c, preimages(t, n)) for d, c, t in tables if d == s]
            for s, n in zip(stages, vector)]
     colours = [[0] * n for n in vector]
+    history = []
     classes = 0
     while classes < sum(vector):
         for s, n in enumerate(vector):
@@ -281,54 +285,23 @@ def _refined_key(C: FinCategory, vector: tuple[int, ...], tables: dict):
                 for cc, pre in ins_s:
                     sig.append(tuple(sorted([cc[z] for z in pre[x]])))
                 sigs.append(tuple(sig))
+            history.append(tuple(sorted(sigs)))
             rank = {v: r for r, v in enumerate(sorted(set(sigs)))}
             colours[s] = [rank[v] for v in sigs]
         now = sum(len(set(col)) for col in colours)
         if now == classes:
             break
         classes = now
-    # Each stage's orders: (order, label), order[j] the element labelled
-    # j.  Twins (same colour and images, no preimages) are swapped by an
-    # automorphism, so orders that differ only among twins are skipped.
-    touched = sorted({s for d, c, _t in tables for s in (d, c)})
-    spaces = []
-    for s in touched:
-        blocks = [[] for _ in range(max(colours[s], default=-1) + 1)]
-        for x, r in enumerate(colours[s]):
-            blocks[r].append(x)
-        per_block = []
-        for block in blocks:
-            if len(block) == 1:
-                per_block.append([block])
-                continue
-            twins = {}
-            for x in block:
-                alone = not any(pre[x] for _c, pre in ins[s])
-                twins.setdefault(tuple(t[x] for _d, t in outs[s])
-                                 if alone else x, []).append(x)
-            groups = list(twins.values())
-            seq = [i for i, group in enumerate(groups) for _x in group]
-            orders = []
-            for p in set(itertools.permutations(seq)):
-                pools = [iter(group) for group in groups]
-                orders.append([next(pools[i]) for i in p])
-            per_block.append(orders)
-        stage_orders = []
-        for parts in itertools.product(*per_block):
-            order = list(itertools.chain(*parts))
-            label = [0] * vector[s]
-            for j, x in enumerate(order):
-                label[x] = j
-            stage_orders.append((order, label))
-        spaces.append(stage_orders)
-    at = [(touched.index(d), touched.index(c), t) for d, c, t in tables]
-    best = None
-    for choice in itertools.product(*spaces):
-        table = tuple(tuple([choice[i][1][t[x]] for x in choice[j][0]])
-                      for i, j, t in at)
-        if best is None or table < best:
-            best = table
-    return (vector, best)
+    return (vector, tuple(history)), colours
+
+
+def _same_colour(X: Presheaf, colours, R: Presheaf, r_colours) -> dict:
+    """For the hom search X → R: each element of X may go only to the
+    elements of R with its colour, since an isomorphism keeps colours."""
+    return {c: {x: [y for y, k in zip(R.sets[c], r_colours[s])
+                    if k == colours[s][i]]
+                for i, x in enumerate(X.sets[c])}
+            for s, c in enumerate(X.base.objects)}
 
 
 def enumerate_presheaves(C: FinCategory, bounds,
@@ -345,14 +318,19 @@ def enumerate_presheaves(C: FinCategory, bounds,
             raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))
     stats = Counter(candidate_tables_tried=0, prefixes_pruned=0,
                     leaves_validated=0, refined_keys=0)
-    seen: dict[tuple, Presheaf] = {}
+    buckets: dict[tuple, list] = {}  # invariant -> [(rep, its colours)]
+    ordered = []
     ranges = [range(b[c] + 1) for c in C.objects]
     for vector in itertools.product(*ranges):
         sizes = dict(zip(C.objects, vector))
         for X, tables in _candidates(C, sizes, stats):
             stats["refined_keys"] += 1
-            seen.setdefault(_refined_key(C, vector, tables), X)
-    ordered = list(seen.values())
+            key, colours = _refined_key(C, vector, tables)
+            bucket = buckets.setdefault(key, [])
+            if not any(_hom_search(X, R, True, _same_colour(X, colours, R, rc))
+                       for R, rc in bucket):
+                bucket.append((X, colours))
+                ordered.append(X)
     for i, X in enumerate(ordered):
         X.name = "X%d" % i
     return Corpus(C, ordered, cap, dict(stats))

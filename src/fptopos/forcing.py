@@ -25,8 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import SortError, UnboundVariable, DEFAULT_SIZE_CAP, ParseError
-from .presheaf import (NatTrans, Presheaf, PowerObject, _relation_object, pel,
-                       product)
+from .presheaf import NatTrans, Presheaf, PowerObject, _relation_object, pel
 from .sublattice import Subobject, complemented_subobjects, full_subobject
 
 
@@ -217,19 +216,6 @@ class Exists(Formula):
         return self.body.free() - {self.var}
 
 
-def exists_unique(var: str, sort: Sort, body_of) -> Formula:
-    """∃!y φ(y), desugared to ∃y(φ(y) ∧ ∀y′(φ(y′) ⇒ y = y′)).
-
-    body_of is a callable producing φ with a given variable name, so the
-    primed copy can be built with a fresh variable.
-    """
-    primed = var + "'"
-    return Exists(var, sort, And(
-        body_of(var),
-        Forall(primed, sort,
-               Implies(body_of(primed), Eq(VarT(var), VarT(primed))))))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -405,51 +391,6 @@ def pc_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PcObject:
         X, lambda B: [S.parts for S in complemented_subobjects(B, cap)],
         cap, "P_c(%s)" % (X.name or "X"))
     return PcObject(po, full_subobject(po.carrier))
-
-
-# ---------------------------------------------------------------------------
-# graphs of arrows
-
-@dataclass(eq=False)
-class Graph:
-    prod: Presheaf
-    p1: NatTrans
-    p2: NatTrans
-    sub: Subobject
-
-
-def graph_of(f: NatTrans, cap: int = DEFAULT_SIZE_CAP) -> Graph:
-    """The graph |f| ↣ X×Y of an arrow f: X→Y."""
-    P, p1, p2 = product(f.dom, f.cod, cap)
-    parts = {c: frozenset(pel(x, f.apply(c, x)) for x in f.dom.sets[c])
-             for c in f.dom.base.objects}
-    return Graph(P, p1, p2, Subobject(P, parts))
-
-
-def is_graph(X: Presheaf, Y: Presheaf, G: Subobject) -> Countermodel | None:
-    """None iff G ↣ X×Y satisfies the internal functionality condition
-    ∃!y ⟨x,y⟩ ∈ G universally in x; else the least countermodel."""
-    xsort, ysort = PresheafSort(X), PresheafSort(Y)
-    const = SubConst(G, "G")
-    phi = exists_unique(
-        "y", ysort, lambda v: Mem(PairT(VarT("x"), VarT(v)), const))
-    return universally_valid(phi, {"x": xsort})
-
-
-def arrow_from_graph(X: Presheaf, Y: Presheaf, G: Subobject):
-    """Reconstruct the arrow whose graph is G; None if G is not a graph."""
-    if is_graph(X, Y, G) is not None:
-        return None
-    comps = {}
-    for c in X.base.objects:
-        comps[c] = {}
-        for x in X.sets[c]:
-            matches = [y for y in Y.sets[c]
-                       if pel(x, y) in G.parts[c]]
-            if len(matches) != 1:
-                return None
-            comps[c][x] = matches[0]
-    return NatTrans(X, Y, comps)
 
 
 # ---------------------------------------------------------------------------

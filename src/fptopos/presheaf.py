@@ -1,15 +1,13 @@
 """Objects and morphisms of the finite presheaf topos Set^(C^op).
 
 Presheaves of finite sets, natural transformations, finite limits and
-colimits, image factorizations, exponentials, the Yoneda embedding, the
-subobject classifier and power objects.  Everything is computed pointwise
-and deterministically: constructed element ids are canonical strings, so
-repeated runs are bit-identical.
+colimits, exponentials, the Yoneda embedding and power objects.
+Everything is computed pointwise and deterministically: constructed
+element ids are canonical strings, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (BaseMismatch, PresheafError, ShapeMismatch,
@@ -236,18 +234,21 @@ def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
 # ---------------------------------------------------------------------------
 # hom-sets
 
-def _hom_search(X: Presheaf, Y: Presheaf,
-                iso: bool) -> list[dict[str, dict[str, str]]]:
+def _hom_search(X: Presheaf, Y: Presheaf, iso: bool,
+                values=None) -> list[dict[str, dict[str, str]]]:
     """Components of the natural transformations X → Y, or of the first
     pointwise injective one if `iso`.
 
     Elements of X are assigned one at a time in stage-major order, each
-    trying the values of Y at its stage in order.  A choice x ↦ y at once
-    forces X(m)(x) ↦ Y(m)(y) for every non-identity m into x's stage,
-    which covers every restriction of x, so the search fails on the first
-    clash (or reused value, if iso) and an assigned element never needs
-    checking again.  Forced values depend only on earlier choices, so
-    solutions come out in lexicographic order of their value tuples.
+    trying the values of Y at its stage in order, or only values[c][x]
+    for x ∈ X(c) when `values` is given: a restriction that every wanted
+    map meets, which forced values are not checked against.  A choice
+    x ↦ y at once forces X(m)(x) ↦ Y(m)(y) for every non-identity m into
+    x's stage, which covers every restriction of x, so the search fails
+    on the first clash (or reused value, if iso) and an assigned element
+    never needs checking again.  Forced values depend only on earlier
+    choices, so solutions come out in lexicographic order of their value
+    tuples.
     """
     _same_base(X, Y)
     C = X.base
@@ -281,7 +282,7 @@ def _hom_search(X: Presheaf, Y: Presheaf,
                             for c in C.objects})
             return iso
         c, x = elems[i]
-        for y in Y.sets[c]:
+        for y in Y.sets[c] if values is None else values[c][x]:
             mark = len(trail)
             if put(c, x, y) and all(put(d, xm[x], ym[y])
                                     for d, xm, ym in into[c]) \
@@ -424,17 +425,6 @@ def inclusion_of(X: Presheaf, parts: dict) -> tuple[Presheaf, NatTrans]:
     return S, inc
 
 
-def equalizer(f: NatTrans, g: NatTrans):
-    """Equalizer of a parallel pair, as a subpresheaf with its mono."""
-    if f.dom is not g.dom or f.cod is not g.cod:
-        raise ShapeMismatch("equalizer needs a parallel pair")
-    X = f.dom
-    parts = {c: frozenset(x for x in X.sets[c]
-                          if f.apply(c, x) == g.apply(c, x))
-             for c in X.base.objects}
-    return inclusion_of(X, parts)
-
-
 def pullback(f: NatTrans, g: NatTrans, cap: int = DEFAULT_SIZE_CAP):
     """Pullback of a cospan f: X→Z ← Y :g with its two projections."""
     if f.cod is not g.cod:
@@ -498,28 +488,6 @@ def quotient_by_pairs(Y: Presheaf, pairs: dict) -> tuple[Presheaf, NatTrans]:
     return Q, q
 
 
-def coequalizer(f: NatTrans, g: NatTrans):
-    """Coequalizer of a parallel pair, computed pointwise."""
-    if f.dom is not g.dom or f.cod is not g.cod:
-        raise ShapeMismatch("coequalizer needs a parallel pair")
-    Y = f.cod
-    pairs = {c: [(f.apply(c, x), g.apply(c, x)) for x in f.dom.sets[c]]
-             for c in Y.base.objects}
-    return quotient_by_pairs(Y, pairs)
-
-
-def image_factorization(f: NatTrans):
-    """f = m ∘ e with e pointwise surjective and m pointwise injective;
-    the image is the pointwise set image, a subfunctor of cod f."""
-    Y = f.cod
-    parts = {c: frozenset(f.components[c].values())
-             for c in Y.base.objects}
-    I, m = inclusion_of(Y, parts)
-    e = NatTrans(f.dom, I, {c: dict(f.components[c])
-                            for c in Y.base.objects}, "e")
-    return e, m
-
-
 def factor_through(q: NatTrans, h: NatTrans):
     """The unique g with g∘q = h when h is constant on the fibers of the
     epi q; None if no such g exists."""
@@ -560,7 +528,7 @@ def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Yoneda, classifier, exponentials, power objects
+# Yoneda, exponentials, power objects
 
 def yoneda(C: FinCategory, c: str) -> Presheaf:
     """The representable y(c): stage b is Hom(b, c), action by
@@ -583,45 +551,6 @@ def yoneda_arrow(X: Presheaf, c: str, x: str,
     comps = {b: {h: X.act(h, x) for h in yc.sets[b]}
              for b in X.base.objects}
     return NatTrans(yc, X, comps)
-
-
-def _sieves_on(C: FinCategory, c: str) -> list[frozenset]:
-    arrows = C.arrows_into(c)
-    sieves = []
-    for bits in itertools.product((0, 1), repeat=len(arrows)):
-        S = frozenset(a for a, b in zip(arrows, bits) if b)
-        closed = all(C.compose(h, g) in S
-                     for h in S for g in C.arrows_into(C.dom(h)))
-        if closed:
-            sieves.append(S)
-    return sorted(sieves, key=lambda S: (len(S), tuple(sorted(S))))
-
-
-def _sieve_id(S: frozenset) -> str:
-    return "{%s}" % ",".join(sorted(S))
-
-
-def omega(C: FinCategory):
-    """The subobject classifier: Ω(c) = sieves on c, with the arrow
-    true: 1 → Ω picking the maximal sieve."""
-    sieve_sets = {c: _sieves_on(C, c) for c in C.objects}
-    sets = {c: tuple(_sieve_id(S) for S in sieve_sets[c])
-            for c in C.objects}
-    actions = {}
-    for m in C.nonidentity_morphisms():
-        b, c = C.morphisms[m]
-        table = {}
-        for S in sieve_sets[c]:
-            restricted = frozenset(g for g in C.arrows_into(b)
-                                   if C.compose(m, g) in S)
-            table[_sieve_id(S)] = _sieve_id(restricted)
-        actions[m] = table
-    Om = make_presheaf(C, sets, actions, "Ω")
-    truth = NatTrans(
-        terminal(C), Om,
-        {c: {"*": _sieve_id(frozenset(C.arrows_into(c)))}
-         for c in C.objects}, "true")
-    return Om, truth
 
 
 def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[dict]:

@@ -17,7 +17,8 @@ power object by forcing (P_c(X)), as the reference for the maps into 2,
 the pneumoconnected-fiber formula evaluated by the forcing interpreter,
 as the reference for the direct stage-wise check, and a complemented
 diagonal as the reference for decidability read off the restriction
-maps.
+maps, and the subobject classifier Ω built from sieves as the reference
+for subobject counts.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError
 from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
-                             SubConst, Top, VarT, forces, graph_of,
-                             pc_object, universally_valid)
+                             SubConst, Top, VarT, forces, pc_object,
+                             universally_valid)
 from fptopos.presheaf import (NatTrans, PowerObject, _same_base,
                               make_from_generators, make_presheaf, pel,
                               power_object, product, sub_presheaf, terminal,
                               two)
-from fptopos.sublattice import is_complemented, subobjects
+from fptopos.sublattice import Subobject, is_complemented, subobjects
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +369,14 @@ def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
                        {v: r for v, r in po.relations.items() if v in kept})
 
 
+def graph_of(f, cap=DEFAULT_SIZE_CAP) -> Subobject:
+    """The graph |f| ↣ X×Y of an arrow f: X→Y."""
+    P, _p1, _p2 = product(f.dom, f.cod, cap)
+    return Subobject(P, {c: frozenset(pel(x, f.apply(c, x))
+                                      for x in f.dom.sets[c])
+                         for c in f.dom.base.objects})
+
+
 def forced_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
     """The fiber formula of f: X→Y,
     ¬¬(f⁻¹(y)∩w = ∅ ∨ f⁻¹(y)∩w^c = ∅) with y ∈ Y and w ∈ P_c(X), built
@@ -376,7 +385,7 @@ def forced_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
     X, Y = f.dom, f.cod
     if pc is None:
         pc = pc_object(X, cap)
-    G = SubConst(graph_of(f, cap).sub, "|f|")
+    G = SubConst(graph_of(f, cap), "|f|")
     xsort, ysort = PresheafSort(X), PresheafSort(Y)
 
     def fiber_meets(w_membership):
@@ -387,6 +396,43 @@ def forced_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
     misses_wc = fiber_meets(Not(Mem(VarT("x"), VarT("w"))))
     phi = Not(Not(Or(misses_w, misses_wc)))
     return universally_valid(phi, {"y": ysort, "w": pc.sort()})
+
+
+# ---------------------------------------------------------------------------
+# the subobject classifier: Ω(c) = sieves on c
+
+def _sieves_on(C, c) -> list[frozenset]:
+    arrows = C.arrows_into(c)
+    sieves = []
+    for bits in itertools.product((0, 1), repeat=len(arrows)):
+        S = frozenset(a for a, b in zip(arrows, bits) if b)
+        closed = all(C.compose(h, g) in S
+                     for h in S for g in C.arrows_into(C.dom(h)))
+        if closed:
+            sieves.append(S)
+    return sorted(sieves, key=lambda S: (len(S), tuple(sorted(S))))
+
+
+def _sieve_id(S: frozenset) -> str:
+    return "{%s}" % ",".join(sorted(S))
+
+
+def omega(C):
+    """The subobject classifier Ω: Ω(c) = sieves on c, restricted by
+    pullback."""
+    sieve_sets = {c: _sieves_on(C, c) for c in C.objects}
+    sets = {c: tuple(_sieve_id(S) for S in sieve_sets[c])
+            for c in C.objects}
+    actions = {}
+    for m in C.nonidentity_morphisms():
+        b, c = C.morphisms[m]
+        table = {}
+        for S in sieve_sets[c]:
+            restricted = frozenset(g for g in C.arrows_into(b)
+                                   if C.compose(m, g) in S)
+            table[_sieve_id(S)] = _sieve_id(restricted)
+        actions[m] = table
+    return make_presheaf(C, sets, actions, "Ω")
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """The bounded enumeration of presheaves up to isomorphism, the
-propagating candidate search and refined key against the full product
-of generator tables deduplicated by the brute-force canonical key, and
-each representative against the least relabelling of its generator
-tables, in the order of that key."""
+propagating candidate search and the dedup (refined-key buckets, then an
+iso test) against the full product of generator tables deduplicated by
+the brute-force canonical key, the colour-restricted iso test against
+the brute-force iso search, and each representative against the least
+relabelling of its generator tables, in the order of that key."""
 
 import random
 
 import pytest
 
 import oracles
-from fptopos.corpus import _refined_key, enumerate_presheaves
+from fptopos.corpus import (_refined_key, _same_colour,
+                            enumerate_presheaves)
 from fptopos.fincat import catalog
 from fptopos.files import resolve_base
-from fptopos.presheaf import is_isomorphic, make_from_generators
+from fptopos.presheaf import (_hom_search, is_isomorphic,
+                              make_from_generators)
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -119,7 +122,8 @@ def test_bound_three_counts_match_brute_force(base):
     assert len(enumerate_presheaves(C, 3)) == oracles.recount_classes(raw)
 
 
-def _refined_key_of(X):
+def _refined(X):
+    """The refined key of X and the stable colours of its elements."""
     C = X.base
     index = {c: {x: i for i, x in enumerate(X.sets[c])} for c in C.objects}
     tables = {g: tuple(index[C.dom(g)][X.act(g, x)]
@@ -128,18 +132,49 @@ def _refined_key_of(X):
     return _refined_key(C, X.size_vector(), tables)
 
 
+def _refined_key_of(X):
+    return _refined(X)[0]
+
+
+def _buckets(corpus):
+    buckets = {}
+    for X in corpus:
+        buckets.setdefault(_refined_key_of(X), []).append(X)
+    return buckets
+
+
 def test_keys_are_relabeling_invariant_and_separate_classes():
+    # The key is an invariant, not a complete one: the classes that share
+    # it are told apart by the iso test, which a bucket of graph bound 3
+    # with several classes exercises.
     rng = random.Random(31)
     for base in CATALOG:
-        C = catalog(base)
-        corpus = enumerate_presheaves(C, 3)
-        keys = set()
+        corpus = enumerate_presheaves(catalog(base), 3)
         for X in corpus:
             R = oracles.renamed(X, rng)
-            key = _refined_key_of(X)
-            assert _refined_key_of(R) == key, X
-            keys.add(key)
-        assert len(keys) == len(corpus), base
+            assert _refined_key_of(R) == _refined_key_of(X), X
+    buckets = _buckets(enumerate_presheaves(GR, 3))
+    assert max(len(bucket) for bucket in buckets.values()) > 1
+
+
+@pytest.mark.parametrize("base", CATALOG)
+def test_colour_restricted_iso_search_matches_brute_force(base):
+    # Every pair of objects that share a bucket: the corpus objects (no
+    # two isomorphic) and a renamed copy of each (isomorphic to it).
+    rng = random.Random(7)
+    corpus = enumerate_presheaves(catalog(base), 3)
+    pairs = 0
+    for bucket in _buckets(corpus).values():
+        objs = bucket + [oracles.renamed(X, rng) for X in bucket]
+        for X in objs:
+            colours = _refined(X)[1]
+            for Y in objs:
+                values = _same_colour(X, colours, Y, _refined(Y)[1])
+                got = _hom_search(X, Y, True, values)
+                want = oracles.brute_force_iso(X, Y)
+                assert bool(got) == (want is not None), (X, Y)
+                pairs += 1
+    assert pairs >= 4 * len(corpus)
 
 
 LEAST_CASES = {**{"%s-3" % name: (name, 3) for name in CATALOG},

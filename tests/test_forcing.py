@@ -12,13 +12,12 @@ from fptopos.errors import ParseError
 from fptopos.fincat import catalog, close_generators
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PresheafSort, SubConst, Top,
-                             VarT, _restrict_env, arrow_from_graph, forces,
-                             graph_of, has_pneumoconnected_fibers,
-                             is_graph, parse_formula, pc_object,
-                             pneumoconnected_countermodel,
+                             VarT, _restrict_env, forces,
+                             has_pneumoconnected_fibers, parse_formula,
+                             pc_object, pneumoconnected_countermodel,
                              universally_valid)
 from fptopos.presheaf import (is_epi, make_presheaf, nat_transformations,
-                              pairing, product, terminal, two)
+                              pairing, product, terminal)
 from fptopos.sublattice import Subobject, subobjects
 
 import oracles
@@ -111,23 +110,6 @@ def test_pc_object_of_p2():
     pc = pc_object(P2)
     assert pc.power.carrier.size_vector() == (2, 2)
     assert tuple(len(pc.sub.parts[c]) for c in RG.objects) == (2, 2)
-
-
-def test_graph_roundtrip():
-    t2, _i1, _i2 = two(RG)
-    for f in nat_transformations(P2, t2):
-        G = graph_of(f)
-        assert is_graph(P2, t2, G.sub) is None
-        g = arrow_from_graph(P2, t2, G.sub)
-        assert g.same_components(f)
-
-
-def test_non_functional_subobject_is_not_a_graph():
-    t2, _i1, _i2 = two(RG)
-    from fptopos.presheaf import product
-    P, _p1, _p2 = product(P2, t2)
-    full = Subobject(P, {c: frozenset(P.sets[c]) for c in RG.objects})
-    assert is_graph(P2, t2, full) is not None
 
 
 def test_pneumo_identity_and_collapse():

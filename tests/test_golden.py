@@ -13,7 +13,9 @@ properties, including P_c of product domains and of pullbacks.  The
 `enumerate --list` cases pin corpora: their representatives, action
 tables and order; the bound-4 and sierpinski bound-5 corpora were pinned
 from the corpus search before it pruned tables that a swap of two
-elements makes smaller.  A bounded DQO check, and a DQO counterexample
+elements makes smaller, and the sierpinski bound-7 counts from the
+dedup by least relabelled table, before it became an invariant plus an
+iso test.  A bounded DQO check, and a DQO counterexample
 search that finds no witness, whose size cap is hit at some objects
 report them as unknown at the cap instead of aborting."""
 
@@ -91,6 +93,8 @@ COMMANDS = {
                               "--bound", "4"), 0),
     "enumerate-graph-4": (("enumerate", "--base", "graph", "--bound", "4"),
                           0),
+    "enumerate-sierpinski-7": (("enumerate", "--base", "sierpinski",
+                                "--bound", "7"), 0),
     "check-dqo-sierpinski-3": (("check-dqo", "--base", "sierpinski",
                                 "--bound", "3"), 1),
     "search-dqo-sierpinski-3": (("search-counterexample", "--base",
