@@ -135,12 +135,22 @@ def test_two_is_one_plus_one():
     t2, i1, i2 = two(RG)
     assert t2.size_vector() == (2, 2)
     assert is_isomorphic(t2, D2)
-    # its one automorphism besides the identity is the swap
-    assert find_iso(t2, t2) is not None
+
+
+def test_equalizer_of_swap():
+    t2, _i1, _i2 = two(RG)
+    swap = find_iso(t2, t2)
+    assert swap is not None
     maps = nat_transformations(t2, t2)
+    ident = identity_nat(t2)
     nonid = [f for f in maps
-             if not f.same_components(identity_nat(t2)) and is_epi(f)]
+             if not f.same_components(ident) and is_epi(f)]
     assert len(nonid) == 1
+    # the swap fixes no element, so its equalizer with the identity is empty
+    fixed = {c: [x for x in t2.sets[c]
+                 if ident.apply(c, x) == nonid[0].apply(c, x)]
+             for c in RG.objects}
+    assert fixed == {c: [] for c in RG.objects}
 
 
 def test_pullback_of_point_is_fiber():
