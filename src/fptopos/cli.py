@@ -235,8 +235,9 @@ def _cmd_verify(args) -> int:
         corpus = enumerate_presheaves(C, args.bound, args.cap)
         if t in ("A", "B"):
             r = theorem_ab_harness(corpus)
-            ok = all(r.details["checks"][k] for k in _AB_CHECKS[t])
-            r = Result("holds" if ok else "fails", [], r.details)
+            if r.verdict != "unknown-at-cap":
+                ok = all(r.details["checks"][k] for k in _AB_CHECKS[t])
+                r = Result("holds" if ok else "fails", [], r.details)
         elif t == "C":
             r = theorem_c_harness(corpus)
         elif t == "D":

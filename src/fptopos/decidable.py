@@ -2,7 +2,7 @@
 
 Decidability tests, the exact NS decision, the decidable-quotient
 reflection and the DQO checker, connectedness, the DSO checker,
-congruence enumeration, and the ¬¬-separated reflection.
+congruence closure, and the ¬¬-separated reflection.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
-from .presheaf import (NatTrans, Presheaf, _factor_all, factor_through,
-                       global_elements, is_epi, is_isomorphic, make_presheaf,
-                       nat_transformations, pel, product, quotient_by_pairs,
-                       sub_presheaf, subfunctors, two, yoneda)
+from .presheaf import (NatTrans, Presheaf, _UnionFind, connected_components,
+                       factor_through, global_elements, is_epi,
+                       is_isomorphic, make_presheaf, nat_transformations,
+                       pel, product, quotient_by_pairs, sub_presheaf,
+                       subfunctors, yoneda)
 from .report import Result
-from .sublattice import (Subobject, complemented_subobjects, is_complemented,
-                         is_nn_dense_arrow, maps_to_two, nn_closure)
+from .sublattice import (SIDES, Subobject, is_complemented,
+                         is_nn_dense_arrow, nn_closure, two_components)
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -32,10 +33,6 @@ def presheaf_snippet(X: Presheaf) -> dict:
         "actions": {m: dict(sorted(X.actions[m].items()))
                     for m in X.base.nonidentity_morphisms()},
     }
-
-
-def subobject_snippet(S: Subobject) -> dict:
-    return {c: sorted(S.parts[c]) for c in S.ambient.base.objects}
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +81,6 @@ def check_ns(C: FinCategory) -> Result:
     return Result("holds")
 
 
-def ns_brute_force(corpus: Corpus) -> Result:
-    """Bounded falsifier companion to check_ns: search the corpus for a
-    nonempty presheaf without global elements."""
-    for X in corpus:
-        if not X.is_empty() and not global_elements(X):
-            return Result("fails", [{"presheaf": presheaf_snippet(X)}])
-    return Result("holds-at-bound")
-
-
 # ---------------------------------------------------------------------------
 # the decidable-quotient reflection Π
 
@@ -101,41 +89,28 @@ class PiResult:
     source: Presheaf
     quotient: Presheaf
     map: NatTrans
-    two_arrows: list[NatTrans]
 
 
 def pi(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PiResult:
-    """The decidable quotient Π(X): the image of the canonical map
-    X → 2^Hom(X,2), built directly (the full power of 2 is never
-    materialized)."""
+    """The decidable quotient Π(X), the image of X → 2^Hom(X,2): stage c
+    holds the components of ∫X meeting X(c), restricted identically.  An
+    id lists the component's sides under the maps sorted by key, that is,
+    as in `maps_to_two` with components ranked in element-name order."""
     C = X.base
-    homs = sorted(maps_to_two(X, cap), key=lambda h: h.key())
-    tuples = {c: {x: "(%s)" % "|".join(h.apply(c, x) for h in homs)
-                  for x in X.sets[c]}
-              for c in C.objects}
-    sets = {}
+    comp, k = two_components(X, cap)
+    rank = {}
     for c in C.objects:
-        seen = []
-        for x in X.sets[c]:
-            t = tuples[c][x]
-            if t not in seen:
-                seen.append(t)
-        sets[c] = tuple(seen)
-    actions = {}
-    for m in C.nonidentity_morphisms():
-        d, c = C.morphisms[m]
-        table = {}
-        for x in X.sets[c]:
-            key = tuples[c][x]
-            val = tuples[d][X.act(m, x)]
-            if table.get(key, val) != val:
-                raise PresheafError("NotFunctorial",
-                                    "separated tuple action ill-defined")
-            table[key] = val
-        actions[m] = table
+        for x in sorted(X.sets[c]):
+            rank.setdefault(comp[c][x], len(rank))
+    ids = {i: "(%s)" % "|".join(SIDES[(j >> (k - 1 - r)) & 1]
+                                for j in range(2 ** k))
+           for i, r in rank.items()}
+    tuples = {c: {x: ids[i] for x, i in comp[c].items()} for c in C.objects}
+    sets = {c: tuple(dict.fromkeys(tuples[c].values())) for c in C.objects}
+    actions = {m: {t: t for t in sets[C.cod(m)]}
+               for m in C.nonidentity_morphisms()}
     Q = make_presheaf(C, sets, actions, "Π(%s)" % (X.name or "X"))
-    q = NatTrans(X, Q, {c: dict(tuples[c]) for c in C.objects}, "p")
-    return PiResult(X, Q, q, homs)
+    return PiResult(X, Q, NatTrans(X, Q, tuples, "p"))
 
 
 def pi_arrow(f: NatTrans, cap: int = DEFAULT_SIZE_CAP,
@@ -167,19 +142,13 @@ def pi_product_failures(corpus: Corpus) -> Iterator[tuple]:
 
 
 def is_connected(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """Exactly two complemented subobjects (0 and X)."""
-    return len(complemented_subobjects(X, cap)) == 2
+    """Exactly two complemented subobjects (0 and X), that is, ∫X has
+    exactly one component.  The cap is unused, as no map is built."""
+    return connected_components(X)[1] == 1
 
 
 # ---------------------------------------------------------------------------
 # congruences and quotients
-
-def congruences(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
-    """All subfunctors of X×X (pair ids via pel) that are stage-wise
-    equivalence relations."""
-    P, _p1, _p2 = product(X, X, cap)
-    return [Subobject(P, parts) for parts in subfunctors(P, cap)
-            if _is_equivalence(X, parts)]
 
 
 def _is_equivalence(X: Presheaf, parts) -> bool:
@@ -212,22 +181,51 @@ def quotient(X: Presheaf, R: Subobject):
 # ---------------------------------------------------------------------------
 # DQO
 
+def _congruence_closure(X: Presheaf) -> _UnionFind:
+    """R₀, the least equivalence closed under x R x′ ⇒ x·m R x′·m and its
+    converse, by congruence closure (Downey, Sethi & Tarjan 1980)."""
+    C = X.base
+    uf = _UnionFind(list(X.elements()))
+    changed = True
+    while changed:
+        changed = False
+        for m in C.nonidentity_morphisms():
+            d, c = C.morphisms[m]
+            # The first element of each class, at either end of m.
+            up, down = {}, {}
+            for x, y in X.actions[m].items():
+                a, b = (c, x), (d, y)
+                changed |= uf.union(up.setdefault(uf.find(a), b), b)
+                changed |= uf.union(down.setdefault(uf.find(b), a), a)
+    return uf
+
+
 def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
-    """DQO at X: K(X) = congruences whose quotient is decidable and
-    factors every arrow X→2; DQO holds at X iff K(X) is a singleton."""
-    t2, _i1, _i2 = two(X.base)
-    homs = [h.components for h in nat_transformations(X, t2)]
-    witnesses = []
-    for R in congruences(X, cap):
-        Q, q = quotient(X, R)
-        if is_decidable(Q, cap) and _factor_all(q, homs):
-            witnesses.append(R)
-    if len(witnesses) == 1:
+    """DQO at X: one congruence R has a decidable quotient (R reflects)
+    factoring every X → 2 (R ⊆ K, "same component of ∫X").  These are
+    the closed R between R₀ and K, so DQO holds iff R₀ = K; a failing
+    report lists them from the subfunctors of X×X between the two."""
+    C = X.base
+    comp, _k = connected_components(X)
+    least = _congruence_closure(X)
+    if all(len({least.find((c, x)) for x in X.sets[c]})
+           == len(set(comp[c].values())) for c in C.objects):
         return Result("holds")
+    P, _p1, _p2 = product(X, X, cap)
+    pair = {(c, pel(x, y)): (c, x, y) for c in C.objects
+            for x in X.sets[c] for y in X.sets[c]}
+    r0 = frozenset(e for e, (c, x, y) in pair.items()
+                   if least.find((c, x)) == least.find((c, y)))
+
+    def in_k(R):
+        return all(comp[c][x] == comp[c][y] for c, x, y in map(pair.get, R))
+    found = [R for R in subfunctors(P, cap, r0, in_k)
+             if _is_equivalence(X, R)
+             and is_decidable(quotient(X, Subobject(P, R))[0])]
     return Result("fails", [{
         "object": presheaf_snippet(X),
-        "factoring_congruences": [subobject_snippet(R)
-                                  for R in witnesses]}])
+        "factoring_congruences": [{c: sorted(R[c]) for c in C.objects}
+                                  for R in found]}])
 
 
 def first_failure(corpus: Corpus, check,
@@ -272,16 +270,19 @@ def check_dqo_bounded(corpus: Corpus) -> Result:
 
 def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
     """DSO at X: a unique decidable subobject through which every global
-    point of X factors."""
-    points = global_elements(X)
-    candidates = []
-    for parts in subfunctors(X, cap):
-        S = sub_presheaf(X, parts)
-        if not is_decidable(S, cap):
-            continue
-        if all(p.apply(c, "*") in parts[c]
-               for p in points for c in X.base.objects):
-            candidates.append(parts)
+    point of X factors.
+
+    Such a subobject contains G, the union of the points' values, and
+    the subfunctors of a decidable object are decidable.  So DSO holds
+    iff G is decidable and no x ∉ G leaves G ∪ ⟨x⟩ decidable, and the
+    subobject is then G.  The subfunctor search above G drops each part
+    that is not decidable, so it tries each x ∉ G once when DSO holds."""
+    def decidable(part):  # of (stage, element) pairs
+        return is_decidable(sub_presheaf(X, {c: {x for b, x in part if b == c}
+                                             for c in X.base.objects}))
+    G = frozenset((c, p.apply(c, "*")) for p in global_elements(X)
+                  for c in X.base.objects)
+    candidates = subfunctors(X, cap, G, decidable) if decidable(G) else []
     if len(candidates) == 1:
         return Result("holds", [{
             "object": presheaf_snippet(X),

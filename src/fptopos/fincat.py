@@ -45,6 +45,10 @@ class FinCategory:
         self._hom = {(b, c): tuple(m for m in self._from[b]
                                    if self.cod(m) == c)
                      for b in self.objects for c in self.objects}
+        self._pairs = tuple((g, f, gf, self.cod(g))
+                            for (g, f), gf in self.composition.items()
+                            if not (self.is_identity(g)
+                                    or self.is_identity(f)))
 
     def dom(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -73,6 +77,9 @@ class FinCategory:
 
     def hom(self, b: str, c: str) -> tuple[str, ...]:
         return self._hom[(b, c)]
+
+    def nonidentity_pairs(self) -> tuple[tuple[str, str, str, str], ...]:
+        return self._pairs  # (g, f, g∘f, cod g)
 
     def generating_morphisms(self) -> tuple[str, ...]:
         """A set of morphisms whose words generate every non-identity

@@ -8,6 +8,7 @@ element ids are canonical strings, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (BaseMismatch, PresheafError, ShapeMismatch,
@@ -165,15 +166,12 @@ def validate_presheaf(C: FinCategory, raw: dict) -> Presheaf:
 
 
 def _check_functorial(X: Presheaf):
-    C = X.base
-    for (g, f), gf in C.composition.items():
-        # X(g∘f) = X(f) ∘ X(g); the stored identity tables make every
-        # pair with an identity factor hold.
-        if C.is_identity(g) or C.is_identity(f):
-            continue
-        _d, c = C.morphisms[g]
+    # X(g∘f) = X(f) ∘ X(g); the stored identity tables make every pair
+    # with an identity factor hold.
+    for g, f, gf, c in X.base.nonidentity_pairs():
+        xg, xf, xgf = X.actions[g], X.actions[f], X.actions[gf]
         for x in X.sets[c]:
-            if X.act(f, X.act(g, x)) != X.act(gf, x):
+            if xf[xg[x]] != xgf[x]:
                 raise PresheafError(
                     "NotFunctorial",
                     "X(%r)∘X(%r) != X(%r) at %r" % (f, g, gf, x))
@@ -315,12 +313,6 @@ def is_epi(f: NatTrans) -> bool:
                for c in f.dom.base.objects)
 
 
-def is_mono(f: NatTrans) -> bool:
-    """Pointwise injectivity."""
-    return all(len(set(f.components[c].values())) == len(f.dom.sets[c])
-               for c in f.dom.base.objects)
-
-
 def global_elements(X: Presheaf) -> list[NatTrans]:
     return nat_transformations(terminal(X.base), X)
 
@@ -394,8 +386,10 @@ def coproduct(X: Presheaf, Y: Presheaf):
     return S, i1, i2
 
 
+@functools.cache
 def two(C: FinCategory):
-    """The boolean object 2 = 1+1 with its injections."""
+    """The boolean object 2 = 1+1 with its injections, built once per
+    base."""
     T = terminal(C)
     return coproduct(T, T)
 
@@ -447,13 +441,31 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, a, b):
+    def union(self, a, b) -> bool:  # whether a and b were apart
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             # Keep the smaller id as representative: deterministic classes.
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+        return ra != rb
+
+
+def connected_components(X: Presheaf) -> tuple[dict[str, dict[str, int]],
+                                                int]:
+    """The components of the category of elements ∫X, joined along every
+    restriction: each element's component, numbered by its first element
+    in stage-major order, and the number k of components."""
+    C = X.base
+    uf = _UnionFind(list(X.elements()))
+    for m in C.nonidentity_morphisms():
+        d, c = C.morphisms[m]
+        for x, y in X.actions[m].items():
+            uf.union((c, x), (d, y))
+    number = {}
+    comp = {c: {x: number.setdefault(uf.find((c, x)), len(number))
+                for x in X.sets[c]} for c in C.objects}
+    return comp, len(number)
 
 
 def quotient_by_pairs(Y: Presheaf, pairs: dict) -> tuple[Presheaf, NatTrans]:
@@ -553,9 +565,13 @@ def yoneda_arrow(X: Presheaf, c: str, x: str,
     return NatTrans(yc, X, comps)
 
 
-def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
+def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP,
+                inside: frozenset = frozenset(),
+                admissible=None) -> list[dict]:
     """All subfunctors of X as stage → frozenset part maps, enumerated as
-    restriction-closed element sets; deterministic order."""
+    restriction-closed element sets; deterministic order.  Only those
+    containing `inside` (such a set), and on which `admissible` holds if
+    given: it must hold at `inside` and fail above wherever it fails."""
     C = X.base
     elems = list(X.elements())
     index = {e: i for i, e in enumerate(elems)}
@@ -588,11 +604,12 @@ def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
             return
         e = elems[i]
         cl = closure[e]
-        if not (cl & outside):
+        if not (cl & outside) and (admissible is None
+                                   or admissible(inside | cl)):
             rec(i + 1, inside | cl, outside)
         rec(i + 1, inside, outside | above[e])
 
-    rec(0, frozenset(), frozenset())
+    rec(0, inside, frozenset())
     parts_list = []
     for chosen in results:
         parts_list.append({c: frozenset(x for x in X.sets[c]
@@ -723,16 +740,6 @@ def _relation_object(X: Presheaf, parts_of, cap: int,
             table[n] = rid
         actions[m] = table
     return PowerObject(X, make_presheaf(C, sets, actions, name), relations)
-
-
-def power_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PowerObject:
-    """The power object P(X): P(X)(c) = subfunctors of X×y(c), with
-    restriction by pullback along id×y(f)."""
-    def parts_of(B):
-        subs = subfunctors(B, cap)
-        _cap(len(subs), cap, "power object")
-        return subs
-    return _relation_object(X, parts_of, cap, "P(%s)" % (X.name or "X"))
 
 
 # ---------------------------------------------------------------------------

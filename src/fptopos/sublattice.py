@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
-from .presheaf import (NatTrans, Presheaf, nat_transformations,
+from .presheaf import (NatTrans, Presheaf, connected_components,
                        subfunctors, two)
 
 
@@ -116,13 +116,29 @@ def is_complemented(S: Subobject) -> bool:
     return join(S, negation(S)).is_full()
 
 
-def maps_to_two(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[NatTrans]:
-    """Hom(X, 2) in hom-search order; raises SizeCapError above cap."""
-    homs = nat_transformations(X, two(X.base)[0])
-    if len(homs) > cap:
+# The elements of 2 = 1+1 at every stage, as `two` names them.
+SIDES = ("inl(*)", "inr(*)")
+
+
+def two_components(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
+    """`connected_components(X)` if the 2^k maps X → 2 are within the cap:
+    2 is constant and π₀ ⊣ Δ, so such a map is a side per component."""
+    comp, k = connected_components(X)
+    if 2 ** k > cap:
         raise SizeCapError("Hom(X,2) has %d elements (cap %d)"
-                           % (len(homs), cap))
-    return homs
+                           % (2 ** k, cap))
+    return comp, k
+
+
+def maps_to_two(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[NatTrans]:
+    """Hom(X, 2) in hom-search order: the j-th map sends component i to
+    inr(*) if bit k-1-i of j is set; raises SizeCapError above cap."""
+    comp, k = two_components(X, cap)
+    t2 = two(X.base)[0]
+    return [NatTrans(X, t2, {c: {x: SIDES[(j >> (k - 1 - i)) & 1]
+                                 for x, i in comp[c].items()}
+                             for c in X.base.objects})
+            for j in range(2 ** k)]
 
 
 def complemented_subobjects(X: Presheaf,

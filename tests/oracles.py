@@ -11,14 +11,19 @@ generator tables) and for the corpus order, the corpus from the full
 product of generator tables deduplicated and sorted by that key as the
 reference for `corpus.enumerate_presheaves`,
 stage-wise hom and iso searches (whole stages filled in, then checked)
-as the reference for `presheaf._hom_search`, and complemented parts
+as the reference for `presheaf._hom_search`, the maps into 2 from the
+hom search, Π built from them, and DQO and DSO decided by listing every
+subfunctor of X×X or of X, as the reference for their readings off the
+components of the category of elements, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
 power object by forcing (P_c(X)), as the reference for the maps into 2,
-the pneumoconnected-fiber formula evaluated by the forcing interpreter,
-as the reference for the direct stage-wise check, and a complemented
-diagonal as the reference for decidability read off the restriction
-maps, and the subobject classifier Ω built from sieves as the reference
-for subobject counts.
+NS decided by searching a corpus for a nonempty object without points,
+monos as pointwise injections and the power object P(X), which only the
+tests use, the pneumoconnected-fiber formula evaluated by the forcing
+interpreter, as the reference for the direct stage-wise check, and a
+complemented diagonal as the reference for decidability read off the
+restriction maps, and the subobject classifier Ω built from sieves as
+the reference for subobject counts.
 """
 
 from __future__ import annotations
@@ -27,17 +32,20 @@ import itertools
 import random
 
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import diagonal
-from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError
+from fptopos.decidable import (_is_equivalence, check_dqo, diagonal,
+                               is_decidable, presheaf_snippet, quotient)
+from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError, SizeCapError
 from fptopos.fincat import catalog
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, pc_object,
                              universally_valid)
-from fptopos.presheaf import (NatTrans, PowerObject, _same_base,
-                              make_from_generators, make_presheaf, pel,
-                              power_object, product, sub_presheaf, terminal,
-                              two)
+from fptopos.presheaf import (NatTrans, PowerObject, _cap, _factor_all,
+                              _relation_object, _same_base, global_elements,
+                              make_from_generators, make_presheaf,
+                              nat_transformations, pel, product,
+                              sub_presheaf, subfunctors, terminal, two)
+from fptopos.report import Result
 from fptopos.sublattice import Subobject, is_complemented, subobjects
 
 
@@ -330,6 +338,120 @@ def brute_force_iso(X, Y):
         return None
 
     return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# maps into 2 from the hom search, Π from them, and DQO and DSO by
+# listing every subfunctor
+
+def hom_search_maps_to_two(X, cap=DEFAULT_SIZE_CAP) -> list[NatTrans]:
+    """Hom(X, 2) by the hom search; raises SizeCapError above cap."""
+    homs = nat_transformations(X, two(X.base)[0])
+    if len(homs) > cap:
+        raise SizeCapError("Hom(X,2) has %d elements (cap %d)"
+                           % (len(homs), cap))
+    return homs
+
+
+def image_in_power_of_two(X, cap=DEFAULT_SIZE_CAP):
+    """(Π(X), X → Π(X)) as the image of the canonical map X → 2^Hom(X,2),
+    each element named by the tuple of its values under the maps X → 2
+    sorted by their keys."""
+    C = X.base
+    homs = sorted(hom_search_maps_to_two(X, cap), key=lambda h: h.key())
+    tuples = {c: {x: "(%s)" % "|".join(h.apply(c, x) for h in homs)
+                  for x in X.sets[c]}
+              for c in C.objects}
+    sets = {c: tuple(dict.fromkeys(tuples[c].values())) for c in C.objects}
+    actions = {}
+    for m in C.nonidentity_morphisms():
+        d, c = C.morphisms[m]
+        table = {}
+        for x in X.sets[c]:
+            key, val = tuples[c][x], tuples[d][X.act(m, x)]
+            assert table.setdefault(key, val) == val
+        actions[m] = table
+    Q = make_presheaf(C, sets, actions, "Π(%s)" % (X.name or "X"))
+    return Q, NatTrans(X, Q, tuples, "p")
+
+
+def congruences(X, cap=DEFAULT_SIZE_CAP) -> list[Subobject]:
+    """All subfunctors of X×X that are stage-wise equivalence
+    relations."""
+    P, _p1, _p2 = product(X, X, cap)
+    return [Subobject(P, parts) for parts in subfunctors(P, cap)
+            if _is_equivalence(X, parts)]
+
+
+def listed_check_dqo(X, cap=DEFAULT_SIZE_CAP) -> Result:
+    """DQO at X: of all congruences, exactly one has a decidable
+    quotient that factors every arrow X → 2."""
+    homs = [h.components for h in nat_transformations(X, two(X.base)[0])]
+    witnesses = []
+    for R in congruences(X, cap):
+        Q, q = quotient(X, R)
+        if is_decidable(Q) and _factor_all(q, homs):
+            witnesses.append(R)
+    if len(witnesses) == 1:
+        return Result("holds")
+    return Result("fails", [{
+        "object": presheaf_snippet(X),
+        "factoring_congruences": [{c: sorted(R.parts[c])
+                                   for c in X.base.objects}
+                                  for R in witnesses]}])
+
+
+def check_dqo_of_square(X, cap=DEFAULT_SIZE_CAP) -> Result:
+    """DQO at X×X: a per-object check that hits the size cap where a
+    stage of X×X has more than `cap` elements, as the DQO check of X
+    itself no longer does."""
+    return check_dqo(product(X, X, cap)[0], cap)
+
+
+def listed_check_dso(X, cap=DEFAULT_SIZE_CAP) -> Result:
+    """DSO at X: of all subfunctors, exactly one is decidable and has
+    every global point of X."""
+    points = global_elements(X)
+    candidates = [parts for parts in subfunctors(X, cap)
+                  if is_decidable(sub_presheaf(X, parts))
+                  and all(p.apply(c, "*") in parts[c]
+                          for p in points for c in X.base.objects)]
+    snippet = [{c: sorted(p[c]) for c in X.base.objects}
+               for p in candidates]
+    if len(candidates) == 1:
+        return Result("holds", [{"object": presheaf_snippet(X),
+                                 "subobject": snippet[0]}])
+    return Result("fails", [{"object": presheaf_snippet(X),
+                             "decidable_subobjects": snippet}])
+
+
+# ---------------------------------------------------------------------------
+# test-only constructions: NS by searching the corpus, monos, and the
+# power object P(X)
+
+def ns_brute_force(corpus) -> Result:
+    """Bounded falsifier companion to check_ns: search the corpus for a
+    nonempty presheaf without global elements."""
+    for X in corpus:
+        if not X.is_empty() and not global_elements(X):
+            return Result("fails", [{"presheaf": presheaf_snippet(X)}])
+    return Result("holds-at-bound")
+
+
+def is_mono(f) -> bool:
+    """Pointwise injectivity."""
+    return all(len(set(f.components[c].values())) == len(f.dom.sets[c])
+               for c in f.dom.base.objects)
+
+
+def power_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
+    """The power object P(X): P(X)(c) = subfunctors of X×y(c), with
+    restriction by pullback along id×y(f)."""
+    def parts_of(B):
+        subs = subfunctors(B, cap)
+        _cap(len(subs), cap, "power object")
+        return subs
+    return _relation_object(X, parts_of, cap, "P(%s)" % (X.name or "X"))
 
 
 # ---------------------------------------------------------------------------

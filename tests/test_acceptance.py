@@ -17,8 +17,7 @@ from fptopos.builtins import builtin_object
 from fptopos.cli import main as cli_main
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (check_dqo, check_dso, check_ns, is_connected,
-                               is_decidable, ns_brute_force, pi,
-                               separated_reflection)
+                               is_decidable, pi, separated_reflection)
 from fptopos.errors import AxiomPrereqFailed
 from fptopos.fincat import catalog
 from fptopos.forcing import (PresheafSort, _restrict_env, forces,
@@ -65,7 +64,7 @@ def test_criterion_02_ns_decisions_with_brute_force_cross_check():
             r = check_ns(C)
             assert r.holds() == holds, name
             corpus = enumerate_presheaves(C, 3)
-            assert ns_brute_force(corpus).holds() == holds, name
+            assert oracles.ns_brute_force(corpus).holds() == holds, name
         assert "y(E)" in check_ns(GR).witnesses[0]["all_failing"]
         assert check_ns(TD).witnesses[0]["representable"].startswith("y(")
 

@@ -1,5 +1,7 @@
 """Decidability, NS/DQO/DSO, the quotient reflection, separation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,16 +10,18 @@ from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dqo_bounded, check_dso,
-                               check_dso_bounded, check_ns, congruences,
+                               check_dso_bounded, check_ns,
                                dec_is_topos_check, diagonal, is_connected,
-                               is_decidable, ns_brute_force, pi, pi_arrow,
-                               quotient, separated_reflection)
+                               is_decidable, pi, pi_arrow, quotient,
+                               separated_reflection)
 from fptopos.errors import SizeCapError
 from fptopos.fincat import catalog
-from fptopos.presheaf import (global_elements, is_epi, is_isomorphic,
+from fptopos.presheaf import (connected_components, global_elements,
+                              initial, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, product, sub_presheaf,
                               subfunctors, terminal, two)
+from fptopos.sublattice import maps_to_two
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -81,7 +85,7 @@ def test_ns_brute_force_agrees_with_exact_decision():
                  "refgraph"):
         C = catalog(name)
         exact = check_ns(C).holds()
-        bounded = ns_brute_force(enumerate_presheaves(C, 2)).holds()
+        bounded = oracles.ns_brute_force(enumerate_presheaves(C, 2)).holds()
         assert exact == bounded
 
 
@@ -98,7 +102,7 @@ def test_pi_of_p2_is_terminal():
     assert is_epi(r.map)
     # every map to 2 factors through the quotient map
     from fptopos.presheaf import factor_through
-    for h in r.two_arrows:
+    for h in maps_to_two(P2):
         assert factor_through(r.map, h) is not None
 
 
@@ -141,18 +145,67 @@ def test_pi_points_match_union_find_oracle(X):
     assert len(sigma_image) == len(Q.sets["V"]) == len(Q.sets["E"])
 
 
+# How many bound-3 corpus objects of each base have at most 4096
+# subfunctors of X×X, so that the listing DQO oracle finishes.  The
+# others were checked against it at a raised cap.
+LISTED_DQO = {"point": 4, "two-discrete": 13, "sierpinski": 13,
+              "graph": 35, "refgraph": 8}
+
+
+@pytest.mark.parametrize("base", CATALOG)
+def test_components_match_the_search_oracles(base):
+    # Π, connectedness, DQO and DSO read off the components of ∫X,
+    # against Π from the maps found by the hom search, Sub_c(X) by
+    # filtering every subobject, and DQO and DSO by listing every
+    # subfunctor of X×X or X, on every bound-3 corpus object.
+    listed = 0
+    rng = random.Random(7)
+    for X in enumerate_presheaves(catalog(base), 3):
+        # Π's ids follow element names, so also on a shuffled renaming.
+        for Y in (X, oracles.renamed(X, rng)):
+            r = pi(Y)
+            Q, q = oracles.image_in_power_of_two(Y)
+            assert (r.quotient.sets, r.quotient.actions) == \
+                (Q.sets, Q.actions)
+            assert r.map.components == q.components
+        assert is_connected(X) == \
+            (len(oracles.filtered_complemented_subobjects(X)) == 2)
+        got, want = check_dso(X), oracles.listed_check_dso(X)
+        assert (got.verdict, got.witnesses) == (want.verdict, want.witnesses)
+        try:
+            want = oracles.listed_check_dqo(X)
+        except SizeCapError:
+            continue
+        got = check_dqo(X)
+        assert (got.verdict, got.witnesses) == (want.verdict, want.witnesses)
+        listed += 1
+    assert listed == LISTED_DQO[base]
+
+
+def test_components_of_the_empty_and_terminal_objects():
+    for C in (RG, TD):
+        empty, one = initial(C), terminal(C)
+        assert connected_components(empty) == ({c: {} for c in C.objects}, 0)
+        assert not is_connected(empty)
+        assert pi(empty).quotient.sets == empty.sets
+        assert check_dqo(empty).holds() and check_dso(empty).holds()
+        # 1 is connected over the connected base refgraph only.
+        assert connected_components(one)[1] == (1 if C is RG else 2)
+        assert is_connected(one) == (C is RG)
+        assert is_isomorphic(pi(one).quotient, one)
+
+
 def test_connectedness():
     assert is_connected(P2)
     assert is_connected(L)
     assert not is_connected(two(RG)[0])
     assert not is_connected(terminal(TD))
-    from fptopos.presheaf import initial
     assert not is_connected(initial(RG))
 
 
 def test_congruences_on_two_point_set():
     X = make_presheaf(PT, {"*": ("a", "b")}, {})
-    rs = congruences(X)
+    rs = oracles.congruences(X)
     assert len(rs) == 2
     for R in rs:
         Q, q = quotient(X, R)
@@ -187,10 +240,11 @@ def test_dqo_bounded_first_witness_is_a1():
 def test_bounded_check_names_the_objects_at_the_cap():
     # An object whose check passes the size cap does not abort the scan:
     # it is named, and the verdict is unknown at the cap unless another
-    # object fails.
-    r = check_dqo_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}, 16))
+    # object fails.  DQO at X×X passes a cap of 3 where X has 2 vertices.
+    r = _check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}, 3),
+                       oracles.check_dqo_of_square)
     assert (r.verdict, r.witnesses) == ("unknown-at-cap", [])
-    assert r.details == {"capped": ["X4", "X5"]}
+    assert r.details == {"capped": ["X3", "X4", "X5"]}
 
     def capped_at_x1(X, cap):
         if X.name == "X1":

@@ -1,15 +1,19 @@
 """Property battery, fiber-condition equivalences, counterexample search."""
 
+from functools import partial
+
 import pytest
+
+import oracles
 
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import is_decidable, pi
 from fptopos.errors import SizeCapError, UnknownName
 from fptopos.fincat import catalog
-from fptopos.harness import (PROPERTIES, SEARCHES, epi_conditions, fiber,
-                             lemma_report, props_report,
-                             search_counterexample)
+from fptopos.harness import (PROPERTIES, SEARCHES, _first_witness,
+                             epi_conditions, fiber, lemma_report,
+                             props_report, search_counterexample)
 from fptopos.presheaf import (global_elements, is_isomorphic,
                               make_presheaf, nat_transformations, terminal)
 
@@ -67,13 +71,17 @@ def test_search_dqo_finds_a1_on_graph_base():
     assert is_isomorphic(W, builtin_object(GR, "A1"))
 
 
-def test_search_names_the_objects_at_the_cap():
-    # Given a list, the DQO search goes on past an object whose check
-    # passes the size cap and names it; without one, the cap hit raises.
-    corpus = enumerate_presheaves(GR, {"V": 2, "E": 1}, 16)
+def test_search_names_the_objects_at_the_cap(monkeypatch):
+    # Given a list, a search over a per-object check goes on past an
+    # object whose check passes the size cap and names it; without one,
+    # the cap hit raises.  DQO at X×X passes a cap of 3 where X has 2
+    # vertices.
+    monkeypatch.setitem(SEARCHES, "dqo-uniqueness",
+                        partial(_first_witness, oracles.check_dqo_of_square))
+    corpus = enumerate_presheaves(GR, {"V": 2, "E": 1}, 3)
     capped = []
     assert search_counterexample("dqo-uniqueness", corpus, capped) is None
-    assert [X.name for X in capped] == ["X4", "X5"]
+    assert [X.name for X in capped] == ["X3", "X4", "X5"]
     with pytest.raises(SizeCapError):
         search_counterexample("dqo-uniqueness", corpus)
 

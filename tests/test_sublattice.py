@@ -5,15 +5,16 @@ import pytest
 import oracles
 
 from fptopos.builtins import builtin_object
-from fptopos.errors import AmbientMismatch
+from fptopos.corpus import enumerate_presheaves
+from fptopos.errors import AmbientMismatch, SizeCapError
 from fptopos.fincat import catalog
 from fptopos.forcing import pc_object
-from fptopos.presheaf import terminal
+from fptopos.presheaf import initial, product, terminal, yoneda
 from fptopos.sublattice import (complemented_subobjects,
                                 empty_subobject, full_subobject,
                                 implication, is_complemented, is_nn_dense,
-                                join, meet, negation, nn_closure,
-                                subobjects)
+                                join, maps_to_two, meet, negation,
+                                nn_closure, subobjects)
 
 RG = catalog("refgraph")
 TD = catalog("two-discrete")
@@ -52,6 +53,57 @@ def test_terminal_of_two_discrete_has_four_complemented_subobjects():
     one = terminal(TD)
     assert len(complemented_subobjects(one)) == 4
     assert len(subobjects(one)) == 4
+
+
+def _same_maps_to_two(X):
+    got, want = maps_to_two(X), oracles.hom_search_maps_to_two(X)
+    assert [h.cod for h in got] == [h.cod for h in want], X
+    assert [h.components for h in got] == [h.components for h in want], X
+
+
+CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
+
+
+@pytest.mark.parametrize("base", CATALOG)
+def test_maps_to_two_match_the_hom_search_on_the_corpus(base):
+    # The same maps in the same order, on every bound-3 corpus object.
+    for X in enumerate_presheaves(catalog(base), 3):
+        _same_maps_to_two(X)
+
+
+@pytest.mark.parametrize("base, bound", [
+    ("refgraph", 3), ("graph", {"V": 2, "E": 2}), ("sierpinski", 3),
+    ("two-discrete", 2)])
+def test_maps_to_two_match_the_hom_search_on_products(base, bound):
+    # On X×Y and X×Y×y(c) for all pairs of corpus objects: products
+    # have more components, and y(c) adds elements to each.
+    C = catalog(base)
+    corpus = list(enumerate_presheaves(C, bound))
+    reps = [yoneda(C, c) for c in C.objects]
+    for X in corpus:
+        for Y in corpus:
+            P = product(X, Y)[0]
+            _same_maps_to_two(P)
+            for yc in reps:
+                _same_maps_to_two(product(P, yc)[0])
+
+
+def test_maps_to_two_of_the_empty_and_terminal_objects():
+    for C in (RG, TD):
+        # No components: one map, the empty one.
+        assert [h.components for h in maps_to_two(initial(C))] == \
+            [{c: {} for c in C.objects}]
+        _same_maps_to_two(initial(C))
+        _same_maps_to_two(terminal(C))
+    assert len(maps_to_two(terminal(RG))) == 2
+    assert len(maps_to_two(terminal(TD))) == 4
+
+
+def test_maps_to_two_cap_counts_the_maps_before_building_them():
+    with pytest.raises(SizeCapError,
+                       match=r"Hom\(X,2\) has 4 elements \(cap 3\)"):
+        maps_to_two(terminal(TD), 3)
+    assert len(maps_to_two(terminal(TD), 4)) == 4
 
 
 def test_p2_has_two_complemented_subobjects():
