@@ -26,15 +26,13 @@ from .decidable import (check_dqo, check_dqo_bounded, check_dso,
 from .errors import (AxiomPrereqFailed, ParseError, ToposError,
                      DEFAULT_SIZE_CAP)
 from .files import parse_presheaf_file, resolve_base
-from .forcing import (PresheafSort, parse_formula,
-                      pneumoconnected_countermodel, universally_valid)
 from .fincat import catalog_entries
 from .harness import (lemma_report, props_report, search_counterexample,
                       PROPERTIES, SEARCHES)
 from .precohesion import (check_precohesive, require_ns, theorem_ab_harness,
                           theorem_c_harness)
 from .report import Result
-from .sublattice import complemented_subobjects
+from .sublattice import complemented_subobjects, pneumoconnected_countermodel
 
 
 def _parse_bounds(text: str):
@@ -287,6 +285,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_force(args) -> int:
+    # The interpreter is imported here only: no other command needs it.
+    from .forcing import PresheafSort, parse_formula, universally_valid
     C = resolve_base(args.base)
     names = {}
     for n in builtin_objects.builtin_names(C):

@@ -7,16 +7,10 @@ arrows into the stage, restricting the assignment along each.  A formula
 is universally valid when it is forced at every stage under every
 assignment of its free variables.
 
-The fiber condition of an arrow f: X→Y is not run through the
-interpreter.  `pneumoconnected_countermodel` evaluates its defining
-formula ¬¬(f⁻¹(y)∩w = ∅ ∨ f⁻¹(y)∩w^c = ∅), for y ∈ Y and w in the
-complemented-parts object P_c(X), on the presheaves' own tables by the
-same clauses: ¬¬ψ holds at c iff every arrow m into c has an arrow n
-into its domain at which ψ holds, and ψ holds at a stage iff the fiber
-of y lies wholly inside or wholly outside w's relation, since both the
-fiber and the complement of a complemented w are closed under
-restriction.  The formula itself, evaluated by `universally_valid`, is
-kept in the tests as the reference.
+This is the interpreter behind the `force` command.  The fiber
+condition of an arrow is decided on component masks in `sublattice`;
+its defining formula, evaluated here, is kept in the tests as the
+reference.
 """
 
 from __future__ import annotations
@@ -24,9 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import SortError, UnboundVariable, DEFAULT_SIZE_CAP, ParseError
-from .presheaf import NatTrans, Presheaf, PowerObject, _relation_object, pel
-from .sublattice import Subobject, complemented_subobjects, full_subobject
+from .errors import SortError, UnboundVariable, ParseError
+from .presheaf import NatTrans, Presheaf, pel
+from .report import Countermodel
+from .sublattice import Subobject
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +41,10 @@ class PresheafSort:
 @dataclass(eq=False)
 class PowerSort:
     """The sort of a power object P(X), or of any relation object built
-    like it, such as the complemented-parts object P_c(X)."""
+    like it, such as the complemented-parts object P_c(X): `power` has
+    the presheaf `carrier` and the membership test `contains(c, u, x)`."""
 
-    power: PowerObject
+    power: object
 
     def values_at(self, c: str):
         return self.power.carrier.sets[c]
@@ -341,12 +337,6 @@ def _find_base(phi):
                     "quantifier-free formula without an assignment")
 
 
-@dataclass
-class Countermodel:
-    stage: str
-    bindings: dict[str, str]
-
-
 def universally_valid(phi: Formula, free: dict[str, Sort],
                       base=None) -> Countermodel | None:
     """None if phi is forced at every stage under every assignment of its
@@ -366,113 +356,6 @@ def universally_valid(phi: Formula, free: dict[str, Sort],
             if not _forces(c, env, phi, memo):
                 return Countermodel(c, dict(zip(names, combo)))
     return None
-
-
-# ---------------------------------------------------------------------------
-# the complemented-parts object P_c(X)
-
-@dataclass(eq=False)
-class PcObject:
-    """P_c(X) with its membership data.  `sub` is its whole carrier;
-    only benchmarks/tracer.py reads it."""
-
-    power: PowerObject
-    sub: Subobject  # of power.carrier
-
-    def sort(self) -> PowerSort:
-        return PowerSort(self.power)
-
-
-def pc_object(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PcObject:
-    """The object of complemented parts of X: stage c holds the
-    complemented subfunctors of X×y(c), i.e. the maps X×y(c) → 2, as
-    relations named like those of P(X); restriction by pullback."""
-    po = _relation_object(
-        X, lambda B: [S.parts for S in complemented_subobjects(B, cap)],
-        cap, "P_c(%s)" % (X.name or "X"))
-    return PcObject(po, full_subobject(po.carrier))
-
-
-# ---------------------------------------------------------------------------
-# pneumoconnected fibers
-
-def pneumoconnected_countermodel(f: NatTrans,
-                                 cap: int = DEFAULT_SIZE_CAP,
-                                 pc: PcObject | None = None,
-                                 stats: dict | None = None):
-    """None if f: X→Y forces the defining fiber formula
-    ¬¬(f⁻¹(y)∩w = ∅ ∨ f⁻¹(y)∩w^c = ∅), with y ∈ Y and w ∈ P_c(X), at
-    every stage; else its least countermodel, as `universally_valid`
-    gives it (stages in base order, then y, then w).
-
-    The clauses are evaluated on the presheaves' tables, not on a
-    formula.  The fiber of y ∈ Y(a) is the set of (x, k) with k: d→a,
-    x ∈ X(d) and f(x) = Y(k)(y).  Emptiness ∀x ¬(⟨x,y⟩ ∈ |f| ∧ x ∈ w)
-    is forced at a iff no such (x, k) lies in w's relation, since every
-    (x·j, k∘j) is again in the fiber.  A complemented w has a
-    complement closed under restriction, so ¬(x ∈ w) is forced iff
-    (x, k) lies outside the relation, and the other disjunct holds iff
-    the fiber lies wholly inside it.  Call (a, y, w) decided when one of
-    the two holds; ¬¬ψ is forced at c iff every m: b→c has some n into b
-    at which the restriction of (y, w) is decided.  `stats`, if given,
-    counts the decided triples evaluated under "fiber_checks".
-    """
-    X, Y = f.dom, f.cod
-    C = X.base
-    if pc is None:
-        pc = pc_object(X, cap)
-    P, relations = pc.power.carrier, pc.power.relations
-    fibers = {}   # (a, y) -> [(d, (x, k))]
-    decided = {}  # (a, y, w) -> the fiber meets only one side of w
-    below = {}    # (b, y, w) -> some n into b decides (y·n, w·n)
-
-    def fiber(a, y):
-        out = []
-        for k in C.arrows_into(a):
-            d, yk = C.dom(k), Y.act(k, y)
-            out += [(d, (x, k)) for x, fx in f.components[d].items()
-                    if fx == yk]
-        return out
-
-    def is_decided(a, y, w):
-        key = (a, y, w)
-        if key not in decided:
-            if (a, y) not in fibers:
-                fibers[a, y] = fiber(a, y)
-            rel = relations[w]
-            decided[key] = len({p in rel[d]
-                                for d, p in fibers[a, y]}) < 2
-        return decided[key]
-
-    def decided_below(b, y, w):
-        key = (b, y, w)
-        if key not in below:
-            below[key] = any(
-                is_decided(C.dom(n), Y.act(n, y), P.act(n, w))
-                for n in C.arrows_into(b))
-        return below[key]
-
-    def first_failure():
-        for c in C.objects:
-            for y in Y.sets[c]:
-                for w in P.sets[c]:
-                    if not all(decided_below(C.dom(m), Y.act(m, y),
-                                             P.act(m, w))
-                               for m in C.arrows_into(c)):
-                        return Countermodel(c, {"y": y, "w": w})
-        return None
-
-    cm = first_failure()
-    if stats is not None:
-        stats["fiber_checks"] = stats.get("fiber_checks", 0) + len(decided)
-    return cm
-
-
-def has_pneumoconnected_fibers(f: NatTrans,
-                               cap: int = DEFAULT_SIZE_CAP,
-                               pc: PcObject | None = None,
-                               stats: dict | None = None) -> bool:
-    return pneumoconnected_countermodel(f, cap, pc, stats) is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from .decidable import (check_dqo, check_dso, first_failure, is_connected,
                         is_decidable, pi, pi_product_failures,
                         presheaf_snippet, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .forcing import has_pneumoconnected_fibers, pc_object
 from .presheaf import (NatTrans, Presheaf, _factor_all, exponential,
                        global_elements, inclusion_of, is_epi, is_isomorphic,
                        nat_transformations, pairing, product, pullback,
                        sub_presheaf, subfunctors, terminal, two)
 from .report import Result
-from .sublattice import complemented_subobjects
+from .sublattice import (complemented_subobjects, has_pneumoconnected_fibers,
+                         pc_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _search_lemma(corpus: Corpus) -> dict | None:
     conditions disagree."""
     for q, maps in _corpus_epis(corpus, corpus.decidables()):
         conditions = _conditions(q, maps, corpus.cap,
-                                 corpus.fact(pc_object, q.dom),
+                                 corpus.fact(pc_masks, q.dom),
                                  corpus.stats)
         if len(set(conditions)) > 1:
             return {**_epi_witness(q), "conditions": list(conditions)}
@@ -188,7 +188,7 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
             points = global_elements(Y)
             for f in arrows:
                 if not has_pneumoconnected_fibers(
-                        f, cap, corpus.fact(pc_object, X), stats):
+                        f, cap, corpus.fact(pc_masks, X), stats):
                     continue
                 for b in points:
                     F = fiber(f, b)
@@ -205,7 +205,7 @@ def _pneumo_epis(corpus: Corpus):
     the order of `_corpus_epis`."""
     for f, _maps in _corpus_epis(corpus):
         if has_pneumoconnected_fibers(f, corpus.cap,
-                                      corpus.fact(pc_object, f.dom),
+                                      corpus.fact(pc_masks, f.dom),
                                       corpus.stats):
             yield f
 
@@ -222,7 +222,7 @@ def _prop_pneumo_product_closed(corpus: Corpus):
             key = (f.dom, g.dom)
             if key not in dom_products:
                 P, p1, p2 = product(f.dom, g.dom, cap)
-                dom_products[key] = (p1, p2, pc_object(P, cap))
+                dom_products[key] = (p1, p2, pc_masks(P, cap))
             p1, p2, pcp = dom_products[key]
             Q, _q1, _q2 = product(f.cod, g.cod, cap)
             fg = pairing(p1.then(f), p2.then(g), Q)
@@ -251,7 +251,8 @@ def _prop_separated_reflection_pneumo(corpus: Corpus):
     stats = _fiber_stats(corpus)
     for X in corpus:
         _M, m = separated_reflection(X, corpus.cap)
-        if not has_pneumoconnected_fibers(m, corpus.cap, stats=stats):
+        if not has_pneumoconnected_fibers(
+                m, corpus.cap, corpus.fact(pc_masks, X), stats):
             return {"object": presheaf_snippet(X)}
     return None
 
@@ -342,7 +343,8 @@ def _search_pneumo_pi(corpus: Corpus):
     stats = _fiber_stats(corpus)
     for X in corpus:
         r = corpus.fact(pi, X)
-        if not has_pneumoconnected_fibers(r.map, corpus.cap, stats=stats):
+        if not has_pneumoconnected_fibers(
+                r.map, corpus.cap, corpus.fact(pc_masks, X), stats):
             return {"object": presheaf_snippet(X), "family": "pi-quotient"}
     return None
 
@@ -354,7 +356,7 @@ def _search_pneumo_epis(corpus: Corpus):
         if not _factor_all(q, to_two):
             continue  # family: epis inverting all maps to 2
         if not has_pneumoconnected_fibers(
-                q, corpus.cap, corpus.fact(pc_object, q.dom), corpus.stats):
+                q, corpus.cap, corpus.fact(pc_masks, q.dom), corpus.stats):
             return _epi_witness(q)
     return None
 

@@ -1,7 +1,7 @@
 """Objects and morphisms of the finite presheaf topos Set^(C^op).
 
 Presheaves of finite sets, natural transformations, finite limits and
-colimits, exponentials, the Yoneda embedding and power objects.
+colimits, exponentials and the Yoneda embedding.
 Everything is computed pointwise and deterministically: constructed
 element ids are canonical strings, so repeated runs are bit-identical.
 """
@@ -94,7 +94,7 @@ def _cap(n: int, cap: int, what: str):
 
 
 # The characters constructed element ids are built from: pel, coproduct,
-# quotient_by_pairs, pi, _encode_nat and _relation_id.  Ids read from
+# quotient_by_pairs, pi, _encode_nat and PcMasks.name.  Ids read from
 # input may not contain them, so a constructed id cannot collide.
 RESERVED_ID_CHARS = "(),|[]{};:>"
 
@@ -540,7 +540,7 @@ def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Yoneda, exponentials, power objects
+# Yoneda, exponentials
 
 def yoneda(C: FinCategory, c: str) -> Presheaf:
     """The representable y(c): stage b is Hom(b, c), action by
@@ -595,12 +595,12 @@ def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP,
     results = []
 
     def rec(i, inside, outside):
-        if len(results) > cap:
-            raise SizeCapError("more than %d subfunctors (cap)" % cap)
         while i < len(elems) and (elems[i] in inside or elems[i] in outside):
             i += 1
         if i == len(elems):
             results.append(frozenset(inside))
+            if len(results) > cap:
+                raise SizeCapError("more than %d subfunctors (cap)" % cap)
             return
         e = elems[i]
         cl = closure[e]
@@ -673,73 +673,6 @@ def exponential(X: Presheaf, Y: Presheaf,
         actions[m] = table
     return make_presheaf(C, sets, actions,
                          "%s^%s" % (Y.name or "Y", X.name or "X"))
-
-
-@dataclass(eq=False)
-class PowerObject:
-    """P(X), or a relation object such as P_c(X), with its membership
-    data: each element at stage c is a subfunctor of X×y(c), decoded
-    as stage → set of (x, hom) pairs."""
-
-    of: Presheaf
-    carrier: Presheaf
-    relations: dict[str, dict[str, frozenset]]
-
-    def contains(self, c: str, u: str, x: str) -> bool:
-        """x ∈ u at stage c: (x, id_c) belongs to u's relation at c."""
-        return (x, self.of.base.identity(c)) in self.relations[u][c]
-
-
-def _relation_id(C: FinCategory, rel: dict) -> str:
-    chunks = []
-    for d in C.objects:
-        for (x, g) in sorted(rel[d]):
-            chunks.append("%s:%s:%s" % (d, x, g))
-    return "{" + ";".join(chunks) + "}"
-
-
-def _relation_object(X: Presheaf, parts_of, cap: int,
-                     name: str) -> PowerObject:
-    """The presheaf whose stage c holds the subfunctors of X×y(c) that
-    parts_of(X×y(c)) lists, each decoded as stage → set of (x, hom)
-    pairs and named by _relation_id (stages in id order), with
-    restriction by pullback along id×y(f)."""
-    C = X.base
-    stage_rels = {}
-    relations = {}
-    for c in C.objects:
-        yc = yoneda(C, c)
-        B, _p1, _p2 = product(X, yc, cap)
-        decode = {d: {pel(x, g): (x, g)
-                      for x in X.sets[d] for g in yc.sets[d]}
-                  for d in C.objects}
-        stage_rels[c] = {}
-        for parts in parts_of(B):
-            rel = {d: frozenset(decode[d][e] for e in parts[d])
-                   for d in C.objects}
-            stage_rels[c][_relation_id(C, rel)] = rel
-        relations.update(stage_rels[c])
-
-    sets = {c: tuple(sorted(stage_rels[c])) for c in C.objects}
-    actions = {}
-    for m in C.nonidentity_morphisms():
-        b, c = C.morphisms[m]
-        table = {}
-        for n in sets[c]:
-            rel = stage_rels[c][n]
-            restricted = {}
-            for d in C.objects:
-                restricted[d] = frozenset(
-                    (x, g) for x in X.sets[d] for g in C.hom(d, b)
-                    if (x, C.compose(m, g)) in rel[d])
-            rid = _relation_id(C, restricted)
-            if rid not in stage_rels[b]:
-                raise PresheafError("NotFunctorial",
-                                    "restriction escaped stage %r of %s"
-                                    % (b, name))
-            table[n] = rid
-        actions[m] = table
-    return PowerObject(X, make_presheaf(C, sets, actions, name), relations)
 
 
 # ---------------------------------------------------------------------------

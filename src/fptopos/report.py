@@ -1,4 +1,5 @@
-"""The one result type of every check and every command."""
+"""The one result type of every check and every command, and the
+countermodel that the formula checks return."""
 
 from __future__ import annotations
 
@@ -21,3 +22,12 @@ class Result:
 
     def holds(self) -> bool:
         return self.verdict in PASSING
+
+
+@dataclass
+class Countermodel:
+    """Where a formula fails: a stage and the values of its variables
+    there."""
+
+    stage: str
+    bindings: dict[str, str]

@@ -19,8 +19,10 @@ found by filtering every subobject (Sub_c(X)) or every element of the
 power object by forcing (P_c(X)), as the reference for the maps into 2,
 NS decided by searching a corpus for a nonempty object without points,
 monos as pointwise injections and the power object P(X), which only the
-tests use, the pneumoconnected-fiber formula evaluated by the forcing
-interpreter, as the reference for the direct stage-wise check, and a
+tests use, P_c(X) as a relation object of named relations, and the
+pneumoconnected-fiber condition checked on its relation tables and its
+formula evaluated by the forcing interpreter, as the references for
+P_c(X) on component masks and the fiber check on masks, and a
 complemented diagonal as the reference for decidability read off the
 restriction maps, and the subobject classifier Ω built from sieves as
 the reference for subobject counts.
@@ -28,6 +30,7 @@ the reference for subobject counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -36,17 +39,19 @@ from fptopos.decidable import (_is_equivalence, check_dqo, diagonal,
                                is_decidable, presheaf_snippet, quotient)
 from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError, SizeCapError
 from fptopos.fincat import catalog
+from dataclasses import dataclass
+
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
-                             SubConst, Top, VarT, forces, pc_object,
-                             universally_valid)
-from fptopos.presheaf import (NatTrans, PowerObject, _cap, _factor_all,
-                              _relation_object, _same_base, global_elements,
-                              make_from_generators, make_presheaf,
-                              nat_transformations, pel, product,
-                              sub_presheaf, subfunctors, terminal, two)
-from fptopos.report import Result
-from fptopos.sublattice import Subobject, is_complemented, subobjects
+                             SubConst, Top, VarT, forces, universally_valid)
+from fptopos.presheaf import (NatTrans, _cap, _factor_all, _same_base,
+                              global_elements, make_from_generators,
+                              make_presheaf, nat_transformations, pel,
+                              product, sub_presheaf, subfunctors, terminal,
+                              two, yoneda)
+from fptopos.report import Countermodel, Result
+from fptopos.sublattice import (Subobject, complemented_subobjects,
+                                is_complemented, subobjects)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +449,72 @@ def is_mono(f) -> bool:
                for c in f.dom.base.objects)
 
 
+@dataclass(eq=False)
+class PowerObject:
+    """P(X), or a relation object such as P_c(X), with its membership
+    data: each element at stage c is a subfunctor of X×y(c), decoded
+    as stage → set of (x, hom) pairs."""
+
+    of: object
+    carrier: object
+    relations: dict
+
+    def contains(self, c, u, x) -> bool:
+        """x ∈ u at stage c: (x, id_c) belongs to u's relation at c."""
+        return (x, self.of.base.identity(c)) in self.relations[u][c]
+
+
+def _relation_id(C, rel: dict) -> str:
+    chunks = []
+    for d in C.objects:
+        for (x, g) in sorted(rel[d]):
+            chunks.append("%s:%s:%s" % (d, x, g))
+    return "{" + ";".join(chunks) + "}"
+
+
+def _relation_object(X, parts_of, cap, name: str) -> PowerObject:
+    """The presheaf whose stage c holds the subfunctors of X×y(c) that
+    parts_of(X×y(c)) lists, each decoded as stage → set of (x, hom)
+    pairs and named by _relation_id (stages in id order), with
+    restriction by pullback along id×y(f)."""
+    C = X.base
+    stage_rels = {}
+    relations = {}
+    for c in C.objects:
+        yc = yoneda(C, c)
+        B, _p1, _p2 = product(X, yc, cap)
+        decode = {d: {pel(x, g): (x, g)
+                      for x in X.sets[d] for g in yc.sets[d]}
+                  for d in C.objects}
+        stage_rels[c] = {}
+        for parts in parts_of(B):
+            rel = {d: frozenset(decode[d][e] for e in parts[d])
+                   for d in C.objects}
+            stage_rels[c][_relation_id(C, rel)] = rel
+        relations.update(stage_rels[c])
+
+    sets = {c: tuple(sorted(stage_rels[c])) for c in C.objects}
+    actions = {}
+    for m in C.nonidentity_morphisms():
+        b, c = C.morphisms[m]
+        table = {}
+        for n in sets[c]:
+            rel = stage_rels[c][n]
+            restricted = {}
+            for d in C.objects:
+                restricted[d] = frozenset(
+                    (x, g) for x in X.sets[d] for g in C.hom(d, b)
+                    if (x, C.compose(m, g)) in rel[d])
+            rid = _relation_id(C, restricted)
+            if rid not in stage_rels[b]:
+                raise PresheafError("NotFunctorial",
+                                    "restriction escaped stage %r of %s"
+                                    % (b, name))
+            table[n] = rid
+        actions[m] = table
+    return PowerObject(X, make_presheaf(C, sets, actions, name), relations)
+
+
 def power_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
     """The power object P(X): P(X)(c) = subfunctors of X×y(c), with
     restriction by pullback along id×y(f)."""
@@ -466,12 +537,22 @@ def diagonal_is_complemented(X, cap=DEFAULT_SIZE_CAP) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# complemented parts by filtering every subobject, and P_c(X) by forcing
-# inside the whole power object
+# complemented parts by filtering every subobject, P_c(X) as a relation
+# object and by forcing inside the whole power object, and the fiber
+# condition on P_c(X)'s relation tables and by forcing its formula
 
 def filtered_complemented_subobjects(X, cap=DEFAULT_SIZE_CAP):
     """Sub_c(X) as the subfunctors S of X with S ∨ ¬S = X."""
     return [S for S in subobjects(X, cap) if is_complemented(S)]
+
+
+def pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
+    """P_c(X) as a relation object: stage c holds the complemented
+    subfunctors of X×y(c), i.e. the maps X×y(c) → 2, as relations named
+    like those of P(X); restriction by pullback."""
+    return _relation_object(
+        X, lambda B: [S.parts for S in complemented_subobjects(B, cap)],
+        cap, "P_c(%s)" % (X.name or "X"))
 
 
 def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
@@ -517,7 +598,42 @@ def forced_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
     misses_w = fiber_meets(Mem(VarT("x"), VarT("w")))
     misses_wc = fiber_meets(Not(Mem(VarT("x"), VarT("w"))))
     phi = Not(Not(Or(misses_w, misses_wc)))
-    return universally_valid(phi, {"y": ysort, "w": pc.sort()})
+    return universally_valid(phi, {"y": ysort, "w": PowerSort(pc)})
+
+
+def table_pneumo_countermodel(f, cap=DEFAULT_SIZE_CAP, pc=None):
+    """The least countermodel of the fiber formula of f: X→Y, or None,
+    evaluated on the relation tables of P_c(X) (`pc_object`) by the
+    forcing clauses.
+
+    The fiber of y ∈ Y(a) is the set of (x, k) with k: d→a and
+    f(x) = Y(k)(y).  (a, y, w) is decided when the fiber lies wholly
+    inside or wholly outside w's relation; ¬¬ψ is forced at c iff every
+    m: b→c has some n into b at which the restriction of (y, w) is
+    decided.  Stages in base order, then y, then w in P_c(X)'s order."""
+    X, Y = f.dom, f.cod
+    C = X.base
+    if pc is None:
+        pc = pc_object(X, cap)
+    P, relations = pc.carrier, pc.relations
+
+    @functools.cache
+    def decided(a, y, w):
+        fiber = [(x, k) for k in C.arrows_into(a)
+                 for x, fx in f.components[C.dom(k)].items()
+                 if fx == Y.act(k, y)]
+        rel = relations[w]
+        return len({(x, k) in rel[C.dom(k)] for x, k in fiber}) < 2
+
+    for c in C.objects:
+        for y in Y.sets[c]:
+            for w in P.sets[c]:
+                if not all(any(decided(C.dom(n), Y.act(n, Y.act(m, y)),
+                                       P.act(n, P.act(m, w)))
+                               for n in C.arrows_into(C.dom(m)))
+                           for m in C.arrows_into(c)):
+                    return Countermodel(c, {"y": y, "w": w})
+    return None
 
 
 # ---------------------------------------------------------------------------

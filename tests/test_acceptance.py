@@ -20,14 +20,14 @@ from fptopos.decidable import (check_dqo, check_dso, check_ns, is_connected,
                                is_decidable, pi, separated_reflection)
 from fptopos.errors import AxiomPrereqFailed
 from fptopos.fincat import catalog
-from fptopos.forcing import (PresheafSort, _restrict_env, forces,
-                             has_pneumoconnected_fibers)
+from fptopos.forcing import PresheafSort, _restrict_env, forces
 from fptopos.harness import lemma_report, search_counterexample
 from fptopos.precohesion import theorem_c_harness
 from fptopos.presheaf import (exponential, global_elements, is_epi,
                               is_isomorphic, make_presheaf, product,
                               terminal)
-from fptopos.sublattice import complemented_subobjects
+from fptopos.sublattice import (complemented_subobjects,
+                                has_pneumoconnected_fibers)
 
 PT = catalog("point")
 TD = catalog("two-discrete")

@@ -1,9 +1,14 @@
-"""Command-line interface, run in-process through main(argv)."""
+"""Command-line interface, run in-process through main(argv), and in a
+fresh process to see what importing it loads."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fptopos
 from fptopos.cli import main
 
 
@@ -226,6 +231,24 @@ def test_force_formula(capsys):
     # the stage-minimal countermodel already appears at V, where the
     # quantifier reaches the loop "e" along sigma
     assert code == 1 and rep["witnesses"][0]["stage"] in ("V", "E")
+
+
+def test_cli_import_leaves_the_formula_interpreter_unloaded():
+    # Only `force` evaluates formulas, and it imports the interpreter
+    # itself, so no other command pays for compiling it.
+    src = os.path.dirname(os.path.dirname(fptopos.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import fptopos.cli\n"
+            "assert 'fptopos.forcing' not in sys.modules\n"
+            "sys.exit(fptopos.cli.main(['force', '--formula',\n"
+            "    'all x : P2 . x = x', '--let', 'P2=P2', '--format',\n"
+            "    'json']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "valid"
 
 
 def test_file_inputs(capsys, tmp_path):

@@ -12,13 +12,13 @@ from fptopos.errors import ParseError
 from fptopos.fincat import catalog, close_generators
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PresheafSort, SubConst, Top,
-                             VarT, _restrict_env, forces,
-                             has_pneumoconnected_fibers, parse_formula,
-                             pc_object, pneumoconnected_countermodel,
+                             VarT, _restrict_env, forces, parse_formula,
                              universally_valid)
 from fptopos.presheaf import (is_epi, make_presheaf, nat_transformations,
                               pairing, product, terminal)
-from fptopos.sublattice import Subobject, subobjects
+from fptopos.sublattice import (Subobject, has_pneumoconnected_fibers,
+                                pc_masks, pneumoconnected_countermodel,
+                                subobjects)
 
 import oracles
 
@@ -107,9 +107,11 @@ def test_double_negation_elimination_countermodel_on_l():
 
 
 def test_pc_object_of_p2():
-    pc = pc_object(P2)
-    assert pc.power.carrier.size_vector() == (2, 2)
-    assert tuple(len(pc.sub.parts[c]) for c in RG.objects) == (2, 2)
+    # P2 is connected, and so is each P2×y(c): two complemented parts
+    # at each stage, the empty one first.
+    pc = pc_masks(P2)
+    assert [len(pc.masks[c]) for c in RG.objects] == [2, 2]
+    assert [pc.name(c, 0) for c in RG.objects] == ["{}", "{}"]
 
 
 def test_pneumo_identity_and_collapse():
@@ -128,22 +130,20 @@ def test_pneumo_fails_for_two_point_collapse_on_point_base():
 
 
 def _fiber_check_arrows(C, corpus):
-    """(arrow, P_c of its domain): every arrow between the corpus
-    objects, their Π and separated-reflection maps, and f×g for the
-    first three epis f, g with pneumoconnected fibers."""
-    pcs = {id(X): pc_object(X) for X in corpus}
-    homs = [(f, pcs[id(X)]) for X in corpus for Y in corpus
+    """Every arrow between the corpus objects, their Π and
+    separated-reflection maps, and f×g for the first three epis f, g
+    with pneumoconnected fibers."""
+    homs = [f for X in corpus for Y in corpus
             for f in nat_transformations(X, Y)]
-    epis = [f for f, pc in homs
-            if is_epi(f) and has_pneumoconnected_fibers(f, pc=pc)][:3]
-    arrows = homs + [(pi(X).map, pcs[id(X)]) for X in corpus] + \
-        [(separated_reflection(X)[1], pcs[id(X)]) for X in corpus]
+    epis = [f for f in homs
+            if is_epi(f) and has_pneumoconnected_fibers(f)][:3]
+    arrows = homs + [pi(X).map for X in corpus] + \
+        [separated_reflection(X)[1] for X in corpus]
     for f in epis:
         for g in epis:
             P, p1, p2 = product(f.dom, g.dom)
             Q, _q1, _q2 = product(f.cod, g.cod)
-            fg = pairing(p1.then(f), p2.then(g), Q)
-            arrows.append((fg, pc_object(P)))
+            arrows.append(pairing(p1.then(f), p2.then(g), Q))
     return arrows
 
 
@@ -160,9 +160,13 @@ def test_direct_fiber_check_matches_forcing_oracle():
              (edges_first, list(enumerate_presheaves(edges_first, 2)))]
     holding = failing = 0
     for C, corpus in bases:
-        for f, pc in _fiber_check_arrows(C, corpus):
-            got = pneumoconnected_countermodel(f, pc=pc)
-            want = oracles.forced_pneumo_countermodel(f, pc=pc)
+        masks, tables = {}, {}  # P_c of each domain, built once
+        for f in _fiber_check_arrows(C, corpus):
+            X = f.dom
+            if X not in masks:
+                masks[X], tables[X] = pc_masks(X), oracles.pc_object(X)
+            got = pneumoconnected_countermodel(f, pc=masks[X])
+            want = oracles.forced_pneumo_countermodel(f, pc=tables[X])
             if want is None:
                 assert got is None, (C.name, f.dom, f.cod)
                 holding += 1

@@ -19,7 +19,10 @@ iso test.  The bounded DQO checks and the DQO counterexample search on
 sierpinski were pinned at the cap at some objects while DQO listed every
 subfunctor of X×X; DQO is now decided by a closure, and they reach a
 verdict.  `precohesion` and `verify C` at refgraph bound 4 hit the size
-cap at Π and report unknown at the cap instead of aborting."""
+cap at Π and report unknown at the cap instead of aborting.  The whole
+property battery at refgraph bound 3 was pinned while the fiber check
+ran on P_c(X) as a relation object, before it read P_c(X) off component
+masks."""
 
 import pathlib
 
@@ -68,6 +71,8 @@ COMMANDS = {
                                    "sierpinski", "--bound", "2"), 1),
     "verify-props-refgraph-2": (("verify", "props", "--base", "refgraph",
                                  "--bound", "2"), 0),
+    "verify-props-refgraph-3": (("verify", "props", "--base", "refgraph",
+                                 "--bound", "3"), 1),
     "verify-lemma-graph-V3E2": (("verify", "lemma", "--base", "graph",
                                  "--bound", "V=3,E=2"), 1),
     "search-pneumo-epis-graph-V2E1": (("search-counterexample", "--base",

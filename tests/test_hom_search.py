@@ -12,12 +12,12 @@ from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
                                dec_is_topos_check, is_connected,
                                is_decidable, pi)
-from fptopos.forcing import has_pneumoconnected_fibers, pc_object
 from fptopos.harness import epi_conditions, lemma_report, props_report
 from fptopos.precohesion import (check_precohesive, theorem_ab_harness,
                                  theorem_c_harness)
 from fptopos.presheaf import (find_iso, is_epi, is_isomorphic,
                               nat_transformations)
+from fptopos.sublattice import has_pneumoconnected_fibers, pc_masks
 
 
 def test_kernel_matches_brute_force_oracle():
@@ -42,7 +42,7 @@ def test_kernel_matches_brute_force_oracle():
 def _fiber_profile(X, Y, decidables):
     """The multiset of fiber-condition triples over the epis X → Y, and
     the number of arrows X → Y with pneumoconnected fibers."""
-    pc = pc_object(X)
+    pc = pc_masks(X)
     arrows = nat_transformations(X, Y)
     triples = Counter(epi_conditions(q, decidables, pc=pc)
                       for q in arrows if is_epi(q))

@@ -3,7 +3,7 @@
 import pytest
 
 from fptopos.builtins import builtin_object
-from fptopos.errors import PresheafError
+from fptopos.errors import PresheafError, SizeCapError
 from fptopos.fincat import catalog
 from fptopos.presheaf import (coproduct, exponential, factor_through,
                               find_iso, global_elements, identity_nat,
@@ -227,6 +227,17 @@ def test_subfunctors_of_p2_brute_force():
     assert len(found) == 5
     assert sorted(frozenset(p["V"]) for p in subfunctors(P2)) \
         == sorted(frozenset(v) for v, _e in found)
+
+
+def test_subfunctors_cap_bounds_the_results():
+    # At cap n an object with n subfunctors gets all of them, and one
+    # with n + 1 raises rather than returning n + 1.
+    for X in (P2, L, D2):
+        n = len(subfunctors(X))
+        assert len(subfunctors(X, n)) == n
+        with pytest.raises(SizeCapError,
+                           match=r"more than %d subfunctors" % (n - 1)):
+            subfunctors(X, n - 1)
 
 
 def test_exponential_evaluates_like_homs():

@@ -1,4 +1,5 @@
-"""The Heyting algebra of subobjects."""
+"""The Heyting algebra of subobjects, complemented parts, P_c(X) on
+component masks and the fiber check on them."""
 
 import pytest
 
@@ -6,15 +7,17 @@ import oracles
 
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.errors import AmbientMismatch, SizeCapError
+from fptopos.errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
 from fptopos.fincat import catalog
-from fptopos.forcing import pc_object
-from fptopos.presheaf import initial, product, terminal, yoneda
+from fptopos.presheaf import (initial, is_epi, nat_transformations,
+                              pairing, product, terminal, yoneda)
 from fptopos.sublattice import (complemented_subobjects,
                                 empty_subobject, full_subobject,
-                                implication, is_complemented, is_nn_dense,
-                                join, maps_to_two, meet, negation,
-                                nn_closure, subobjects)
+                                has_pneumoconnected_fibers, implication,
+                                is_complemented, is_nn_dense, join,
+                                maps_to_two, meet, negation, nn_closure,
+                                pc_masks, pneumoconnected_countermodel,
+                                subobjects)
 
 RG = catalog("refgraph")
 TD = catalog("two-discrete")
@@ -110,22 +113,117 @@ def test_p2_has_two_complemented_subobjects():
     assert len(complemented_subobjects(P2)) == 2
 
 
+def _mask_tables(pc):
+    """The stages, in order, and restriction tables of P_c(X) on masks,
+    with each mask named."""
+    C = pc.of.base
+    sets = {c: tuple(pc.name(c, w) for w in pc.masks[c])
+            for c in C.objects}
+    actions = {}
+    for m in C.morphism_names():
+        b, c = C.morphisms[m]
+        actions[m] = {pc.name(c, w): pc.name(b, pc.restrict(m, w))
+                      for w in pc.masks[c]}
+    return sets, actions
+
+
 def test_complemented_parts_match_the_filter_oracles():
     # Sub_c(X) from the maps X → 2 against the subfunctors S with
-    # S ∨ ¬S = X, and P_c(X) built from them against the elements of
-    # P(X) that force ∀x (x ∈ u ∨ ¬ x ∈ u).
+    # S ∨ ¬S = X; P_c(X) as a relation object built from them against
+    # the elements of P(X) that force ∀x (x ∈ u ∨ ¬ x ∈ u); and P_c(X)
+    # on component masks against that relation object: the same names
+    # in the same order, and the same restrictions.
     checked = 0
     for C, corpus in oracles.bound_two_corpora():
         for X in oracles.sample_objects(C, corpus):
             got = complemented_subobjects(X)
             want = oracles.filtered_complemented_subobjects(X)
             assert [S.parts for S in got] == [S.parts for S in want], X
-            pc, ref = pc_object(X).power, oracles.forced_pc_object(X)
+            pc, ref = oracles.pc_object(X), oracles.forced_pc_object(X)
             assert pc.carrier.sets == ref.carrier.sets, X
             assert pc.carrier.actions == ref.carrier.actions, X
             assert pc.relations == ref.relations, X
+            masks = pc_masks(X)
+            assert _mask_tables(masks) == \
+                (pc.carrier.sets, pc.carrier.actions), X
             checked += 1
     assert checked == 180
+
+
+def _product_arrows(corpus):
+    """The arrows that `pneumo-product-closed` checks: f×g on X×X′ for
+    the epis f: X ↠ Y, g: X′ ↠ Y′ between corpus objects with
+    pneumoconnected fibers, each product of domains built once."""
+    epis = [f for X in corpus for Y in corpus
+            for f in nat_transformations(X, Y)
+            if is_epi(f) and has_pneumoconnected_fibers(f)]
+    domains, arrows = {}, []
+    for f in epis:
+        for g in epis:
+            if (f.dom, g.dom) not in domains:
+                domains[f.dom, g.dom] = product(f.dom, g.dom)
+            _P, p1, p2 = domains[f.dom, g.dom]
+            Q, _q1, _q2 = product(f.cod, g.cod)
+            arrows.append(pairing(p1.then(f), p2.then(g), Q))
+    return arrows
+
+
+def _fiber_outcome(check, f, cap, pc=None):
+    """check's countermodel of f, None, or its SizeCapError message."""
+    try:
+        cm = check(f, cap, pc)
+    except SizeCapError as exc:
+        return str(exc)
+    return cm and (cm.stage, cm.bindings)
+
+
+# The bound-3 corpora of the catalog bases (graph at V=2,E=2), and for
+# each: (arrows, of which fail), then the outcomes at caps 2, 8 and 32
+# of the first arrow out of each domain, as (capped, failing).
+FIBER_CASES = {
+    "point": (3, (76, 36), (6, 4)),
+    "two-discrete": (3, (3856, 3024), (74, 24)),
+    "sierpinski": (3, (3399, 2326), (71, 26)),
+    "graph": ({"V": 2, "E": 2}, (723, 125), (320, 17)),
+    "refgraph": (3, (222, 76), (24, 4)),
+}
+
+
+@pytest.mark.parametrize("base", sorted(FIBER_CASES))
+def test_fiber_check_matches_the_table_oracle(base):
+    # The mask check against the fiber condition on P_c(X)'s relation
+    # tables: the same least countermodel, or None, on every arrow
+    # between bound-3 corpus objects and every f×g that
+    # pneumo-product-closed builds on the bound-2 corpus.  At small caps
+    # the first arrow out of each domain raises the same SizeCapError
+    # (the product cap at a stage comes before the 2^k cap there) or
+    # has the same outcome.
+    C = catalog(base)
+    bound, arrow_counts, cap_counts = FIBER_CASES[base]
+    corpus = list(enumerate_presheaves(C, bound))
+    arrows = [f for X in corpus for Y in corpus
+              for f in nat_transformations(X, Y)]
+    arrows += _product_arrows(list(enumerate_presheaves(
+        C, dict(oracles.BOUND_TWO)[base])))
+    masks, tables = {}, {}
+    failing = capped = capped_failing = 0
+    for f in arrows:
+        X = f.dom
+        if X not in masks:
+            masks[X], tables[X] = pc_masks(X), oracles.pc_object(X)
+            for cap in (2, 8, 32):
+                got = _fiber_outcome(pneumoconnected_countermodel, f, cap)
+                assert got == _fiber_outcome(
+                    oracles.table_pneumo_countermodel, f, cap), (X, cap)
+                capped += isinstance(got, str)
+                capped_failing += isinstance(got, tuple)
+        got = _fiber_outcome(pneumoconnected_countermodel, f,
+                             DEFAULT_SIZE_CAP, masks[X])
+        assert got == _fiber_outcome(oracles.table_pneumo_countermodel,
+                                     f, DEFAULT_SIZE_CAP, tables[X]), f
+        failing += got is not None
+    assert (len(arrows), failing) == arrow_counts
+    assert (capped, capped_failing) == cap_counts
 
 
 def test_nn_closure_is_a_closure_operator():
