@@ -146,7 +146,7 @@ def _cmd_pi(args) -> int:
 def _cmd_connected(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    ok = is_connected(X, args.cap)
+    ok = is_connected(X)
     return _emit(args, C.name,
                  Result("connected" if ok else "not-connected"))
 

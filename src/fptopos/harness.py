@@ -12,16 +12,15 @@ from functools import partial
 
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, first_failure, is_connected,
-                        is_decidable, pi, pi_product_failures,
+                        is_decidable, pi, pi_product_failures, pi_sizes,
                         presheaf_snippet, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .presheaf import (NatTrans, Presheaf, _factor_all, exponential,
-                       global_elements, inclusion_of, is_epi, is_isomorphic,
+from .presheaf import (NatTrans, Presheaf, _factor_all, connected_components,
+                       exponential, global_elements, inclusion_of, is_epi,
                        nat_transformations, pairing, product, pullback,
-                       sub_presheaf, subfunctors, terminal, two)
+                       sub_presheaf, subfunctors, terminal)
 from .report import Result
-from .sublattice import (complemented_subobjects, has_pneumoconnected_fibers,
-                         pc_masks)
+from .sublattice import has_pneumoconnected_fibers, pc_masks
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +42,7 @@ def fiber(f: NatTrans, point: NatTrans) -> Presheaf:
 
 # What the fiber conditions searched, kept on Corpus.stats: epis whose
 # conditions were checked, (stage, y, w) triples decided by the fiber
-# check, and hom-sets computed out of a domain (Hom(X, 2), Hom(X, D)).
+# check, and hom-sets Hom(X, D) computed out of a domain X.
 FIBER_COUNTS = ("epis_checked", "fiber_checks", "domain_hom_sets")
 
 
@@ -55,24 +54,28 @@ def _fiber_stats(corpus: Corpus) -> dict:
 
 
 def _domain_maps(X: Presheaf, decidables: list[Presheaf],
-                 stats: dict | None = None) -> tuple[list, list]:
-    """The components of the maps X → 2, and of the maps from X to each
-    decidable in order."""
-    t2, _i1, _i2 = two(X.base)
+                 stats: dict | None = None) -> list:
+    """The components of the maps from X to each decidable in order."""
     if stats is not None:
-        stats["domain_hom_sets"] += 1 + len(decidables)
-    return tuple([h.components for Z in targets
-                  for h in nat_transformations(X, Z)]
-                 for targets in ([t2], decidables))
+        stats["domain_hom_sets"] += len(decidables)
+    return [h.components for Z in decidables
+            for h in nat_transformations(X, Z)]
 
 
-def _conditions(q: NatTrans, maps: tuple[list, list], cap: int, pc,
+def _inverts_two(q: NatTrans) -> bool:
+    """Whether every map X → 2 factors through the epi q: X ↠ Y.  As 2
+    is constant and π₀ ⊣ Δ, a map X → 2 is a side per component, so
+    this holds iff π₀(q), which is onto, is injective: X and Y have
+    equally many components."""
+    return connected_components(q.dom)[1] == connected_components(q.cod)[1]
+
+
+def _conditions(q: NatTrans, maps: list, cap: int, pc,
                 stats: dict | None = None) -> tuple[bool, bool, bool]:
-    """The three fiber conditions of q, given its domain's maps."""
-    to_two, to_decidables = maps
-    return (_factor_all(q, to_two),
+    """The three fiber conditions of the epi q, given its domain's maps."""
+    return (_inverts_two(q),
             has_pneumoconnected_fibers(q, cap, pc, stats),
-            _factor_all(q, to_decidables))
+            _factor_all(q, maps))
 
 
 def epi_conditions(q: NatTrans, decidables: list[Presheaf],
@@ -84,23 +87,17 @@ def epi_conditions(q: NatTrans, decidables: list[Presheaf],
     return _conditions(q, _domain_maps(q.dom, decidables), cap, pc)
 
 
-def _corpus_epis(corpus: Corpus, decidables: list[Presheaf] | None = None):
+def _corpus_epis(corpus: Corpus):
     """The epis q: X ↠ Y between corpus objects, in corpus order of
     domain, then codomain, then hom-search order, each counted in
-    `epis_checked`.  Each comes with its domain's maps into 2 and into
-    the given decidables (see `_domain_maps`), found once, at the
-    domain's first epi; None when no decidables are given."""
+    `epis_checked`."""
     stats = _fiber_stats(corpus)
     for X in corpus:
-        maps = None
         for Y in corpus:
             for q in nat_transformations(X, Y):
-                if not is_epi(q):
-                    continue
-                stats["epis_checked"] += 1
-                if maps is None and decidables is not None:
-                    maps = _domain_maps(X, decidables, stats)
-                yield q, maps
+                if is_epi(q):
+                    stats["epis_checked"] += 1
+                    yield q
 
 
 def _epi_witness(q: NatTrans) -> dict:
@@ -110,8 +107,12 @@ def _epi_witness(q: NatTrans) -> dict:
 
 def _search_lemma(corpus: Corpus) -> dict | None:
     """The first epi between corpus objects at which the three fiber
-    conditions disagree."""
-    for q, maps in _corpus_epis(corpus, corpus.decidables()):
+    conditions disagree.  The epis come grouped by domain, and each
+    domain's maps are found at its first and dropped after its last."""
+    decidables, dom, maps = corpus.decidables(), None, None
+    for q in _corpus_epis(corpus):
+        if q.dom is not dom:
+            dom, maps = q.dom, _domain_maps(q.dom, decidables, corpus.stats)
         conditions = _conditions(q, maps, corpus.cap,
                                  corpus.fact(pc_masks, q.dom),
                                  corpus.stats)
@@ -133,14 +134,14 @@ def lemma_report(corpus: Corpus) -> Result:
 # the standard property battery
 
 def _prop_pi_structure(corpus: Corpus):
-    """Π idempotence, Π(1) ≅ 1, ΠX ≅ 0 ⇔ X ≅ 0."""
-    cap = corpus.cap
+    """Π idempotence, Π(1) ≅ 1, ΠX ≅ 0 ⇔ X ≅ 0.  ΠQ ≅ Q iff the unit
+    Q ↠ ΠQ, which is onto, is one-to-one: iff the stage sizes agree."""
     one = terminal(corpus.base)
-    if not is_isomorphic(pi(one, cap).quotient, one):
+    if pi_sizes(one) != one.size_vector():
         return {"object": "1"}
     for X in corpus:
         Q = corpus.fact(pi, X).quotient
-        if not is_isomorphic(pi(Q, cap).quotient, Q):
+        if pi_sizes(Q) != Q.size_vector():
             return {"object": presheaf_snippet(X), "failed": "idempotence"}
         if Q.is_empty() != X.is_empty():
             return {"object": presheaf_snippet(X), "failed": "zero-iff-zero"}
@@ -150,8 +151,8 @@ def _prop_pi_structure(corpus: Corpus):
 def _prop_connected_iff_pi_one(corpus: Corpus):
     one = terminal(corpus.base)
     for X in corpus:
-        lhs = is_connected(X, corpus.cap)
-        rhs = is_isomorphic(corpus.fact(pi, X).quotient, one)
+        lhs = is_connected(X)
+        rhs = corpus.fact(pi, X).quotient.size_vector() == one.size_vector()
         if lhs != rhs:
             return {"object": presheaf_snippet(X),
                     "connected": lhs, "pi_terminal": rhs}
@@ -160,11 +161,11 @@ def _prop_connected_iff_pi_one(corpus: Corpus):
 
 def _prop_connected_products(corpus: Corpus):
     cap = corpus.cap
-    connected = [X for X in corpus if is_connected(X, cap)]
+    connected = [X for X in corpus if is_connected(X)]
     for X in connected:
         for Y in connected:
             P, _p1, _p2 = product(X, Y, cap)
-            if not is_connected(P, cap):
+            if not is_connected(P):
                 return {"left": presheaf_snippet(X),
                         "right": presheaf_snippet(Y)}
     return None
@@ -178,7 +179,7 @@ def _prop_pi_products(corpus: Corpus):
 
 def _prop_pneumo_fibers_connected(corpus: Corpus):
     """If f has pneumoconnected fibers then no fiber over a global point
-    has a nontrivial complemented subobject."""
+    has a nontrivial complemented subobject: more than one component."""
     cap, stats = corpus.cap, _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
@@ -192,7 +193,7 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
                     continue
                 for b in points:
                     F = fiber(f, b)
-                    if len(complemented_subobjects(F, cap)) > 2:
+                    if connected_components(F)[1] > 1:
                         return {"dom": presheaf_snippet(X),
                                 "cod": presheaf_snippet(Y),
                                 "point": {c: b.apply(c, "*")
@@ -203,7 +204,7 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
 def _pneumo_epis(corpus: Corpus):
     """The epis between corpus objects with pneumoconnected fibers, in
     the order of `_corpus_epis`."""
-    for f, _maps in _corpus_epis(corpus):
+    for f in _corpus_epis(corpus):
         if has_pneumoconnected_fibers(f, corpus.cap,
                                       corpus.fact(pc_masks, f.dom),
                                       corpus.stats):
@@ -352,8 +353,8 @@ def _search_pneumo_pi(corpus: Corpus):
 def _search_pneumo_epis(corpus: Corpus):
     """The first epi inverting every map to 2 (so every X→2 factors
     through it) without pneumoconnected fibers."""
-    for q, (to_two, _none) in _corpus_epis(corpus, []):
-        if not _factor_all(q, to_two):
+    for q in _corpus_epis(corpus):
+        if not _inverts_two(q):
             continue  # family: epis inverting all maps to 2
         if not has_pneumoconnected_fibers(
                 q, corpus.cap, corpus.fact(pc_masks, q.dom), corpus.stats):

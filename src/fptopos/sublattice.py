@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, _UnionFind, _cap,
-                       connected_components, subfunctors, two)
+                       connected_components, subfunctors)
 from .report import Countermodel
 
 
@@ -139,26 +139,18 @@ def _two_cap(k: int, cap: int):
                            % (2 ** k, cap))
 
 
-def maps_to_two(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[NatTrans]:
-    """Hom(X, 2) in hom-search order: the j-th map sends component i to
-    inr(*) if bit k-1-i of j is set; raises SizeCapError above cap."""
-    comp, k = two_components(X, cap)
-    t2 = two(X.base)[0]
-    return [NatTrans(X, t2, {c: {x: SIDES[(j >> (k - 1 - i)) & 1]
-                                 for x, i in comp[c].items()}
-                             for c in X.base.objects})
-            for j in range(2 ** k)]
-
-
 def complemented_subobjects(X: Presheaf,
                             cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
-    """Sub_c(X): the preimages of inl(*) under the maps X → 2 = 1+1,
-    ordered by their sorted stage parts."""
+    """Sub_c(X): the preimages of inl(*) under the 2^k maps X → 2 = 1+1,
+    one per set of components of ∫X, ordered by their sorted stage
+    parts; raises SizeCapError above cap.  The j-th part holds component
+    i iff bit k-1-i of j is 0."""
     C = X.base
-    subs = [Subobject(X, {c: frozenset(x for x in X.sets[c]
-                                       if h.apply(c, x) == "inl(*)")
+    comp, k = two_components(X, cap)
+    subs = [Subobject(X, {c: frozenset(x for x, i in comp[c].items()
+                                       if not j >> (k - 1 - i) & 1)
                           for c in C.objects})
-            for h in maps_to_two(X, cap)]
+            for j in range(2 ** k)]
     subs.sort(key=lambda S: tuple(tuple(sorted(S.parts[c]))
                                   for c in C.objects))
     return subs

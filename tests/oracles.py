@@ -12,11 +12,13 @@ product of generator tables deduplicated and sorted by that key as the
 reference for `corpus.enumerate_presheaves`,
 stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, the maps into 2 from the
-hom search, Π built from them, and DQO and DSO decided by listing every
-subfunctor of X×X or of X, as the reference for their readings off the
-components of the category of elements, and complemented parts
+hom search, Sub_c(X) as their preimages of inl(*), whether they all
+factor through an epi, Π built from them, Π(X×Y) ≅ ΠX × ΠY decided by
+an iso search, and DQO and DSO decided by listing every subfunctor of
+X×X or of X, as the reference for their readings off the components of
+the category of elements, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
-power object by forcing (P_c(X)), as the reference for the maps into 2,
+power object by forcing (P_c(X)), as the reference for Sub_c(X),
 NS decided by searching a corpus for a nonempty object without points,
 monos as pointwise injections and the power object P(X), which only the
 tests use, P_c(X) as a relation object of named relations, and the
@@ -36,7 +38,7 @@ import random
 
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_is_equivalence, check_dqo, diagonal,
-                               is_decidable, presheaf_snippet, quotient)
+                               is_decidable, pi, presheaf_snippet, quotient)
 from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError, SizeCapError
 from fptopos.fincat import catalog
 from dataclasses import dataclass
@@ -45,10 +47,11 @@ from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
 from fptopos.presheaf import (NatTrans, _cap, _factor_all, _same_base,
-                              global_elements, make_from_generators,
-                              make_presheaf, nat_transformations, pel,
-                              product, sub_presheaf, subfunctors, terminal,
-                              two, yoneda)
+                              global_elements, is_isomorphic,
+                              make_from_generators, make_presheaf,
+                              nat_transformations, pel, product,
+                              sub_presheaf, subfunctors, terminal, two,
+                              yoneda)
 from fptopos.report import Countermodel, Result
 from fptopos.sublattice import (Subobject, complemented_subobjects,
                                 is_complemented, subobjects)
@@ -346,8 +349,9 @@ def brute_force_iso(X, Y):
 
 
 # ---------------------------------------------------------------------------
-# maps into 2 from the hom search, Π from them, and DQO and DSO by
-# listing every subfunctor
+# maps into 2 from the hom search, Sub_c, the condition that every map
+# into 2 factors through an epi, Π and its product comparison from them,
+# and DQO and DSO by listing every subfunctor
 
 def hom_search_maps_to_two(X, cap=DEFAULT_SIZE_CAP) -> list[NatTrans]:
     """Hom(X, 2) by the hom search; raises SizeCapError above cap."""
@@ -356,6 +360,38 @@ def hom_search_maps_to_two(X, cap=DEFAULT_SIZE_CAP) -> list[NatTrans]:
         raise SizeCapError("Hom(X,2) has %d elements (cap %d)"
                            % (len(homs), cap))
     return homs
+
+
+def hom_search_complemented_parts(X, cap=DEFAULT_SIZE_CAP) -> list[dict]:
+    """Sub_c(X) as the preimages of inl(*) under the maps X → 2 of the
+    hom search, ordered by their sorted stage parts."""
+    C = X.base
+    parts = [{c: frozenset(x for x in X.sets[c]
+                           if h.apply(c, x) == "inl(*)")
+              for c in C.objects}
+             for h in hom_search_maps_to_two(X, cap)]
+    return sorted(parts, key=lambda p: tuple(tuple(sorted(p[c]))
+                                             for c in C.objects))
+
+
+def two_inverting_by_hom_search(q) -> bool:
+    """Whether every map X → 2 of the hom search factors through q."""
+    return _factor_all(q, [h.components
+                           for h in hom_search_maps_to_two(q.dom)])
+
+
+def iso_pi_product_failures(corpus):
+    """The pairs (X, Y) of corpus objects with Π(X×Y) ≇ ΠX × ΠY, in
+    corpus order, by building Π(X×Y) and the product of the quotients
+    and searching for an iso between them."""
+    cap = corpus.cap
+    for X in corpus:
+        for Y in corpus:
+            P, _p1, _p2 = product(X, Y, cap)
+            rhs, _q1, _q2 = product(corpus.fact(pi, X).quotient,
+                                    corpus.fact(pi, Y).quotient, cap)
+            if not is_isomorphic(pi(P, cap).quotient, rhs):
+                yield X, Y
 
 
 def image_in_power_of_two(X, cap=DEFAULT_SIZE_CAP):

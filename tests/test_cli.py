@@ -200,7 +200,7 @@ def test_enumerate(capsys):
 def test_fiber_counts_with_timings(capsys):
     # --timings adds what the fiber conditions searched, beside the
     # corpus counts: on sierpinski at bound 2, 22 epis out of 8 domains,
-    # each domain's maps into 2 and into its 6 decidables found once.
+    # each domain's maps into the 6 decidables found once.
     code, rep = run_json(capsys, "verify", "lemma", "--base", "sierpinski",
                          "--bound", "2")
     assert code == 0 and rep["timings"] is None
@@ -210,7 +210,7 @@ def test_fiber_counts_with_timings(capsys):
     assert counts == {"candidate_tables_tried": 9, "prefixes_pruned": 2,
                       "leaves_validated": 8, "refined_keys": 8,
                       "epis_checked": 22, "fiber_checks": 142,
-                      "domain_hom_sets": 56}
+                      "domain_hom_sets": 48}
     for argv in (("verify", "props", "--base", "sierpinski", "--bound", "1"),
                  ("search-counterexample", "--base", "graph", "--bound",
                   "V=2,E=1", "--property", "pneumo-two-inverting-epis")):

@@ -12,7 +12,8 @@ from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
                                dec_is_topos_check, diagonal, is_connected,
-                               is_decidable, pi, pi_arrow, quotient,
+                               is_decidable, pi, pi_arrow,
+                               pi_product_failures, pi_sizes, quotient,
                                separated_reflection)
 from fptopos.errors import SizeCapError
 from fptopos.fincat import catalog
@@ -21,7 +22,6 @@ from fptopos.presheaf import (connected_components, global_elements,
                               make_from_generators, make_presheaf,
                               nat_transformations, product, sub_presheaf,
                               subfunctors, terminal, two)
-from fptopos.sublattice import maps_to_two
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -102,7 +102,7 @@ def test_pi_of_p2_is_terminal():
     assert is_epi(r.map)
     # every map to 2 factors through the quotient map
     from fptopos.presheaf import factor_through
-    for h in maps_to_two(P2):
+    for h in oracles.hom_search_maps_to_two(P2):
         assert factor_through(r.map, h) is not None
 
 
@@ -110,6 +110,37 @@ def test_pi_idempotent_on_corpus():
     for X in enumerate_presheaves(RG, 2):
         Q = pi(X).quotient
         assert is_isomorphic(pi(Q).quotient, Q)
+
+
+def test_pi_verdicts_from_sizes_match_the_iso_search():
+    # ΠX's stage sizes read off the components; ΠX ≅ 1 iff it has one
+    # element at every stage; ΠQ ≅ Q iff they have the same sizes.
+    for C, corpus in oracles.bound_two_corpora():
+        one = terminal(C)
+        for X in oracles.sample_objects(C, corpus):
+            Q = pi(X).quotient
+            assert pi_sizes(X) == Q.size_vector(), X
+            assert (Q.size_vector() == one.size_vector()) == \
+                is_isomorphic(Q, one), X
+            assert (pi_sizes(Q) == Q.size_vector()) == \
+                is_isomorphic(pi(Q).quotient, Q), X
+
+
+@pytest.mark.parametrize("base, bound, failing", [
+    ("point", 3, 0), ("two-discrete", 3, 0), ("sierpinski", 3, 0),
+    ("refgraph", 3, 0), ("graph", 3, 3222), ("graph", {"V": 2, "E": 2}, 59),
+    ("graph", {"V": 3, "E": 2}, 414)])
+def test_pi_product_failures_match_the_iso_search(base, bound, failing):
+    # Π(X×Y) ≇ ΠX × ΠY from the stage sizes against building Π(X×Y)
+    # and searching for an iso to the product of the quotients: the same
+    # pairs in the same order.  The cap is raised for the reference,
+    # which lists the 2^18 maps into 2 of a product on two-discrete.
+    corpus = enumerate_presheaves(catalog(base), bound, 10 ** 6)
+    got = [(X.name, Y.name) for X, Y in pi_product_failures(corpus)]
+    want = [(X.name, Y.name)
+            for X, Y in oracles.iso_pi_product_failures(corpus)]
+    assert got == want
+    assert len(got) == failing
 
 
 def test_pi_arrow_functoriality_on_sample():

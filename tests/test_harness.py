@@ -11,11 +11,13 @@ from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import is_decidable, pi
 from fptopos.errors import SizeCapError, UnknownName
 from fptopos.fincat import catalog
-from fptopos.harness import (PROPERTIES, SEARCHES, _first_witness,
-                             epi_conditions, fiber, lemma_report,
-                             props_report, search_counterexample)
-from fptopos.presheaf import (global_elements, is_isomorphic,
-                              make_presheaf, nat_transformations, terminal)
+from fptopos.harness import (PROPERTIES, SEARCHES, _corpus_epis,
+                             _first_witness, _inverts_two, epi_conditions,
+                             fiber, lemma_report, props_report,
+                             search_counterexample)
+from fptopos.presheaf import (connected_components, global_elements,
+                              is_isomorphic, make_presheaf,
+                              nat_transformations, terminal)
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -39,6 +41,43 @@ def test_epi_conditions_for_pi_quotient():
     q = pi(P2).map
     i, ii, iii = epi_conditions(q, decs)
     assert i and ii and iii
+
+
+@pytest.mark.parametrize("base, bound, inverting, not_inverting", [
+    ("two-discrete", 3, 100, 224), ("sierpinski", 3, 96, 178),
+    ("graph", {"V": 3, "E": 2}, 103, 75), ("refgraph", 3, 24, 10)])
+def test_two_inverting_epis_match_the_hom_search(base, bound, inverting,
+                                                 not_inverting):
+    # Every X → 2 factors through the epi q: X ↠ Y iff X and Y have
+    # equally many components, against factoring each map X → 2 that
+    # the hom search finds, on every epi of the lemma corpora.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    verdicts = [_inverts_two(q) for q in _corpus_epis(corpus)]
+    assert verdicts == [oracles.two_inverting_by_hom_search(q)
+                        for q in _corpus_epis(corpus)]
+    assert (verdicts.count(True), verdicts.count(False)) == \
+        (inverting, not_inverting)
+
+
+@pytest.mark.parametrize("base, bound, empty", [
+    ("refgraph", 3, 132), ("sierpinski", 2, 28),
+    ("graph", {"V": 2, "E": 2}, 44), ("two-discrete", 2, 49)])
+def test_fiber_components_match_the_maps_to_two(base, bound, empty):
+    # A fiber over a global point with k components has 2^k
+    # complemented parts, as many as its maps into 2 of the hom search,
+    # so it has a nontrivial one iff k > 1; k is 0 on empty fibers.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    counts = []
+    for X in corpus:
+        for Y in corpus:
+            points = global_elements(Y)
+            for f in nat_transformations(X, Y):
+                for b in points:
+                    F = fiber(f, b)
+                    k = connected_components(F)[1]
+                    assert 2 ** k == len(oracles.hom_search_maps_to_two(F))
+                    counts.append(k)
+    assert counts.count(0) == empty and max(counts) > 1
 
 
 def test_lemma_report_refgraph_small():

@@ -15,7 +15,7 @@ from fptopos.sublattice import (complemented_subobjects,
                                 empty_subobject, full_subobject,
                                 has_pneumoconnected_fibers, implication,
                                 is_complemented, is_nn_dense, join,
-                                maps_to_two, meet, negation, nn_closure,
+                                meet, negation, nn_closure,
                                 pc_masks, pneumoconnected_countermodel,
                                 subobjects)
 
@@ -59,9 +59,10 @@ def test_terminal_of_two_discrete_has_four_complemented_subobjects():
 
 
 def _same_maps_to_two(X):
-    got, want = maps_to_two(X), oracles.hom_search_maps_to_two(X)
-    assert [h.cod for h in got] == [h.cod for h in want], X
-    assert [h.components for h in got] == [h.components for h in want], X
+    # Sub_c(X), read off the components, against the preimages of inl(*)
+    # under the maps X → 2 of the hom search, in the same order.
+    assert [S.parts for S in complemented_subobjects(X)] == \
+        oracles.hom_search_complemented_parts(X), X
 
 
 CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
@@ -69,7 +70,7 @@ CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
 
 @pytest.mark.parametrize("base", CATALOG)
 def test_maps_to_two_match_the_hom_search_on_the_corpus(base):
-    # The same maps in the same order, on every bound-3 corpus object.
+    # The same parts in the same order, on every bound-3 corpus object.
     for X in enumerate_presheaves(catalog(base), 3):
         _same_maps_to_two(X)
 
@@ -93,20 +94,20 @@ def test_maps_to_two_match_the_hom_search_on_products(base, bound):
 
 def test_maps_to_two_of_the_empty_and_terminal_objects():
     for C in (RG, TD):
-        # No components: one map, the empty one.
-        assert [h.components for h in maps_to_two(initial(C))] == \
-            [{c: {} for c in C.objects}]
+        # No components: one part, the empty one.
+        assert [S.parts for S in complemented_subobjects(initial(C))] == \
+            [{c: frozenset() for c in C.objects}]
         _same_maps_to_two(initial(C))
         _same_maps_to_two(terminal(C))
-    assert len(maps_to_two(terminal(RG))) == 2
-    assert len(maps_to_two(terminal(TD))) == 4
+    assert len(complemented_subobjects(terminal(RG))) == 2
+    assert len(complemented_subobjects(terminal(TD))) == 4
 
 
 def test_maps_to_two_cap_counts_the_maps_before_building_them():
     with pytest.raises(SizeCapError,
                        match=r"Hom\(X,2\) has 4 elements \(cap 3\)"):
-        maps_to_two(terminal(TD), 3)
-    assert len(maps_to_two(terminal(TD), 4)) == 4
+        complemented_subobjects(terminal(TD), 3)
+    assert len(complemented_subobjects(terminal(TD), 4)) == 4
 
 
 def test_p2_has_two_complemented_subobjects():
