@@ -31,7 +31,7 @@ from .harness import (lemma_report, props_report, search_counterexample,
                       PROPERTIES, SEARCHES)
 from .precohesion import (check_precohesive, require_ns, theorem_ab_harness,
                           theorem_c_harness)
-from .report import Result
+from .report import Result, unknown_at_cap
 from .sublattice import complemented_subobjects, pneumoconnected_countermodel
 
 
@@ -241,7 +241,8 @@ def _cmd_verify(args) -> int:
         elif t == "D":
             # whether the two sides agree; dec-topos shows the witnesses
             r = dec_is_topos_check(corpus)
-            r = Result("holds" if r.holds() else "fails", [], r.details)
+            if r.verdict != "unknown-at-cap":
+                r = Result("holds" if r.holds() else "fails", [], r.details)
         elif t == "lemma":
             r, counts = lemma_report(corpus), corpus.stats
         else:
@@ -252,23 +253,32 @@ def _cmd_verify(args) -> int:
     return _emit(args, C.name, r, label, counts)
 
 
+@unknown_at_cap
+def _search(prop: str, corpus) -> Result:
+    """The search's witness; else unknown at the cap, naming the objects
+    a per-object check capped at, or none.  A cap hit elsewhere in the
+    search makes the whole search unknown at the cap."""
+    capped = []
+    w = search_counterexample(prop, corpus, capped)
+    if w is not None:
+        return Result("witness", [w])
+    if capped:
+        return Result("unknown-at-cap", [],
+                      {"capped": [X.name for X in capped]})
+    return Result("none")
+
+
 def _cmd_search(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
     corpus = enumerate_presheaves(C, args.bound, args.cap)
-    capped = []
-    w = search_counterexample(args.property, corpus, capped)
-    details = {"property": args.property}
-    if w is None:
-        if capped:
-            details["capped"] = [X.name for X in capped]
-        r = Result("unknown-at-cap" if capped else "none", [], details)
-        return _emit(args, C.name, r, label, corpus.stats)
-    details["recheck"] = ("fptopos search-counterexample --property %s "
-                          "--base %s --bound %s"
-                          % (args.property, args.base, args.raw_bound))
-    return _emit(args, C.name, Result("witness", [w], details), label,
-                 corpus.stats)
+    r = _search(args.property, corpus)
+    r.details["property"] = args.property
+    if r.verdict == "witness":
+        r.details["recheck"] = ("fptopos search-counterexample --property "
+                                "%s --base %s --bound %s"
+                                % (args.property, args.base, args.raw_bound))
+    return _emit(args, C.name, r, label, corpus.stats)
 
 
 def _cmd_enumerate(args) -> int:

@@ -9,20 +9,19 @@ and runs the two-sided equivalence harnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
 
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, check_ns, is_decidable, pi,
-                        pi_arrow, pi_product_failures, pi_sizes,
-                        presheaf_snippet, PiResult)
-from .errors import (AxiomPrereqFailed, PresheafError, SizeCapError,
+                        pi_arrow, pi_product_failures, presheaf_snippet,
+                        PiResult)
+from .errors import (AxiomPrereqFailed, PresheafError,
                      TriangleIdentityFailed)
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, _encode_nat, exponential,
                        factor_through, identity_nat, inclusion_of,
                        is_epi, make_presheaf,
-                       nat_transformations, terminal, yoneda, yoneda_arrow)
-from .report import Result
+                       nat_transformations, yoneda, yoneda_arrow)
+from .report import Result, unknown_at_cap
 from .sublattice import Subobject, is_nn_dense
 
 
@@ -293,19 +292,7 @@ def build_adjoint_string(corpus: Corpus) -> AdjointString:
     return adj
 
 
-def _unknown_at_cap(check):
-    """The corpus check, with a size-cap hit reported as "unknown-at-cap"
-    and the cap's message in `details["capped"]`."""
-    @wraps(check)
-    def capped(corpus: Corpus) -> Result:
-        try:
-            return check(corpus)
-        except SizeCapError as exc:
-            return Result("unknown-at-cap", [], {"capped": str(exc)})
-    return capped
-
-
-@_unknown_at_cap
+@unknown_at_cap
 def check_precohesive(corpus: Corpus) -> Result:
     """The four precohesion conditions over the bounded corpus."""
     return _precohesion(corpus)[0]
@@ -322,10 +309,8 @@ def _precohesion(corpus: Corpus):
         return _not_applicable("triangle identity: %s" % exc), None
     witnesses = {}
 
-    # Product preservation: Π(X×Y) ≅ ΠX × ΠY for all pairs, Π(1) ≅ 1.
-    one = terminal(corpus.base)
-    if pi_sizes(one) != one.size_vector():
-        witnesses["products"] = ["1"]
+    # Product preservation: Π(X×Y) ≅ ΠX × ΠY for all pairs.  Π(1) ≅ 1
+    # by construction: 1 has one element at each stage, so Π(1) does.
     for X, Y in pi_product_failures(corpus):
         witnesses.setdefault("products", []).append([X.name, Y.name])
     # Nullstellensatz: θ_X = p_X ∘ ι: f_*X → ΠX epic.
@@ -351,7 +336,7 @@ def _not_applicable(reason: str) -> Result:
     return Result("not-applicable", [], {"failed_prereq": reason})
 
 
-@_unknown_at_cap
+@unknown_at_cap
 def theorem_c_harness(corpus: Corpus) -> Result:
     """Two-sided check: (DQO ∧ DSO over the corpus) versus the
     precohesion verdict, plus the forward-direction ingredients (the
@@ -383,7 +368,7 @@ def theorem_c_harness(corpus: Corpus) -> Result:
                    "checks": checks})
 
 
-@_unknown_at_cap
+@unknown_at_cap
 def theorem_ab_harness(corpus: Corpus) -> Result:
     """Reflection and exponential-ideal checks: (A) Π is left adjoint to
     the inclusion and preserves finite products; (B) Yˣ stays decidable

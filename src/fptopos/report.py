@@ -1,9 +1,13 @@
-"""The one result type of every check and every command, and the
-countermodel that the formula checks return."""
+"""The one result type of every check and every command, the wrapper
+that turns a size-cap hit into a verdict, and the countermodel that the
+formula checks return."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
+
+from .errors import SizeCapError
 
 # Verdicts that pass (exit code 0); any other verdict exits 1.
 PASSING = frozenset({"holds", "holds-at-bound", "agree", "precohesive",
@@ -22,6 +26,18 @@ class Result:
 
     def holds(self) -> bool:
         return self.verdict in PASSING
+
+
+def unknown_at_cap(check):
+    """The whole check, with a size-cap hit anywhere in it reported as
+    "unknown-at-cap" and the cap's message in `details["capped"]`."""
+    @wraps(check)
+    def capped(*args, **kwargs) -> Result:
+        try:
+            return check(*args, **kwargs)
+        except SizeCapError as exc:
+            return Result("unknown-at-cap", [], {"capped": str(exc)})
+    return capped
 
 
 @dataclass

@@ -1,22 +1,23 @@
-"""The Heyting algebra of subobjects of a presheaf, complemented parts,
-and pneumoconnected fibers.
+"""Complemented and ¬¬-dense parts of a presheaf, and pneumoconnected
+fibers.
 
 Subobjects are canonicalized as subfunctors (stage-wise part sets), so
-equality inside one ambient presheaf is structural.  Negation is computed
-by the stage-wise quantifier formula; the tests cross-validate it against
-the internal-logic reading.  Complemented parts are read off the
-components of the category of elements, and so is the object of
-complemented parts P_c(X) that the fiber condition of an arrow
-quantifies over.
+equality inside one ambient presheaf is structural.  ¬¬ is the dense
+topology of a presheaf topos: ¬S holds the elements none of whose
+restrictions lie in S, so whether S is complemented or ¬¬-dense is read
+off the restriction tables, with no Heyting operation built.
+Complemented parts are read off the components of the category of
+elements, and so is the object of complemented parts P_c(X) that the
+fiber condition of an arrow quantifies over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
+from .errors import SizeCapError, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, _UnionFind, _cap,
-                       connected_components, subfunctors)
+                       connected_components)
 from .report import Countermodel
 
 
@@ -50,75 +51,41 @@ class Subobject:
     def is_empty(self) -> bool:
         return all(not self.parts[c] for c in self.ambient.base.objects)
 
-    def leq(self, other: "Subobject") -> bool:
-        _same_ambient(self, other)
-        return all(self.parts[c] <= other.parts[c]
-                   for c in self.ambient.base.objects)
-
     def __repr__(self):
         body = "; ".join("%s:{%s}" % (c, ",".join(sorted(self.parts[c])))
                          for c in self.ambient.base.objects)
         return "<Sub %s>" % body
 
 
-def _same_ambient(S: Subobject, T: Subobject):
-    if S.ambient is not T.ambient:
-        raise AmbientMismatch("subobjects of different ambient presheaves")
-
-
-def full_subobject(X: Presheaf) -> Subobject:
-    return Subobject(X, {c: frozenset(X.sets[c]) for c in X.base.objects})
-
-
-def empty_subobject(X: Presheaf) -> Subobject:
-    return Subobject(X, {c: frozenset() for c in X.base.objects})
-
-
-def subobjects(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
-    """All subobjects of X, duplicate-free, deterministic order."""
-    return [Subobject(X, parts) for parts in subfunctors(X, cap)]
-
-
-def meet(S: Subobject, T: Subobject) -> Subobject:
-    _same_ambient(S, T)
-    return Subobject(S.ambient, {c: S.parts[c] & T.parts[c]
-                                 for c in S.ambient.base.objects})
-
-
-def join(S: Subobject, T: Subobject) -> Subobject:
-    _same_ambient(S, T)
-    return Subobject(S.ambient, {c: S.parts[c] | T.parts[c]
-                                 for c in S.ambient.base.objects})
-
-
-def implication(S: Subobject, T: Subobject) -> Subobject:
-    """Heyting implication: x at stage c is in (S ⇒ T) iff every
-    restriction of x landing in S also lands in T."""
-    _same_ambient(S, T)
+def _meets(S: Subobject, c: str, x: str) -> bool:
+    """Whether some restriction x·m of x ∈ X(c) lies in S."""
     X = S.ambient
-    C = X.base
-    parts = {}
-    for c in C.objects:
-        keep = set()
-        for x in X.sets[c]:
-            ok = True
-            for m in C.arrows_into(c):
-                y = X.act(m, x)
-                if y in S.parts[C.dom(m)] and y not in T.parts[C.dom(m)]:
-                    ok = False
-                    break
-            if ok:
-                keep.add(x)
-        parts[c] = frozenset(keep)
-    return Subobject(X, parts)
-
-
-def negation(S: Subobject) -> Subobject:
-    return implication(S, empty_subobject(S.ambient))
+    dom = X.base.dom
+    return any(X.act(m, x) in S.parts[dom(m)]
+               for m in X.base.arrows_into(c))
 
 
 def is_complemented(S: Subobject) -> bool:
-    return join(S, negation(S)).is_full()
+    """S ∨ ¬S = X.  ¬S holds the elements with no restriction in S, and
+    S is closed under restriction, so this holds iff no element outside
+    S has a restriction in S."""
+    X = S.ambient
+    return not any(_meets(S, c, x) for c in X.base.objects
+                   for x in X.sets[c] if x not in S.parts[c])
+
+
+def is_nn_dense(S: Subobject) -> bool:
+    """¬¬S = X iff ¬S = 0: every element has a restriction in S."""
+    X = S.ambient
+    return all(_meets(S, c, x) for c in X.base.objects for x in X.sets[c])
+
+
+def is_nn_dense_arrow(f: NatTrans) -> bool:
+    """An arrow is ¬¬-dense iff the ¬¬-closure of its image is the whole
+    codomain."""
+    img = Subobject(f.cod, {c: frozenset(f.components[c].values())
+                            for c in f.cod.base.objects})
+    return is_nn_dense(img)
 
 
 # The elements of 2 = 1+1 at every stage, as `two` names them.
@@ -154,22 +121,6 @@ def complemented_subobjects(X: Presheaf,
     subs.sort(key=lambda S: tuple(tuple(sorted(S.parts[c]))
                                   for c in C.objects))
     return subs
-
-
-def nn_closure(S: Subobject) -> Subobject:
-    return negation(negation(S))
-
-
-def is_nn_dense(S: Subobject) -> bool:
-    return nn_closure(S).is_full()
-
-
-def is_nn_dense_arrow(f: NatTrans) -> bool:
-    """An arrow is ¬¬-dense iff the ¬¬-closure of its image is the whole
-    codomain."""
-    img = Subobject(f.cod, {c: frozenset(f.components[c].values())
-                            for c in f.cod.base.objects})
-    return is_nn_dense(img)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,11 @@ pneumoconnected-fiber condition checked on its relation tables and its
 formula evaluated by the forcing interpreter, as the references for
 P_c(X) on component masks and the fiber check on masks, and a
 complemented diagonal as the reference for decidability read off the
-restriction maps, and the subobject classifier Ω built from sieves as
-the reference for subobject counts.
+restriction maps, the Heyting algebra of subobjects, the diagonal
+X ↣ X×X, quotients by a congruence on X×X and the separated reflection
+built from them as the reference for complemented and ¬¬-dense parts
+and ¬¬-equality read off the restriction tables, and the subobject
+classifier Ω built from sieves as the reference for subobject counts.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ import itertools
 import random
 
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (_is_equivalence, check_dqo, diagonal,
-                               is_decidable, pi, presheaf_snippet, quotient)
-from fptopos.errors import DEFAULT_SIZE_CAP, PresheafError, SizeCapError
+from fptopos.decidable import (_is_equivalence, check_dqo, is_decidable, pi,
+                               presheaf_snippet)
+from fptopos.errors import (AmbientMismatch, DEFAULT_SIZE_CAP, PresheafError,
+                            SizeCapError)
 from fptopos.fincat import catalog
 from dataclasses import dataclass
 
@@ -50,11 +54,10 @@ from fptopos.presheaf import (NatTrans, _cap, _factor_all, _same_base,
                               global_elements, is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, pel, product,
-                              sub_presheaf, subfunctors, terminal, two,
-                              yoneda)
+                              quotient_by_pairs, sub_presheaf, subfunctors,
+                              terminal, two, yoneda)
 from fptopos.report import Countermodel, Result
-from fptopos.sublattice import (Subobject, complemented_subobjects,
-                                is_complemented, subobjects)
+from fptopos.sublattice import Subobject, complemented_subobjects
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +565,121 @@ def power_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
 
 
 # ---------------------------------------------------------------------------
+# the Heyting algebra of subobjects, the diagonal X ↣ X×X, quotients by a
+# congruence on X×X, and the separated reflection built from them, as the
+# reference for complemented and ¬¬-dense parts and ¬¬-equality read off
+# the restriction tables
+
+def leq(S: Subobject, T: Subobject) -> bool:
+    _same_ambient(S, T)
+    return all(S.parts[c] <= T.parts[c]
+               for c in S.ambient.base.objects)
+
+
+def _same_ambient(S: Subobject, T: Subobject):
+    if S.ambient is not T.ambient:
+        raise AmbientMismatch("subobjects of different ambient presheaves")
+
+
+def full_subobject(X) -> Subobject:
+    return Subobject(X, {c: frozenset(X.sets[c]) for c in X.base.objects})
+
+
+def empty_subobject(X) -> Subobject:
+    return Subobject(X, {c: frozenset() for c in X.base.objects})
+
+
+def subobjects(X, cap: int = DEFAULT_SIZE_CAP) -> list[Subobject]:
+    """All subobjects of X, duplicate-free, deterministic order."""
+    return [Subobject(X, parts) for parts in subfunctors(X, cap)]
+
+
+def meet(S: Subobject, T: Subobject) -> Subobject:
+    _same_ambient(S, T)
+    return Subobject(S.ambient, {c: S.parts[c] & T.parts[c]
+                                 for c in S.ambient.base.objects})
+
+
+def join(S: Subobject, T: Subobject) -> Subobject:
+    _same_ambient(S, T)
+    return Subobject(S.ambient, {c: S.parts[c] | T.parts[c]
+                                 for c in S.ambient.base.objects})
+
+
+def implication(S: Subobject, T: Subobject) -> Subobject:
+    """Heyting implication: x at stage c is in (S ⇒ T) iff every
+    restriction of x landing in S also lands in T."""
+    _same_ambient(S, T)
+    X = S.ambient
+    C = X.base
+    parts = {}
+    for c in C.objects:
+        keep = set()
+        for x in X.sets[c]:
+            ok = True
+            for m in C.arrows_into(c):
+                y = X.act(m, x)
+                if y in S.parts[C.dom(m)] and y not in T.parts[C.dom(m)]:
+                    ok = False
+                    break
+            if ok:
+                keep.add(x)
+        parts[c] = frozenset(keep)
+    return Subobject(X, parts)
+
+
+def negation(S: Subobject) -> Subobject:
+    return implication(S, empty_subobject(S.ambient))
+
+
+def is_complemented(S: Subobject) -> bool:
+    return join(S, negation(S)).is_full()
+
+
+def nn_closure(S: Subobject) -> Subobject:
+    return negation(negation(S))
+
+
+def is_nn_dense(S: Subobject) -> bool:
+    return nn_closure(S).is_full()
+
+
+def diagonal(X, cap=DEFAULT_SIZE_CAP):
+    """The diagonal Δ_X ↣ X×X as a subobject of the product."""
+    P, _p1, _p2 = product(X, X, cap)
+    parts = {c: frozenset(pel(x, x) for x in X.sets[c])
+             for c in X.base.objects}
+    return P, Subobject(P, parts)
+
+
+def quotient(X, R: Subobject):
+    """Exact quotient of X by a congruence R ↣ X×X (pointwise set
+    quotient)."""
+    pairs = {}
+    for c in X.base.objects:
+        pairs[c] = [(x, y) for x in X.sets[c] for y in X.sets[c]
+                    if pel(x, y) in R.parts[c]]
+    return quotient_by_pairs(X, pairs)
+
+
+def heyting_separated_reflection(X, cap=DEFAULT_SIZE_CAP):
+    """Quotient of X by the ¬¬-closure of its diagonal in Sub(X×X),
+    checked separated by closing the diagonal of M in Sub(M×M)."""
+    _P, delta = diagonal(X, cap)
+    closed = nn_closure(delta)
+    if not _is_equivalence(X, closed.parts):
+        raise PresheafError("NotFunctorial",
+                            "¬¬Δ is not a stage-wise equivalence relation")
+    M, m = quotient(X, closed)
+    M.name = "M(%s)" % (X.name or "X")
+    _PM, deltaM = diagonal(M, cap)
+    if nn_closure(deltaM) != deltaM:
+        raise PresheafError("NotFunctorial",
+                            "separated reflection is not separated")
+    return M, m
+
+
+# ---------------------------------------------------------------------------
 # decidability as the definition states it: the diagonal is complemented
 
 def diagonal_is_complemented(X, cap=DEFAULT_SIZE_CAP) -> bool:
@@ -745,3 +863,18 @@ def sample_objects(C, corpus) -> list:
     first = corpus[:6]
     return corpus + [terminal(C), two(C)[0]] + \
         [product(A, B)[0] for A in first for B in first]
+
+
+# The corpora the restriction-table reads of `sublattice` and
+# `separated_reflection` are compared with the Heyting operations on.
+LATTICE_BOUNDS = (("point", 3), ("two-discrete", 3), ("sierpinski", 4),
+                  ("graph", 3), ("refgraph", 4))
+
+
+def lattice_objects():
+    """The corpora of LATTICE_BOUNDS, then the sample objects of the
+    bound-2 corpora."""
+    for name, bound in LATTICE_BOUNDS:
+        yield from enumerate_presheaves(catalog(name), bound)
+    for C, corpus in bound_two_corpora():
+        yield from sample_objects(C, corpus)

@@ -153,7 +153,8 @@ def test_criterion_11_forcing_soundness_and_monotonicity():
     with criterion(11, 120, "forcing = classical on the point; 1000 "
                             "monotonicity triples"):
         from fptopos.forcing import (Bot, Eq, Mem, SubConst, Top, VarT)
-        from fptopos.sublattice import Subobject, subobjects
+        from fptopos.sublattice import Subobject
+        from oracles import subobjects
 
         for size in (1, 2):
             X = make_presheaf(PT, {"*": tuple("ab"[:size])}, {}, "X")

@@ -125,6 +125,39 @@ def test_props_cap_hit_is_unknown_for_that_property_only(capsys):
     assert set(props.values()) == {True, "unknown-at-cap"}
 
 
+def test_lemma_cap_hit_is_unknown_at_cap(capsys):
+    # P_c of a corpus object passes the cap: the lemma's verdict is
+    # unknown at the cap, with the cap's message, not an exit-2 error.
+    code, rep = run_json(capsys, "verify", "lemma", "--base", "sierpinski",
+                         "--bound", "3", "--cap", "4")
+    assert code == 1 and rep["verdict"] == "unknown-at-cap"
+    assert rep["details"] == {"capped": "Hom(X,2) has 8 elements (cap 4)"}
+
+
+def test_dec_topos_cap_hit_is_unknown_at_cap(capsys):
+    # The subfunctors of a decidable corpus object pass the cap; verify D
+    # keeps the verdict instead of turning it into "fails".
+    for argv in (("dec-topos",), ("verify", "D")):
+        code, rep = run_json(capsys, *argv, "--bound", "3", "--cap", "3")
+        assert code == 1 and rep["verdict"] == "unknown-at-cap", argv
+        assert rep["details"] == {"capped": "more than 3 subfunctors (cap)"}
+
+
+@pytest.mark.parametrize("prop", [
+    "lemma-equivalences", "pi-product-preservation", "pneumo-pi-quotients",
+    "pneumo-separated-reflections", "pneumo-two-inverting-epis"])
+def test_search_cap_hit_is_unknown_at_cap(capsys, prop):
+    # A search that is not a per-object check reports a cap hit anywhere
+    # in it as unknown at the cap, with the cap's message.
+    code, rep = run_json(capsys, "search-counterexample", "--base",
+                         "sierpinski", "--bound", "3", "--cap", "4",
+                         "--property", prop)
+    assert code == 1 and rep["verdict"] == "unknown-at-cap"
+    assert rep["witnesses"] == []
+    assert rep["details"] == {"capped": "Hom(X,2) has 8 elements (cap 4)",
+                              "property": prop}
+
+
 def test_props_witnesses_name_their_property(capsys):
     from fptopos.decidable import is_connected, pi
     from fptopos.fincat import catalog

@@ -11,17 +11,19 @@ from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
-                               dec_is_topos_check, diagonal, is_connected,
+                               dec_is_topos_check, is_connected,
                                is_decidable, pi, pi_arrow,
-                               pi_product_failures, pi_sizes, quotient,
+                               pi_product_failures, pi_sizes,
                                separated_reflection)
 from fptopos.errors import SizeCapError
+from fptopos.files import resolve_base
 from fptopos.fincat import catalog
 from fptopos.presheaf import (connected_components, global_elements,
                               initial, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, product, sub_presheaf,
                               subfunctors, terminal, two)
+from oracles import diagonal, quotient
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -311,6 +313,36 @@ def test_separated_reflection():
     # decidable objects are already separated
     M3, m3 = separated_reflection(D2)
     assert is_isomorphic(M3, D2)
+
+
+def test_separated_reflection_builds_no_product():
+    # ¬¬-equality is read off the restriction tables, so a cap below the
+    # size of L×L does not stop it.
+    M, m = separated_reflection(L, cap=2)
+    assert M.size_vector() == (1, 1)
+    assert is_epi(m)
+
+
+def test_separated_reflection_matches_the_heyting_oracle():
+    # The quotient by ¬¬-equality against the quotient by the
+    # ¬¬-closure of the diagonal in Sub(X×X), checked separated in
+    # Sub(M×M): the same tables, ids and map.
+    checked = 0
+    for X in oracles.lattice_objects():
+        M, m = separated_reflection(X)
+        want, q = oracles.heyting_separated_reflection(X)
+        assert (M.name, M.sets, M.actions) == \
+            (want.name, want.sets, want.actions), X
+        assert m.components == q.components, X
+        checked += 1
+    assert checked == 324
+
+
+@pytest.mark.parametrize("base", CATALOG + ("samples/refgraph.cat",))
+def test_pi_of_terminal_is_one_at_every_stage(base):
+    # ∫1 ≅ C, and each stage of 1 has one element, so Π(1) ≅ 1.
+    C = resolve_base(base)
+    assert pi_sizes(terminal(C)) == (1,) * len(C.objects)
 
 
 def test_dec_topos_two_sided_agreement():

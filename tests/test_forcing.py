@@ -17,10 +17,10 @@ from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
 from fptopos.presheaf import (is_epi, make_presheaf, nat_transformations,
                               pairing, product, terminal)
 from fptopos.sublattice import (Subobject, has_pneumoconnected_fibers,
-                                pc_masks, pneumoconnected_countermodel,
-                                subobjects)
+                                pc_masks, pneumoconnected_countermodel)
 
 import oracles
+from oracles import subobjects
 
 PT = catalog("point")
 RG = catalog("refgraph")

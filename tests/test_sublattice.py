@@ -10,14 +10,14 @@ from fptopos.corpus import enumerate_presheaves
 from fptopos.errors import AmbientMismatch, SizeCapError, DEFAULT_SIZE_CAP
 from fptopos.fincat import catalog
 from fptopos.presheaf import (initial, is_epi, nat_transformations,
-                              pairing, product, terminal, yoneda)
-from fptopos.sublattice import (complemented_subobjects,
-                                empty_subobject, full_subobject,
-                                has_pneumoconnected_fibers, implication,
-                                is_complemented, is_nn_dense, join,
-                                meet, negation, nn_closure,
-                                pc_masks, pneumoconnected_countermodel,
-                                subobjects)
+                              pairing, product, subfunctors, terminal,
+                              yoneda)
+from fptopos.sublattice import (Subobject, complemented_subobjects,
+                                has_pneumoconnected_fibers, is_complemented,
+                                is_nn_dense, is_nn_dense_arrow, pc_masks,
+                                pneumoconnected_countermodel)
+from oracles import (empty_subobject, full_subobject, implication, join,
+                     leq, meet, negation, nn_closure, subobjects)
 
 RG = catalog("refgraph")
 TD = catalog("two-discrete")
@@ -29,7 +29,7 @@ def test_lattice_bounds():
     top = full_subobject(P2)
     bot = empty_subobject(P2)
     for S in subobjects(P2):
-        assert bot.leq(S) and S.leq(top)
+        assert leq(bot, S) and leq(S, top)
         assert meet(S, top) == S and join(S, bot) == S
 
 
@@ -39,7 +39,7 @@ def test_heyting_adjunction():
     for S in subs:
         for T in subs:
             for U in subs:
-                assert meet(S, T).leq(U) == S.leq(implication(T, U))
+                assert leq(meet(S, T), U) == leq(S, implication(T, U))
 
 
 def test_negation_of_vertex_part_of_l():
@@ -50,6 +50,48 @@ def test_negation_of_vertex_part_of_l():
     assert not is_complemented(vert)
     assert nn_closure(vert) == full_subobject(L)
     assert is_nn_dense(vert)
+
+
+def test_complemented_and_dense_reads_match_the_heyting_oracle():
+    # S ∨ ¬S = X and ¬¬S = X read off the restriction tables, against
+    # the negation and join of the Heyting algebra of subobjects, on
+    # every subfunctor of the corpora and sample objects.
+    checked, seen = 0, set()
+    for X in oracles.lattice_objects():
+        for parts in subfunctors(X):
+            S = Subobject(X, parts)
+            got = (is_complemented(S), is_nn_dense(S))
+            assert got == (oracles.is_complemented(S),
+                           oracles.is_nn_dense(S)), S
+            seen.add(got)
+            checked += 1
+    assert checked == 3707
+    assert len(seen) == 4
+
+
+# The arrows between bound-3 corpus objects of each catalog base, and
+# how many of them are ¬¬-dense.
+DENSE_ARROWS = {"point": (60, 18), "two-discrete": (3600, 324),
+                "sierpinski": (3203, 1065), "graph": (23112, 5950),
+                "refgraph": (186, 80)}
+
+
+@pytest.mark.parametrize("base", sorted(DENSE_ARROWS))
+def test_dense_arrow_reads_match_the_heyting_oracle(base):
+    # An arrow is ¬¬-dense iff every element of its codomain has a
+    # restriction in the image, against the ¬¬-closure of the image.
+    corpus = list(enumerate_presheaves(catalog(base), 3))
+    arrows = dense = 0
+    for X in corpus:
+        for Y in corpus:
+            for f in nat_transformations(X, Y):
+                image = Subobject(Y, {c: frozenset(f.components[c].values())
+                                      for c in Y.base.objects})
+                got = is_nn_dense_arrow(f)
+                assert got == oracles.is_nn_dense(image), f
+                arrows += 1
+                dense += got
+    assert (arrows, dense) == DENSE_ARROWS[base]
 
 
 def test_terminal_of_two_discrete_has_four_complemented_subobjects():
@@ -231,11 +273,11 @@ def test_nn_closure_is_a_closure_operator():
     subs = subobjects(P2)
     for S in subs:
         cl = nn_closure(S)
-        assert S.leq(cl)
+        assert leq(S, cl)
         assert nn_closure(cl) == cl
         for T in subs:
-            if S.leq(T):
-                assert cl.leq(nn_closure(T))
+            if leq(S, T):
+                assert leq(cl, nn_closure(T))
 
 
 def test_complemented_parts_are_nn_closed():
