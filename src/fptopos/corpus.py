@@ -327,8 +327,9 @@ def enumerate_presheaves(C: FinCategory, bounds,
             stats["refined_keys"] += 1
             key, colours = _refined_key(C, vector, tables)
             bucket = buckets.setdefault(key, [])
-            if not any(_hom_search(X, R, True, _same_colour(X, colours, R, rc))
-                       for R, rc in bucket):
+            if all(next(_hom_search(X, R, True,
+                                    _same_colour(X, colours, R, rc)),
+                        None) is None for R, rc in bucket):
                 bucket.append((X, colours))
                 ordered.append(X)
     for i, X in enumerate(ordered):

@@ -1,8 +1,9 @@
 """Everything about dec(E) inside one finite presheaf topos.
 
-Decidability tests, the exact NS decision, the decidable-quotient
-reflection and the DQO checker, connectedness, the DSO checker,
-congruence closure, and the ¬¬-separated reflection.
+Decidability tests, the maps into a decidable object one component at
+a time and the exponential ideal read from them, the exact NS decision,
+the decidable-quotient reflection and the DQO checker, connectedness,
+the DSO checker, congruence closure, and the ¬¬-separated reflection.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import TYPE_CHECKING, Iterator
 from .errors import PresheafError, SizeCapError, DEFAULT_SIZE_CAP
 from .fincat import FinCategory
 from .presheaf import (NatTrans, Presheaf, _UnionFind, connected_components,
-                       factor_through, global_elements, is_epi,
-                       make_presheaf, nat_transformations, pel, product,
-                       quotient_by_pairs, sub_presheaf, subfunctors, yoneda)
+                       factor_through, global_elements, homs, is_epi,
+                       make_presheaf, pel, product, quotient_by_pairs,
+                       sub_presheaf, subfunctors, yoneda)
 from .report import Result, unknown_at_cap
 from .sublattice import (SIDES, Subobject, is_complemented,
                          is_nn_dense_arrow, two_components)
@@ -45,6 +46,74 @@ def is_decidable(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> bool:
     return all(len(set(table.values())) == len(table)
                for m, table in X.actions.items()
                if not X.base.is_identity(m))
+
+
+def component_maps(X: Presheaf, D: Presheaf, comp) -> list[list[dict]]:
+    """The maps into the decidable D from each component of ∫X, numbered
+    as in `comp` (from `connected_components`), each as stage → {element:
+    value} over its component; Hom(X, D) is their product.  D(m) is
+    injective, so a map is fixed by its value at the component's first
+    element, propagated forwards along D(m) and back along D(m)⁻¹."""
+    C = X.base
+    near = {c: {x: [] for x in X.sets[c]} for c in C.objects}
+    for m in C.nonidentity_morphisms():
+        d, c = C.morphisms[m]
+        back = {v: u for u, v in D.actions[m].items()}
+        for x, u in X.actions[m].items():
+            near[c][x].append((d, u, D.actions[m].get))
+            near[d][u].append((c, x, back.get))
+    roots = {}
+    for c, x in X.elements():
+        roots.setdefault(comp[c][x], (c, x))
+    factors = []
+    for c0, x0 in roots.values():
+        maps = []
+        for y0 in D.sets[c0]:
+            f = {c: {} for c in C.objects}
+            f[c0][x0] = y0
+            stack, ok = [(c0, x0, y0)], True
+            while stack and ok:
+                c, x, v = stack.pop()
+                for d, u, step in near[c][x]:
+                    w, old = step(v), f[d].get(u)
+                    if w is None or old not in (None, w):
+                        ok = False
+                        break
+                    if old is None:
+                        f[d][u] = w
+                        stack.append((d, u, w))
+            if ok:
+                maps.append(f)
+        factors.append(maps)
+    return factors
+
+
+def exponential_is_decidable(X: Presheaf, Y: Presheaf,
+                             cap: int = DEFAULT_SIZE_CAP) -> bool:
+    """Whether Y^X is decidable, for decidable Y, without building it.
+    Y^X(c) = Hom(y(c)×X, Y) is the product over the components of
+    ∫(y(c)×X) of their maps into Y, and Y^X(m) for m: b → c restricts
+    along y(m)×X, which fixes a map on each component meeting its image
+    (the elements (m∘g, x)).  So Y^X(m) is injective iff Hom(y(c)×X, Y)
+    is empty or each component missing the image has at most one map."""
+    C = X.base
+    # c -> (components of y(c)×X, those with 2+ maps into Y; none if a
+    # component has no map, as Hom(y(c)×X, Y) is then empty)
+    stages = {}
+    for c in C.objects:
+        B, _p1, _p2 = product(yoneda(C, c), X, cap)
+        comp, _k = connected_components(B)
+        counts = [len(maps) for maps in component_maps(B, Y, comp)]
+        free = {i for i, n in enumerate(counts) if n > 1}
+        stages[c] = comp, free if all(counts) else set()
+    for m in C.nonidentity_morphisms():
+        b, c = C.morphisms[m]
+        comp, free = stages[c]
+        hit = {comp[d][pel(C.compose(m, g), x)] for d in C.objects
+               for g in C.hom(d, b) for x in X.sets[d]}
+        if free - hit:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +391,11 @@ def _nn_equal(X: Presheaf) -> dict[str, list[tuple[str, str]]]:
 
 
 def separated_reflection(X: Presheaf, cap: int = DEFAULT_SIZE_CAP):
-    """Quotient of X by ¬¬-equality; the result is ¬¬-separated and the
-    map is the separated reflection.  The cap is unused, as no product
-    is built."""
+    """Quotient of X by ¬¬-equality; the map is the separated
+    reflection.  The cap is unused, as no product is built."""
     M, m = quotient_by_pairs(X, _nn_equal(X))
+    # Separated: ¬¬-equality is ¬¬-closed, so ¬¬-equal classes are equal.
     M.name = "M(%s)" % (X.name or "X")
-    # Separatedness: ¬¬-equality on M is equality.
-    if any(u != v for pairs in _nn_equal(M).values() for u, v in pairs):
-        raise PresheafError("NotFunctorial",
-                            "separated reflection is not separated")
     return M, m
 
 
@@ -360,7 +425,7 @@ def dec_is_topos_check(corpus: Corpus) -> Result:
     right_witness = None
     for X in corpus:
         for Y in corpus:
-            for f in nat_transformations(X, Y):
+            for f in homs(X, Y):
                 if not is_nn_dense_arrow(f):
                     continue
                 pf = pi_arrow(f, cap, corpus.fact(pi, X),

@@ -11,14 +11,15 @@ from __future__ import annotations
 from functools import partial
 
 from .corpus import Corpus
-from .decidable import (check_dqo, check_dso, first_failure, is_connected,
+from .decidable import (check_dqo, check_dso, component_maps,
+                        exponential_is_decidable, first_failure, is_connected,
                         is_decidable, pi, pi_product_failures, pi_sizes,
                         presheaf_snippet, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .presheaf import (NatTrans, Presheaf, _factor_all, connected_components,
-                       exponential, global_elements, inclusion_of, is_epi,
-                       nat_transformations, pairing, product, pullback,
-                       sub_presheaf, subfunctors, terminal)
+from .presheaf import (NatTrans, Presheaf, connected_components,
+                       global_elements, homs, inclusion_of, is_epi, pairing,
+                       product, pullback, sub_presheaf, subfunctors,
+                       terminal)
 from .report import Result, unknown_at_cap
 from .sublattice import has_pneumoconnected_fibers, pc_masks
 
@@ -54,12 +55,43 @@ def _fiber_stats(corpus: Corpus) -> dict:
 
 
 def _domain_maps(X: Presheaf, decidables: list[Presheaf],
-                 stats: dict | None = None) -> list:
-    """The components of the maps from X to each decidable in order."""
+                 stats: dict | None = None) -> tuple:
+    """The components of ∫X, and for each decidable D with a map X → D
+    the maps into D from each component (`component_maps`): Hom(X, D)
+    is their product, and empty if one of them is."""
     if stats is not None:
         stats["domain_hom_sets"] += len(decidables)
-    return [h.components for Z in decidables
-            for h in nat_transformations(X, Z)]
+    comp, _k = connected_components(X)
+    factors = (component_maps(X, D, comp) for D in decidables)
+    return comp, [maps for maps in factors if all(maps)]
+
+
+def _factors_all(q: NatTrans, domain_maps: tuple) -> bool:
+    """Whether every map from q's domain to a decidable factors through
+    q, given the domain's maps: q is epi and each map is constant on q's
+    fibers; true when there are no maps.  A map is a choice per
+    component, so on a fiber pair (x, x0) in one component every choice
+    must agree, and across two components both value sets must be one
+    and the same value."""
+    comp, factors = domain_maps
+    if not factors:
+        return True
+    if not is_epi(q):
+        return False
+    for c, table in q.components.items():
+        first = {}
+        for x, y in table.items():
+            x0 = first.setdefault(y, x)
+            i, j = comp[c][x], comp[c][x0]
+            for maps in factors:
+                if i == j:
+                    if any(f[c][x] != f[c][x0] for f in maps[i]):
+                        return False
+                    continue
+                values = {f[c][x] for f in maps[i]}
+                if len(values) > 1 or values != {f[c][x0] for f in maps[j]}:
+                    return False
+    return True
 
 
 def _inverts_two(q: NatTrans) -> bool:
@@ -70,12 +102,12 @@ def _inverts_two(q: NatTrans) -> bool:
     return connected_components(q.dom)[1] == connected_components(q.cod)[1]
 
 
-def _conditions(q: NatTrans, maps: list, cap: int, pc,
+def _conditions(q: NatTrans, maps: tuple, cap: int, pc,
                 stats: dict | None = None) -> tuple[bool, bool, bool]:
     """The three fiber conditions of the epi q, given its domain's maps."""
     return (_inverts_two(q),
             has_pneumoconnected_fibers(q, cap, pc, stats),
-            _factor_all(q, maps))
+            _factors_all(q, maps))
 
 
 def epi_conditions(q: NatTrans, decidables: list[Presheaf],
@@ -94,7 +126,7 @@ def _corpus_epis(corpus: Corpus):
     stats = _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
-            for q in nat_transformations(X, Y):
+            for q in homs(X, Y):
                 if is_epi(q):
                     stats["epis_checked"] += 1
                     yield q
@@ -182,11 +214,10 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
     cap, stats = corpus.cap, _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
-            arrows = nat_transformations(X, Y)
-            if not arrows:
-                continue
-            points = global_elements(Y)
-            for f in arrows:
+            points = None  # found at the first arrow X → Y
+            for f in homs(X, Y):
+                if points is None:
+                    points = global_elements(Y)
                 if not has_pneumoconnected_fibers(
                         f, cap, corpus.fact(pc_masks, X), stats):
                     continue
@@ -238,7 +269,7 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
     cap, stats = corpus.cap, _fiber_stats(corpus)
     for f in _pneumo_epis(corpus):
         for Z in corpus:
-            for g in nat_transformations(Z, f.cod):
+            for g in homs(Z, f.cod):
                 _P, pr1, _pr2 = pullback(g, f)
                 if not has_pneumoconnected_fibers(pr1, cap, stats=stats):
                     return {"arrow_dom": presheaf_snippet(f.dom),
@@ -262,7 +293,7 @@ def _prop_exponential_ideal(corpus: Corpus):
     decidables = corpus.decidables()
     for X in corpus:
         for Y in decidables:
-            if not is_decidable(exponential(X, Y, cap), cap):
+            if not exponential_is_decidable(X, Y, cap):
                 return {"exponent": presheaf_snippet(X),
                         "base_object": presheaf_snippet(Y)}
     return None

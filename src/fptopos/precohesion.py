@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
-from .decidable import (check_dqo, check_dso, check_ns, is_decidable, pi,
-                        pi_arrow, pi_product_failures, presheaf_snippet,
-                        PiResult)
+from .decidable import (check_dqo, check_dso, check_ns,
+                        exponential_is_decidable, pi, pi_arrow,
+                        pi_product_failures, presheaf_snippet, PiResult)
 from .errors import (AxiomPrereqFailed, PresheafError,
                      TriangleIdentityFailed)
 from .fincat import FinCategory
-from .presheaf import (NatTrans, Presheaf, _encode_nat, exponential,
+from .presheaf import (NatTrans, Presheaf, _encode_nat,
                        factor_through, identity_nat, inclusion_of,
                        is_epi, make_presheaf,
                        nat_transformations, yoneda, yoneda_arrow)
@@ -387,7 +387,7 @@ def theorem_ab_harness(corpus: Corpus) -> Result:
                                 nat_transformations(r.source, S))
                      for r in units for S in decs)
     products = next(pi_product_failures(corpus), None) is None
-    exponential_ideal = all(is_decidable(exponential(X, Y, cap), cap)
+    exponential_ideal = all(exponential_is_decidable(X, Y, cap)
                             for X in corpus for Y in decs)
     dqo_everywhere = all(corpus.fact(check_dqo, X).holds() for X in corpus)
     checks = {"pi_left_adjoint": reflective,

@@ -1,7 +1,7 @@
 """Objects and morphisms of the finite presheaf topos Set^(C^op).
 
-Presheaves of finite sets, natural transformations, finite limits and
-colimits, exponentials and the Yoneda embedding.
+Presheaves of finite sets, natural transformations (listed or
+streamed), finite limits and colimits, and the Yoneda embedding.
 Everything is computed pointwise and deterministically: constructed
 element ids are canonical strings, so repeated runs are bit-identical.
 """
@@ -232,10 +232,10 @@ def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
 # ---------------------------------------------------------------------------
 # hom-sets
 
-def _hom_search(X: Presheaf, Y: Presheaf, iso: bool,
-                values=None) -> list[dict[str, dict[str, str]]]:
-    """Components of the natural transformations X → Y, or of the first
-    pointwise injective one if `iso`.
+def _hom_search(X: Presheaf, Y: Presheaf, iso: bool, values=None):
+    """Components of the natural transformations X → Y, or of the
+    pointwise injective ones if `iso`, as a generator: each is found
+    only when the consumer asks for it.
 
     Elements of X are assigned one at a time in stage-major order, each
     trying the values of Y at its stage in order, or only values[c][x]
@@ -257,7 +257,6 @@ def _hom_search(X: Presheaf, Y: Presheaf, iso: bool,
     comps = {c: {} for c in C.objects}
     used = {c: set() for c in C.objects}
     trail = []
-    results = []
 
     def put(c, x, y) -> bool:
         # x ↦ y at stage c; False on a clash or a reused value.
@@ -271,35 +270,37 @@ def _hom_search(X: Presheaf, Y: Presheaf, iso: bool,
         trail.append((c, x))
         return True
 
-    def search(i) -> bool:
-        # Extend the assignment from element i on; True stops the search.
+    def search(i):
+        # Every extension of the assignment from element i on.
         while i < len(elems) and elems[i][1] in comps[elems[i][0]]:
             i += 1
         if i == len(elems):
-            results.append({c: {x: comps[c][x] for x in X.sets[c]}
-                            for c in C.objects})
-            return iso
+            yield {c: {x: comps[c][x] for x in X.sets[c]}
+                   for c in C.objects}
+            return
         c, x = elems[i]
         for y in Y.sets[c] if values is None else values[c][x]:
             mark = len(trail)
             if put(c, x, y) and all(put(d, xm[x], ym[y])
-                                    for d, xm, ym in into[c]) \
-                    and search(i + 1):
-                return True
+                                    for d, xm, ym in into[c]):
+                yield from search(i + 1)
             while len(trail) > mark:
                 d, u = trail.pop()
                 used[d].discard(comps[d].pop(u))
-        return False
 
-    search(0)
-    return results
+    return search(0)
+
+
+def homs(X: Presheaf, Y: Presheaf):
+    """The natural transformations X → Y in the order of
+    `nat_transformations`, one at a time."""
+    return (NatTrans(X, Y, comps) for comps in _hom_search(X, Y, False))
 
 
 def nat_transformations(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
     """All natural transformations X → Y, by the propagating search of
     `_hom_search`; duplicate-free, deterministic order."""
-    return [NatTrans(X, Y, comps)
-            for comps in _hom_search(X, Y, False)]
+    return list(homs(X, Y))
 
 
 def identity_nat(X: Presheaf) -> NatTrans:
@@ -519,28 +520,8 @@ def factor_through(q: NatTrans, h: NatTrans):
     return NatTrans(Q, Z, comps)
 
 
-def _factor_all(q: NatTrans, maps: list[dict]) -> bool:
-    """Whether every map out of q's domain (as components) factors
-    through q, that is, q is epi and each is constant on q's fibers;
-    true when there are no maps, as for `factor_through` one by one."""
-    if not maps:
-        return True
-    if not is_epi(q):
-        return False
-    # (c, x, x0): x and an earlier x0 of its fiber, which a map
-    # constant on the fibers sends to the same place.
-    pairs = []
-    for c, comp in q.components.items():
-        first = {}
-        for x, y in comp.items():
-            x0 = first.setdefault(y, x)
-            if x0 != x:
-                pairs.append((c, x, x0))
-    return all(h[c][x] == h[c][x0] for h in maps for c, x, x0 in pairs)
-
-
 # ---------------------------------------------------------------------------
-# Yoneda, exponentials
+# Yoneda
 
 def yoneda(C: FinCategory, c: str) -> Presheaf:
     """The representable y(c): stage b is Hom(b, c), action by
@@ -628,53 +609,6 @@ def _encode_nat(C: FinCategory, nt: NatTrans) -> str:
     return "{" + ";".join(chunks) + "}"
 
 
-def exponential(X: Presheaf, Y: Presheaf,
-                cap: int = DEFAULT_SIZE_CAP) -> Presheaf:
-    """The exponential Y^X: stage c is the set of natural transformations
-    y(c)×X → Y, restriction by precomposition."""
-    _same_base(X, Y)
-    C = X.base
-    stage_data = {}
-    for c in C.objects:
-        yc = yoneda(C, c)
-        B, _p1, _p2 = product(yc, X, cap)
-        homs = nat_transformations(B, Y)
-        _cap(len(homs), cap, "exponential")
-        stage_data[c] = (yc, B, homs)
-
-    sets = {}
-    ids = {}
-    for c in C.objects:
-        _yc, _B, homs = stage_data[c]
-        named = sorted(((_encode_nat(C, h), h) for h in homs),
-                       key=lambda t: t[0])
-        sets[c] = tuple(n for n, _h in named)
-        ids[c] = {n: h for n, h in named}
-
-    actions = {}
-    for m in C.nonidentity_morphisms():
-        b, c = C.morphisms[m]
-        table = {}
-        _ycb, Bb, _homsb = stage_data[b]
-        for n in sets[c]:
-            theta = ids[c][n]
-            comps = {}
-            for d in C.objects:
-                comps[d] = {}
-                for g in C.hom(d, b):
-                    for x in X.sets[d]:
-                        comps[d][pel(g, x)] = theta.apply(
-                            d, pel(C.compose(m, g), x))
-            restricted = NatTrans(Bb, Y, comps)
-            table[n] = _encode_nat(C, restricted)
-            if table[n] not in ids[b]:
-                raise PresheafError("NotFunctorial",
-                                    "exponential restriction escaped stage")
-        actions[m] = table
-    return make_presheaf(C, sets, actions,
-                         "%s^%s" % (Y.name or "Y", X.name or "X"))
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -684,8 +618,8 @@ def find_iso(X: Presheaf, Y: Presheaf):
     _same_base(X, Y)
     if X.size_vector() != Y.size_vector():
         return None
-    found = _hom_search(X, Y, True)
-    return NatTrans(X, Y, found[0], "iso") if found else None
+    found = next(_hom_search(X, Y, True), None)
+    return None if found is None else NatTrans(X, Y, found, "iso")
 
 
 def is_isomorphic(X: Presheaf, Y: Presheaf) -> bool:

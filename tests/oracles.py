@@ -14,7 +14,10 @@ stage-wise hom and iso searches (whole stages filled in, then checked)
 as the reference for `presheaf._hom_search`, the maps into 2 from the
 hom search, Sub_c(X) as their preimages of inl(*), whether they all
 factor through an epi, Π built from them, Π(X×Y) ≅ ΠX × ΠY decided by
-an iso search, and DQO and DSO decided by listing every subfunctor of
+an iso search, whether every listed map into a decidable factors
+through an arrow and Y^X built from the hom-sets Hom(y(c)×X, Y), as
+the references for the lemma's condition (iii) and the exponential
+ideal read per component, and DQO and DSO decided by listing every subfunctor of
 X×X or of X, as the reference for their readings off the components of
 the category of elements, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
@@ -50,8 +53,8 @@ from dataclasses import dataclass
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
-from fptopos.presheaf import (NatTrans, _cap, _factor_all, _same_base,
-                              global_elements, is_isomorphic,
+from fptopos.presheaf import (NatTrans, _cap, _encode_nat, _same_base,
+                              global_elements, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, pel, product,
                               quotient_by_pairs, sub_presheaf, subfunctors,
@@ -377,9 +380,75 @@ def hom_search_complemented_parts(X, cap=DEFAULT_SIZE_CAP) -> list[dict]:
                                              for c in C.objects))
 
 
+def factor_all(q: NatTrans, maps: list[dict]) -> bool:
+    """Whether every map out of q's domain (as components) factors
+    through q, that is, q is epi and each is constant on q's fibers;
+    true when there are no maps, as for `factor_through` one by one."""
+    if not maps:
+        return True
+    if not is_epi(q):
+        return False
+    # (c, x, x0): x and an earlier x0 of its fiber, which a map
+    # constant on the fibers sends to the same place.
+    pairs = []
+    for c, comp in q.components.items():
+        first = {}
+        for x, y in comp.items():
+            x0 = first.setdefault(y, x)
+            if x0 != x:
+                pairs.append((c, x, x0))
+    return all(h[c][x] == h[c][x0] for h in maps for c, x, x0 in pairs)
+
+
+def exponential(X, Y, cap=DEFAULT_SIZE_CAP):
+    """The exponential Y^X: stage c is the set of natural transformations
+    y(c)×X → Y, restriction by precomposition."""
+    _same_base(X, Y)
+    C = X.base
+    stage_data = {}
+    for c in C.objects:
+        yc = yoneda(C, c)
+        B, _p1, _p2 = product(yc, X, cap)
+        homs = nat_transformations(B, Y)
+        _cap(len(homs), cap, "exponential")
+        stage_data[c] = (yc, B, homs)
+
+    sets = {}
+    ids = {}
+    for c in C.objects:
+        _yc, _B, homs = stage_data[c]
+        named = sorted(((_encode_nat(C, h), h) for h in homs),
+                       key=lambda t: t[0])
+        sets[c] = tuple(n for n, _h in named)
+        ids[c] = {n: h for n, h in named}
+
+    actions = {}
+    for m in C.nonidentity_morphisms():
+        b, c = C.morphisms[m]
+        table = {}
+        _ycb, Bb, _homsb = stage_data[b]
+        for n in sets[c]:
+            theta = ids[c][n]
+            comps = {}
+            for d in C.objects:
+                comps[d] = {}
+                for g in C.hom(d, b):
+                    for x in X.sets[d]:
+                        comps[d][pel(g, x)] = theta.apply(
+                            d, pel(C.compose(m, g), x))
+            restricted = NatTrans(Bb, Y, comps)
+            table[n] = _encode_nat(C, restricted)
+            if table[n] not in ids[b]:
+                raise PresheafError("NotFunctorial",
+                                    "exponential restriction escaped stage")
+        actions[m] = table
+    return make_presheaf(C, sets, actions,
+                         "%s^%s" % (Y.name or "Y", X.name or "X"))
+
+
 def two_inverting_by_hom_search(q) -> bool:
     """Whether every map X → 2 of the hom search factors through q."""
-    return _factor_all(q, [h.components
+    return factor_all(q, [h.components
                            for h in hom_search_maps_to_two(q.dom)])
 
 
@@ -434,7 +503,7 @@ def listed_check_dqo(X, cap=DEFAULT_SIZE_CAP) -> Result:
     witnesses = []
     for R in congruences(X, cap):
         Q, q = quotient(X, R)
-        if is_decidable(Q) and _factor_all(q, homs):
+        if is_decidable(Q) and factor_all(q, homs):
             witnesses.append(R)
     if len(witnesses) == 1:
         return Result("holds")

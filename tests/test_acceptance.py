@@ -23,9 +23,8 @@ from fptopos.fincat import catalog
 from fptopos.forcing import PresheafSort, _restrict_env, forces
 from fptopos.harness import lemma_report, search_counterexample
 from fptopos.precohesion import theorem_c_harness
-from fptopos.presheaf import (exponential, global_elements, is_epi,
-                              is_isomorphic, make_presheaf, product,
-                              terminal)
+from fptopos.presheaf import (global_elements, is_epi, is_isomorphic,
+                              make_presheaf, product, terminal)
 from fptopos.sublattice import (complemented_subobjects,
                                 has_pneumoconnected_fibers)
 
@@ -110,7 +109,7 @@ def test_criterion_07_decidables_are_an_exponential_ideal():
         decs = [Y for Y in objs if is_decidable(Y)]
         for X in objs:
             for Y in decs:
-                assert is_decidable(exponential(X, Y))
+                assert is_decidable(oracles.exponential(X, Y))
 
 
 def test_criterion_08_dqo_counterexample_search_finds_a1():

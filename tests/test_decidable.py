@@ -11,7 +11,8 @@ from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
-                               dec_is_topos_check, is_connected,
+                               dec_is_topos_check,
+                               exponential_is_decidable, is_connected,
                                is_decidable, pi, pi_arrow,
                                pi_product_failures, pi_sizes,
                                separated_reflection)
@@ -44,6 +45,25 @@ def test_decidable_examples():
 
 
 CATALOG = ("point", "two-discrete", "sierpinski", "graph", "refgraph")
+
+
+@pytest.mark.parametrize("base, bound, pairs, failing", [
+    ("refgraph", 3, 32, 0), ("sierpinski", 3, 180, 0),
+    ("two-discrete", 3, 256, 0), ("point", 3, 16, 0),
+    ("graph", 2, 104, 34), ("graph", {"V": 3, "E": 2}, 390, 216)])
+def test_exponential_rule_matches_the_built_exponential(base, bound, pairs,
+                                                        failing):
+    # Y^X decidable read off the components of each y(c)×X, against
+    # building Y^X from the hom-sets Hom(y(c)×X, Y), for every corpus
+    # object X and decidable corpus object Y.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    verdicts = []
+    for X in corpus:
+        for Y in corpus.decidables():
+            got = exponential_is_decidable(X, Y)
+            assert got == is_decidable(oracles.exponential(X, Y)), (X, Y)
+            verdicts.append(got)
+    assert (len(verdicts), verdicts.count(False)) == (pairs, failing)
 
 
 @pytest.mark.parametrize("base", CATALOG)

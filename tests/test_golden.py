@@ -25,7 +25,11 @@ A` at bound 4 were re-pinned from the reports the earlier code gave with
 the cap raised.  The whole
 property battery at refgraph bound 3 was pinned while the fiber check
 ran on P_c(X) as a relation object, before it read P_c(X) off component
-masks."""
+masks.  `verify A` at refgraph bound 5 and `verify lemma` at two-discrete
+bound 4 were pinned while the exponential-ideal check built Y^X from the
+hom-sets Hom(y(c)×X, Y) and the lemma listed every map from an epi's
+domain to each decidable; both are now read per component of the
+category of elements."""
 
 import pathlib
 
@@ -116,6 +120,9 @@ COMMANDS = {
     "precohesion-4": (("precohesion", "--bound", "4"), 0),
     "verify-C-4": (("verify", "C", "--bound", "4"), 0),
     "verify-A-4": (("verify", "A", "--bound", "4"), 0),
+    "verify-A-5": (("verify", "A", "--bound", "5"), 0),
+    "verify-lemma-two-discrete-4": (("verify", "lemma", "--base",
+                                     "two-discrete", "--bound", "4"), 0),
 }
 
 

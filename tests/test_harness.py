@@ -12,8 +12,9 @@ from fptopos.decidable import is_decidable, pi
 from fptopos.errors import SizeCapError, UnknownName
 from fptopos.fincat import catalog
 from fptopos.harness import (PROPERTIES, SEARCHES, _corpus_epis,
-                             _first_witness, _inverts_two, epi_conditions,
-                             fiber, lemma_report, props_report,
+                             _domain_maps, _factors_all, _first_witness,
+                             _inverts_two, epi_conditions, fiber,
+                             lemma_report, props_report,
                              search_counterexample)
 from fptopos.presheaf import (connected_components, global_elements,
                               is_isomorphic, make_presheaf,
@@ -57,6 +58,32 @@ def test_two_inverting_epis_match_the_hom_search(base, bound, inverting,
                         for q in _corpus_epis(corpus)]
     assert (verdicts.count(True), verdicts.count(False)) == \
         (inverting, not_inverting)
+
+
+@pytest.mark.parametrize("base, bound, arrows, factoring", [
+    ("refgraph", 3, 186, 24), ("sierpinski", 3, 3203, 96),
+    ("two-discrete", 3, 3600, 100), ("point", 3, 60, 10),
+    ("graph", {"V": 2, "E": 2}, 239, 28),
+    ("graph", {"V": 3, "E": 2}, 1868, 70)])
+def test_maps_into_decidables_by_component_match_the_hom_sets(
+        base, bound, arrows, factoring):
+    # Condition (iii), every map from X to a decidable factors through
+    # q, read off the maps into each decidable from each component of
+    # ∫X, against factoring every map of Hom(X, D) that the hom search
+    # lists, on every arrow between corpus objects, epi or not.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    decs = corpus.decidables()
+    verdicts = []
+    for X in corpus:
+        maps = _domain_maps(X, decs)
+        listed = [h.components for D in decs
+                  for h in nat_transformations(X, D)]
+        for Y in corpus:
+            for q in nat_transformations(X, Y):
+                got = _factors_all(q, maps)
+                assert got == oracles.factor_all(q, listed), q.components
+                verdicts.append(got)
+    assert (len(verdicts), verdicts.count(True)) == (arrows, factoring)
 
 
 @pytest.mark.parametrize("base, bound, empty", [

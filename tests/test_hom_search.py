@@ -8,6 +8,7 @@ from collections import Counter
 
 import oracles
 from fptopos.corpus import Corpus
+from fptopos.fincat import catalog
 from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
                                dec_is_topos_check, is_connected,
@@ -15,8 +16,8 @@ from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
 from fptopos.harness import epi_conditions, lemma_report, props_report
 from fptopos.precohesion import (check_precohesive, theorem_ab_harness,
                                  theorem_c_harness)
-from fptopos.presheaf import (find_iso, is_epi, is_isomorphic,
-                              nat_transformations)
+from fptopos.presheaf import (find_iso, homs, is_epi, is_isomorphic,
+                              make_presheaf, nat_transformations)
 from fptopos.sublattice import has_pneumoconnected_fibers, pc_masks
 
 
@@ -37,6 +38,28 @@ def test_kernel_matches_brute_force_oracle():
                     assert iso.components == ref.components, (X, Y)
                 pairs += 1
     assert pairs == 1584
+
+
+def _point_set(prefix, n):
+    return make_presheaf(catalog("point"), {
+        "*": ["%s%d" % (prefix, i) for i in range(n)]}, {}, prefix)
+
+
+def test_homs_stream_without_listing_the_hom_set():
+    # Between two 9-element sets there are 9^9 (about 387 M) maps; the
+    # stream gives the first ones at once, in the order of the list, and
+    # find_iso stops at the first iso.
+    X, Y = _point_set("x", 9), _point_set("y", 9)
+    stream = homs(X, Y)
+    first, second = next(stream), next(stream)
+    assert first.components == {"*": {"x%d" % i: "y0" for i in range(9)}}
+    assert second.components == {"*": {**first.components["*"],
+                                       "x8": "y1"}}
+    assert find_iso(X, Y).components == {
+        "*": {"x%d" % i: "y%d" % i for i in range(9)}}
+    small, three = _point_set("x", 3), _point_set("y", 3)
+    assert [f.components for f in homs(small, three)] == \
+        [f.components for f in nat_transformations(small, three)]
 
 
 def _fiber_profile(X, Y, decidables):
