@@ -32,10 +32,6 @@ class BaseMismatch(ToposError):
     kind = "BaseMismatch"
 
 
-class AmbientMismatch(ToposError):
-    kind = "AmbientMismatch"
-
-
 class ShapeMismatch(ToposError):
     kind = "ShapeMismatch"
 

@@ -1,7 +1,7 @@
 """The adjoint string between a presheaf topos and its decidable objects.
 
-Builds f_! ⊣ f^* ⊣ f_* ⊣ f^! over a bounded corpus, verifies the triangle
-identities, checks the precohesion conditions
+Builds f_! ⊣ f^* ⊣ f_* ⊣ f^! over a bounded corpus, verifies the f_* ⊣ f^!
+triangle identities, checks the precohesion conditions
 (full faithfulness, product preservation, monic counit, Nullstellensatz),
 and runs the two-sided equivalence harnesses.
 """
@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus
 from .decidable import (check_dqo, check_dso, check_ns,
-                        exponential_is_decidable, pi, pi_arrow,
+                        exponential_is_decidable, pi,
                         pi_product_failures, presheaf_snippet, PiResult)
 from .errors import (AxiomPrereqFailed, PresheafError,
                      TriangleIdentityFailed)
 from .fincat import FinCategory
+from .harness import _domain_maps, _factors_all
 from .presheaf import (NatTrans, Presheaf, _encode_nat,
-                       factor_through, identity_nat, inclusion_of,
+                       identity_nat, inclusion_of,
                        is_epi, make_presheaf,
                        nat_transformations, yoneda, yoneda_arrow)
 from .report import Result, unknown_at_cap
@@ -30,13 +31,6 @@ def _hom(cache, X: Presheaf, Y: Presheaf):
     if key not in cache:
         cache[key] = nat_transformations(X, Y)
     return cache[key]
-
-
-def _bijective(transpose, lhs: list[NatTrans], rhs: list[NatTrans]) -> bool:
-    """Whether transpose maps the hom-set lhs one-to-one onto the
-    hom-set rhs (arrows compared by their components)."""
-    images = {transpose(g).key() for g in lhs}
-    return len(images) == len(lhs) and images == {g.key() for g in rhs}
 
 
 @dataclass(eq=False)
@@ -57,18 +51,10 @@ class AdjointString:
     def base(self) -> FinCategory:
         return self.corpus.base
 
-    @property
-    def cap(self) -> int:
-        return self.corpus.cap
-
     # -- f_! = Π ---------------------------------------------------------
 
     def f_shriek(self, X: Presheaf) -> PiResult:
         return self.corpus.fact(pi, X)
-
-    def f_shriek_arrow(self, h: NatTrans) -> NatTrans:
-        return pi_arrow(h, self.cap, self.f_shriek(h.dom),
-                        self.f_shriek(h.cod))
 
     # -- f_* = DSO subobject --------------------------------------------
 
@@ -87,19 +73,12 @@ class AdjointString:
         return self._fstar[id(X)]
 
     def f_star_arrow(self, h: NatTrans) -> NatTrans:
-        """Restriction of h: X→Y to f_*X → f_*Y."""
+        """Restriction of h: X→Y to f_*X → f_*Y.  f_*X holds the values
+        of the points of X, and h maps them to values of points of Y."""
         D, _i = self.f_star(h.dom)
         E, _j = self.f_star(h.cod)
-        comps = {}
-        for c in self.base.objects:
-            comps[c] = {}
-            for x in D.sets[c]:
-                y = h.apply(c, x)
-                if y not in E.sets[c]:
-                    raise TriangleIdentityFailed(
-                        "f_* not functorial at %s: image of %r leaves the "
-                        "decidable-subobject part" % (c, x))
-                comps[c][x] = y
+        comps = {c: {x: h.apply(c, x) for x in D.sets[c]}
+                 for c in self.base.objects}
         return NatTrans(D, E, comps, "f_*(%s)" % (h.name or "h"))
 
     def f_star_rep(self, c: str):
@@ -188,30 +167,6 @@ class AdjointString:
     def unit_pi(self, X: Presheaf) -> NatTrans:
         return self.f_shriek(X).map
 
-    def counit_pi(self, S: Presheaf) -> NatTrans:
-        """ε_S: ΠS → S for decidable S."""
-        r = self.f_shriek(S)
-        eps = factor_through(r.map, identity_nat(S))
-        if eps is None:
-            raise TriangleIdentityFailed(
-                "identity of decidable %r does not factor through its "
-                "decidable quotient" % S.name)
-        return eps
-
-    def unit_inc(self, S: Presheaf) -> NatTrans:
-        """η_S: S → f_*S for decidable S (the DSO subobject must be all
-        of S)."""
-        D, i = self.f_star(S)
-        for c in self.base.objects:
-            if set(D.sets[c]) != set(S.sets[c]):
-                raise TriangleIdentityFailed(
-                    "f_* of decidable %r is a proper subobject" % S.name)
-        return NatTrans(S, D, {c: {x: x for x in S.sets[c]}
-                               for c in self.base.objects})
-
-    def counit_inc(self, X: Presheaf) -> NatTrans:
-        return self.f_star(X)[1]
-
     def unit_fs(self, X: Presheaf) -> NatTrans:
         D, _i = self.f_star(X)
         return self.phi(X, D, identity_nat(D))
@@ -226,34 +181,20 @@ class AdjointString:
         return self.corpus.decidables()
 
     def verify_triangles(self) -> list[str]:
-        """Both triangle identities for each adjunction, every corpus
-        object; returns the list of violated identities (empty = pass)."""
+        """The f_* ⊣ f^! triangle identities at every corpus object;
+        returns the list of violated identities (empty = pass).  Those of
+        Π ⊣ inclusion ⊣ f_* hold once NS, DQO and DSO do: p_S is one-to-one
+        for decidable S (R₀ = Δ there, and DQO gives K = R₀), p_{ΠX} is
+        one-to-one as ΠX restricts identically, and f_*S = S, as DSO holds
+        at S and S is decidable and contains the values of its points."""
         bad = []
-        decs = self.decidables()
         for X in self.corpus:
-            # Π ⊣ inclusion: ε_{ΠX} ∘ Π(η_X) = id.
-            r = self.f_shriek(X)
-            lhs = self.f_shriek_arrow(r.map).then(self.counit_pi(r.quotient))
-            if not lhs.same_components(identity_nat(r.quotient)):
-                bad.append("pi-triangle-left@%s" % X.name)
-            # inclusion ⊣ f_*: f_*(ε_X) ∘ η_{f_*X} = id.
-            D, i = self.f_star(X)
-            lhs = self.unit_inc(D).then(self.f_star_arrow(i))
-            if not lhs.same_components(identity_nat(D)):
-                bad.append("dso-triangle-right@%s" % X.name)
             # f_* ⊣ f^!: ε_{f_*X} ∘ f_*(η_X) = id.
+            D, _i = self.f_star(X)
             lhs = self.f_star_arrow(self.unit_fs(X)).then(self.counit_fs(D))
             if not lhs.same_components(identity_nat(D)):
                 bad.append("fs-triangle-left@%s" % X.name)
-        for S in decs:
-            # Π ⊣ inclusion: ε_S ∘ η_S = id on decidables.
-            if not self.unit_pi(S).then(self.counit_pi(S)) \
-                    .same_components(identity_nat(S)):
-                bad.append("pi-triangle-right@%s" % S.name)
-            # inclusion ⊣ f_*: ε_S ∘ η_S = id.
-            if not self.unit_inc(S).then(self.counit_inc(S)) \
-                    .same_components(identity_nat(S)):
-                bad.append("dso-triangle-left@%s" % S.name)
+        for S in self.decidables():
             # f_* ⊣ f^!: f^!(ε_S) ∘ η_{f^!S} = id.
             FS = self.f_upper_shriek(S)
             lhs = self.unit_fs(FS).then(
@@ -359,7 +300,9 @@ def theorem_c_harness(corpus: Corpus) -> Result:
             S = Subobject(X, {c: frozenset(D.sets[c]) for c in C.objects})
             if not is_nn_dense(S):
                 dense_ok = False
-            if not is_epi(adj.f_shriek_arrow(i)):
+            # Π(i) ∘ p_D = p_X ∘ i and p_D is onto, so Π(i) is epic iff
+            # θ_X = p_X ∘ i is.
+            if not is_epi(i.then(adj.unit_pi(X))):
                 pi_epi_ok = False
         checks["dso_part_nn_dense"] = dense_ok
         checks["pi_of_dense_mono_epic"] = pi_epi_ok
@@ -379,13 +322,11 @@ def theorem_ab_harness(corpus: Corpus) -> Result:
     require_ns(C)
     decs = corpus.decidables()
 
-    # Π ⊣ inclusion: precomposition with each unit X → ΠX is a
-    # bijection Hom(ΠX, S) ≅ Hom(X, S).
-    units = (corpus.fact(pi, X) for X in corpus)
-    reflective = all(_bijective(r.map.then,
-                                nat_transformations(r.quotient, S),
-                                nat_transformations(r.source, S))
-                     for r in units for S in decs)
+    # Π ⊣ inclusion: precomposition with each unit p_X: X ↠ ΠX is
+    # one-to-one, as p_X is onto, and onto Hom(X, S) iff every map from X
+    # to a decidable factors through p_X.
+    reflective = all(_factors_all(corpus.fact(pi, X).map,
+                                  _domain_maps(X, decs)) for X in corpus)
     products = next(pi_product_failures(corpus), None) is None
     exponential_ideal = all(exponential_is_decidable(X, Y, cap)
                             for X in corpus for Y in decs)

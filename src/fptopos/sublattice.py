@@ -40,17 +40,6 @@ class Subobject:
     def contains(self, c: str, x: str) -> bool:
         return x in self.parts[c]
 
-    def size_vector(self):
-        return tuple(len(self.parts[c])
-                     for c in self.ambient.base.objects)
-
-    def is_full(self) -> bool:
-        return all(self.parts[c] == frozenset(self.ambient.sets[c])
-                   for c in self.ambient.base.objects)
-
-    def is_empty(self) -> bool:
-        return all(not self.parts[c] for c in self.ambient.base.objects)
-
     def __repr__(self):
         body = "; ".join("%s:{%s}" % (c, ",".join(sorted(self.parts[c])))
                          for c in self.ambient.base.objects)

@@ -32,8 +32,12 @@ complemented diagonal as the reference for decidability read off the
 restriction maps, the Heyting algebra of subobjects, the diagonal
 X ↣ X×X, quotients by a congruence on X×X and the separated reflection
 built from them as the reference for complemented and ¬¬-dense parts
-and ¬¬-equality read off the restriction tables, and the subobject
-classifier Ω built from sieves as the reference for subobject counts.
+and ¬¬-equality read off the restriction tables, the subobject
+classifier Ω built from sieves as the reference for subobject counts,
+and the hom-set bijection of an adjunction, Π(f), the triangle
+identities of Π ⊣ inclusion ⊣ f_* and the listing check that decidables
+are closed under subobjects and products, as the references for the
+checks that hold by construction and are no longer run.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import random
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_is_equivalence, check_dqo, is_decidable, pi,
                                presheaf_snippet)
-from fptopos.errors import (AmbientMismatch, DEFAULT_SIZE_CAP, PresheafError,
-                            SizeCapError)
+from fptopos.errors import (DEFAULT_SIZE_CAP, PresheafError, SizeCapError,
+                            ToposError, TriangleIdentityFailed)
 from fptopos.fincat import catalog
 from dataclasses import dataclass
 
@@ -54,7 +58,8 @@ from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
 from fptopos.presheaf import (NatTrans, _cap, _encode_nat, _same_base,
-                              global_elements, is_epi, is_isomorphic,
+                              factor_through, global_elements, identity_nat,
+                              is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, pel, product,
                               quotient_by_pairs, sub_presheaf, subfunctors,
@@ -539,6 +544,97 @@ def listed_check_dso(X, cap=DEFAULT_SIZE_CAP) -> Result:
 
 
 # ---------------------------------------------------------------------------
+# what holds by construction: hom-set bijections, Π(f), the triangle
+# identities of Π ⊣ inclusion ⊣ f_*, and decidables closed under
+# subobjects and products
+
+def bijective(transpose, lhs: list[NatTrans], rhs: list[NatTrans]) -> bool:
+    """Whether transpose maps the hom-set lhs one-to-one onto the
+    hom-set rhs (arrows compared by their components)."""
+    images = {transpose(g).key() for g in lhs}
+    return len(images) == len(lhs) and images == {g.key() for g in rhs}
+
+
+def pi_arrow(f, pi_dom, pi_cod) -> NatTrans:
+    """The induced arrow Π(f): ΠX → ΠY, p_Y ∘ f factored through p_X,
+    given Π of f's domain and codomain."""
+    g = factor_through(pi_dom.map, f.then(pi_cod.map))
+    if g is None:
+        raise PresheafError("NotFunctorial",
+                            "Π(f) failed to factor; NS+DQO may fail here")
+    return g
+
+
+def counit_pi(adj, S) -> NatTrans:
+    """ε_S: ΠS → S for decidable S, id_S factored through p_S."""
+    eps = factor_through(adj.f_shriek(S).map, identity_nat(S))
+    if eps is None:
+        raise TriangleIdentityFailed(
+            "identity of decidable %r does not factor through its "
+            "decidable quotient" % S.name)
+    return eps
+
+
+def unit_inc(adj, S) -> NatTrans:
+    """η_S: S → f_*S for decidable S, where f_*S must be all of S."""
+    D, _i = adj.f_star(S)
+    C = adj.base
+    if any(set(D.sets[c]) != set(S.sets[c]) for c in C.objects):
+        raise TriangleIdentityFailed(
+            "f_* of decidable %r is a proper subobject" % S.name)
+    return NatTrans(S, D, {c: {x: x for x in S.sets[c]} for c in C.objects})
+
+
+def triangle_failures(adj) -> list[str]:
+    """The triangle identities of Π ⊣ inclusion and inclusion ⊣ f_* at
+    every corpus object and decidable, as the adjoint string checked
+    them before they were known to hold once NS, DQO and DSO do."""
+    bad = []
+    for X in adj.corpus:
+        # Π ⊣ inclusion: ε_{ΠX} ∘ Π(η_X) = id.
+        r = adj.f_shriek(X)
+        lhs = pi_arrow(r.map, r, adj.f_shriek(r.quotient)) \
+            .then(counit_pi(adj, r.quotient))
+        if not lhs.same_components(identity_nat(r.quotient)):
+            bad.append("pi-triangle-left@%s" % X.name)
+        # inclusion ⊣ f_*: f_*(ε_X) ∘ η_{f_*X} = id.
+        D, i = adj.f_star(X)
+        lhs = unit_inc(adj, D).then(adj.f_star_arrow(i))
+        if not lhs.same_components(identity_nat(D)):
+            bad.append("dso-triangle-right@%s" % X.name)
+    for S in adj.decidables():
+        # Π ⊣ inclusion: ε_S ∘ η_S = id on decidables.
+        if not adj.unit_pi(S).then(counit_pi(adj, S)) \
+                .same_components(identity_nat(S)):
+            bad.append("pi-triangle-right@%s" % S.name)
+        # inclusion ⊣ f_*: ε_S ∘ η_S = id.
+        if not unit_inc(adj, S).then(adj.f_star(S)[1]) \
+                .same_components(identity_nat(S)):
+            bad.append("dso-triangle-left@%s" % S.name)
+    return bad
+
+
+def decidable_closure_failure(corpus):
+    """The first decidable corpus object with a subobject, or pair of
+    them with a product, that is not decidable, as a witness; None if
+    there is none."""
+    cap = corpus.cap
+    decidables = corpus.decidables()
+    for X in decidables:
+        for parts in subfunctors(X, cap):
+            if not is_decidable(sub_presheaf(X, parts), cap):
+                return {"object": presheaf_snippet(X),
+                        "subobject": {c: sorted(parts[c])
+                                      for c in corpus.base.objects}}
+        for Y in decidables:
+            P, _p1, _p2 = product(X, Y, cap)
+            if not is_decidable(P, cap):
+                return {"left": presheaf_snippet(X),
+                        "right": presheaf_snippet(Y)}
+    return None
+
+
+# ---------------------------------------------------------------------------
 # test-only constructions: NS by searching the corpus, monos, and the
 # power object P(X)
 
@@ -639,15 +735,32 @@ def power_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
 # reference for complemented and ¬¬-dense parts and ¬¬-equality read off
 # the restriction tables
 
-def leq(S: Subobject, T: Subobject) -> bool:
-    _same_ambient(S, T)
-    return all(S.parts[c] <= T.parts[c]
-               for c in S.ambient.base.objects)
+class AmbientMismatch(ToposError):
+    kind = "AmbientMismatch"
 
 
 def _same_ambient(S: Subobject, T: Subobject):
     if S.ambient is not T.ambient:
         raise AmbientMismatch("subobjects of different ambient presheaves")
+
+
+def part_sizes(S: Subobject) -> tuple:
+    return tuple(len(S.parts[c]) for c in S.ambient.base.objects)
+
+
+def is_full(S: Subobject) -> bool:
+    return all(S.parts[c] == frozenset(S.ambient.sets[c])
+               for c in S.ambient.base.objects)
+
+
+def is_empty(S: Subobject) -> bool:
+    return not any(S.parts.values())
+
+
+def leq(S: Subobject, T: Subobject) -> bool:
+    _same_ambient(S, T)
+    return all(S.parts[c] <= T.parts[c]
+               for c in S.ambient.base.objects)
 
 
 def full_subobject(X) -> Subobject:
@@ -702,7 +815,7 @@ def negation(S: Subobject) -> Subobject:
 
 
 def is_complemented(S: Subobject) -> bool:
-    return join(S, negation(S)).is_full()
+    return is_full(join(S, negation(S)))
 
 
 def nn_closure(S: Subobject) -> Subobject:
@@ -710,7 +823,7 @@ def nn_closure(S: Subobject) -> Subobject:
 
 
 def is_nn_dense(S: Subobject) -> bool:
-    return nn_closure(S).is_full()
+    return is_full(nn_closure(S))
 
 
 def diagonal(X, cap=DEFAULT_SIZE_CAP):

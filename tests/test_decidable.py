@@ -13,16 +13,17 @@ from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dso_bounded, check_ns,
                                dec_is_topos_check,
                                exponential_is_decidable, is_connected,
-                               is_decidable, pi, pi_arrow,
-                               pi_product_failures, pi_sizes,
+                               is_decidable, pi, pi_product_failures,
+                               pi_sizes,
                                separated_reflection)
 from fptopos.errors import SizeCapError
 from fptopos.files import resolve_base
 from fptopos.fincat import catalog
-from fptopos.presheaf import (connected_components, global_elements,
+from fptopos.precohesion import AdjointString
+from fptopos.presheaf import (connected_components, global_elements, homs,
                               initial, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
-                              nat_transformations, product, sub_presheaf,
+                              product, sub_presheaf,
                               subfunctors, terminal, two)
 from oracles import diagonal, quotient
 
@@ -89,7 +90,7 @@ def test_injective_restrictions_iff_complemented_diagonal(base):
 
 def test_diagonal_is_a_subobject_of_the_square():
     _P, delta = diagonal(P2)
-    assert delta.size_vector() == (2, 3)
+    assert oracles.part_sizes(delta) == (2, 3)
 
 
 def test_ns_decisions():
@@ -132,6 +133,7 @@ def test_pi_idempotent_on_corpus():
     for X in enumerate_presheaves(RG, 2):
         Q = pi(X).quotient
         assert is_isomorphic(pi(Q).quotient, Q)
+        assert Q.is_empty() == X.is_empty()
 
 
 def test_pi_verdicts_from_sizes_match_the_iso_search():
@@ -165,11 +167,30 @@ def test_pi_product_failures_match_the_iso_search(base, bound, failing):
     assert len(got) == failing
 
 
-def test_pi_arrow_functoriality_on_sample():
-    maps = nat_transformations(P2, D2)
-    for f in maps:
-        pf = pi_arrow(f)
-        assert pf.dom.name.startswith("Π") and pf.cod.name.startswith("Π")
+@pytest.mark.parametrize("base, bound, arrows, not_epic", [
+    ("refgraph", 3, 186, 92), ("point", 3, 60, 42),
+    ("sierpinski", 3, 3203, 2409), ("two-discrete", 3, 3600, 3276),
+    ("graph", {"V": 2, "E": 2}, 239, 136),
+    ("graph", {"V": 3, "E": 2}, 1868, 1382)])
+def test_pi_arrow_is_epic_iff_the_unit_after_the_arrow_is(base, bound,
+                                                          arrows, not_epic):
+    # Π(f) ∘ p_X = p_Y ∘ f and p_X is onto, so Π(f) is epic iff p_Y ∘ f
+    # is, against building Π(f) by factoring p_Y ∘ f through p_X, on
+    # every arrow between corpus objects and each inclusion f_*X ↪ X.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    adj = AdjointString(corpus)
+    incs = [adj.f_star(X)[1] for X in corpus
+            if corpus.fact(check_dso, X).holds()]
+    verdicts = []
+    for f in [f for X in corpus for Y in corpus for f in homs(X, Y)] + incs:
+        p_dom, p_cod = corpus.fact(pi, f.dom), corpus.fact(pi, f.cod)
+        pf = oracles.pi_arrow(f, p_dom, p_cod)
+        assert pf.dom is p_dom.quotient and pf.cod is p_cod.quotient
+        got = is_epi(f.then(p_cod.map))
+        assert got == is_epi(pf), f.components
+        verdicts.append(got)
+    assert len(verdicts) == arrows + len(incs)
+    assert verdicts[:arrows].count(False) == not_epic
 
 
 @st.composite

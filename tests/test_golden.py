@@ -29,7 +29,9 @@ masks.  `verify A` at refgraph bound 5 and `verify lemma` at two-discrete
 bound 4 were pinned while the exponential-ideal check built Y^X from the
 hom-sets Hom(y(c)×X, Y) and the lemma listed every map from an epi's
 domain to each decidable; both are now read per component of the
-category of elements."""
+category of elements.  `verify A` on the point at bound 6 was pinned
+while theorem A listed Hom(ΠX, S) and Hom(X, S) for every pair; it now
+asks whether every map into a decidable factors through the unit."""
 
 import pathlib
 
@@ -121,6 +123,8 @@ COMMANDS = {
     "verify-C-4": (("verify", "C", "--bound", "4"), 0),
     "verify-A-4": (("verify", "A", "--bound", "4"), 0),
     "verify-A-5": (("verify", "A", "--bound", "5"), 0),
+    "verify-A-point-6": (("verify", "A", "--base", "point", "--bound", "6"),
+                         0),
     "verify-lemma-two-discrete-4": (("verify", "lemma", "--base",
                                      "two-discrete", "--bound", "4"), 0),
 }

@@ -121,6 +121,18 @@ def test_props_report_runs_all_and_holds():
         assert holds is True, (name, r.witnesses)
 
 
+@pytest.mark.parametrize("base", [
+    "point", "two-discrete", "sierpinski", "graph", "refgraph"])
+def test_properties_that_hold_by_construction(base):
+    # `decidable-closure` and `pi-structure` hold on every corpus; the
+    # listing check that `decidable-closure` was finds no witness.
+    corpus = enumerate_presheaves(catalog(base), 3)
+    assert oracles.decidable_closure_failure(corpus) is None
+    r = props_report(corpus, ["decidable-closure", "pi-structure"])
+    assert r.details["properties"] == {"decidable-closure": True,
+                                       "pi-structure": True}
+
+
 def test_props_report_unknown_name():
     with pytest.raises(UnknownName):
         props_report(enumerate_presheaves(RG, 1),

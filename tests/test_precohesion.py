@@ -1,15 +1,18 @@
 """The adjoint string over decidables and the precohesion checks."""
 
+import tracemalloc
 from functools import partial
 
 import pytest
 
+import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import is_decidable
+from fptopos.decidable import is_decidable, pi
 from fptopos.errors import AxiomPrereqFailed
 from fptopos.fincat import catalog
-from fptopos.precohesion import (AdjointString, _bijective, _hom,
+from fptopos.harness import _domain_maps, _factors_all
+from fptopos.precohesion import (AdjointString, _hom,
                                  build_adjoint_string, check_precohesive,
                                  theorem_ab_harness, theorem_c_harness)
 from fptopos.presheaf import (global_elements, is_isomorphic,
@@ -43,16 +46,16 @@ def hom_bijection_failures(adj) -> list[str]:
         D, i = adj.f_star(X)
         for S in decs:
             # Π ⊣ inclusion: precomposition with the unit X → ΠX.
-            if not _bijective(r.map.then, homs(r.quotient, S),
-                              homs(X, S)):
+            if not oracles.bijective(r.map.then, homs(r.quotient, S),
+                                     homs(X, S)):
                 bad.append("pi-adjunction@%s,%s" % (X.name, S.name))
             # inclusion ⊣ f_*: postcomposition with f_*X ↪ X.
-            if not _bijective(lambda g: g.then(i), homs(S, D),
-                              homs(S, X)):
+            if not oracles.bijective(lambda g: g.then(i), homs(S, D),
+                                     homs(S, X)):
                 bad.append("dso-adjunction@%s,%s" % (S.name, X.name))
             # f_* ⊣ f^!: the transpose phi.
-            if not _bijective(partial(adj.phi, X, S), homs(D, S),
-                              homs(X, adj.f_upper_shriek(S))):
+            if not oracles.bijective(partial(adj.phi, X, S), homs(D, S),
+                                     homs(X, adj.f_upper_shriek(S))):
                 bad.append("fs-adjunction@%s,%s" % (X.name, S.name))
     return bad
 
@@ -87,8 +90,19 @@ def naturality_failures(adj) -> list[str]:
 
 def test_triangles_hom_bijections_naturality(adj):
     assert adj.verify_triangles() == []
+    assert oracles.triangle_failures(adj) == []
     assert hom_bijection_failures(adj) == []
     assert naturality_failures(adj) == []
+
+
+@pytest.mark.parametrize("base, bound", [
+    ("refgraph", 3), ("refgraph", 4), ("point", 3)])
+def test_triangles_that_hold_by_construction(base, bound):
+    # Once NS, DQO and DSO hold, the Π ⊣ inclusion and inclusion ⊣ f_*
+    # triangle identities hold too, so the adjoint string checks only
+    # those of f_* ⊣ f^!; the deleted checks still find nothing.
+    adj = build_adjoint_string(enumerate_presheaves(catalog(base), bound))
+    assert oracles.triangle_failures(adj) == []
 
 
 def test_f_star_of_representable_edge_is_discrete(adj):
@@ -159,6 +173,45 @@ def test_theorem_c_mutation_flips_both_sides(monkeypatch):
     h = theorem_c_harness(enumerate_presheaves(RG, {"V": 1, "E": 1}))
     assert not h.details["axioms_hold"] and \
         not h.details["precohesive"] and h.holds()
+
+
+@pytest.mark.parametrize("base, bound, objects, not_reflective", [
+    ("refgraph", 3, 8, 0), ("point", 3, 4, 0), ("sierpinski", 3, 18, 0),
+    ("two-discrete", 3, 16, 0), ("graph", {"V": 2, "E": 2}, 13, 3),
+    ("graph", {"V": 3, "E": 2}, 26, 10)])
+def test_pi_left_adjoint_by_component_matches_the_hom_bijection(
+        base, bound, objects, not_reflective):
+    # Precomposition with p_X: X ↠ ΠX is onto Hom(X, S) iff every map
+    # from X to a decidable factors through p_X (read per component of
+    # ∫X), against listing Hom(ΠX, S) and Hom(X, S) and checking that
+    # precomposition is a bijection, for every decidable S.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    decs = corpus.decidables()
+    verdicts = []
+    for X in corpus:
+        r = corpus.fact(pi, X)
+        got = _factors_all(r.map, _domain_maps(X, decs))
+        assert got == all(oracles.bijective(
+            r.map.then, nat_transformations(r.quotient, S),
+            nat_transformations(X, S)) for S in decs), X.name
+        verdicts.append(got)
+    assert (len(verdicts), verdicts.count(False)) == (objects,
+                                                      not_reflective)
+
+
+def test_theorem_a_lists_no_hom_sets():
+    # Theorem A on the point at bound 6 reads maps into decidables per
+    # component; listing Hom(ΠX, S) and Hom(X, S) (6⁶ maps between two
+    # 6-element sets) would trace over 100 MB.
+    corpus = enumerate_presheaves(PT, 6)
+    tracemalloc.start()
+    try:
+        h = theorem_ab_harness(corpus)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.holds()
+    assert peak < 5 * 10 ** 6
 
 
 def test_theorem_ab_harness():
