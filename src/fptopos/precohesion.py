@@ -21,16 +21,9 @@ from .harness import _domain_maps, _factors_all
 from .presheaf import (NatTrans, Presheaf, _encode_nat,
                        identity_nat, inclusion_of,
                        is_epi, make_presheaf,
-                       nat_transformations, yoneda, yoneda_arrow)
+                       nat_transformations, yoneda)
 from .report import Result, unknown_at_cap
 from .sublattice import Subobject, is_nn_dense
-
-
-def _hom(cache, X: Presheaf, Y: Presheaf):
-    key = (id(X), id(Y))
-    if key not in cache:
-        cache[key] = nat_transformations(X, Y)
-    return cache[key]
 
 
 @dataclass(eq=False)
@@ -45,7 +38,6 @@ class AdjointString:
     _fstar_y: dict = field(default_factory=dict)
     _fshriek_y: dict = field(default_factory=dict)
     _decode: dict = field(default_factory=dict)
-    _homs: dict = field(default_factory=dict)
 
     @property
     def base(self) -> FinCategory:
@@ -110,13 +102,12 @@ class AdjointString:
         actions = {}
         for m in C.nonidentity_morphisms():
             d, c = C.morphisms[m]
-            yd, Dd, _ = self.f_star_rep(d)
-            yc, Dc, _ = self.f_star_rep(c)
-            # y(m): y(d) → y(c) is postcomposition with m.
-            ym = NatTrans(yd, yc, {
-                b: {h: C.compose(m, h) for h in yd.sets[b]}
+            _yd, Dd, _ = self.f_star_rep(d)
+            _yc, Dc, _ = self.f_star_rep(c)
+            # f_*y(m): f_*y(d) → f_*y(c) is postcomposition with m.
+            rm = NatTrans(Dd, Dc, {
+                b: {j: C.compose(m, j) for j in Dd.sets[b]}
                 for b in C.objects})
-            rm = self.f_star_arrow(ym)  # f_*y(d) → f_*y(c)
             actions[m] = {eid: _encode_nat(C, rm.then(decode[(c, eid)]))
                           for eid in sets[c]}
         out = make_presheaf(C, sets, actions, "f^!(%s)" % (S.name or "S"))
@@ -137,30 +128,37 @@ class AdjointString:
     # -- the f_* ⊣ f^! adjunct maps -------------------------------------
 
     def phi(self, X: Presheaf, S: Presheaf, g: NatTrans) -> NatTrans:
-        """Transpose Hom(f_*X, S) → Hom(X, f^!S):
-        x at stage c goes to g ∘ f_*(x̂)."""
+        """Transpose Hom(f_*X, S) → Hom(X, f^!S): x at stage c goes to
+        g ∘ f_*(x̂), and f_*(x̂): f_*y(c) → f_*X sends k to x·k."""
+        C = self.base
         FS = self.f_upper_shriek(S)
         comps = {}
-        for c in self.base.objects:
-            yc, _D, _i = self.f_star_rep(c)
-            comps[c] = {}
-            for x in X.sets[c]:
-                xa = yoneda_arrow(X, c, x, yc)
-                comps[c][x] = _encode_nat(self.base,
-                                          self.f_star_arrow(xa).then(g))
+        for c in C.objects:
+            _yc, D, _i = self.f_star_rep(c)
+            comps[c] = {x: _encode_nat(C, NatTrans(D, g.dom, {
+                b: {k: X.act(k, x) for k in D.sets[b]}
+                for b in C.objects}).then(g)) for x in X.sets[c]}
         return NatTrans(X, FS, comps)
 
     def phi_inv(self, X: Presheaf, S: Presheaf, h: NatTrans) -> NatTrans:
-        """Inverse transpose, by search over Hom(f_*X, S)."""
+        """Inverse transpose, read off h.  f_*X holds the values of the
+        points of X, so x·k = x for x ∈ f_*X(c) and k ∈ f_*y(c)(c), which
+        NS makes nonempty; a preimage g must then be g(x) = h(x)(k).  One
+        check that phi(g) = h is enough: it also makes g natural, as
+        g(x·m) = h(x)(k∘m) = h(x)(k)·m = g(x)·m."""
         D, _i = self.f_star(X)
-        matches = [g for g in _hom(self._homs, D, S)
-                   if self.phi(X, S, g).components == h.components]
-        if len(matches) != 1:
+        dec = self._decode[id(self.f_upper_shriek(S))]
+        comps = {}
+        for c in self.base.objects:
+            k = next(iter(self.f_star_rep(c)[1].sets[c]), None)
+            comps[c] = {x: dec[(c, h.apply(c, x))].apply(c, k)
+                        for x in D.sets[c]}
+        g = NatTrans(D, S, comps)
+        if self.phi(X, S, g).components != h.components:
             raise TriangleIdentityFailed(
                 "transpose of Hom(f_*X,S) ≅ Hom(X,f^!S) is not a "
-                "bijection at X=%r S=%r (%d preimages)"
-                % (X.name, S.name, len(matches)))
-        return matches[0]
+                "bijection at X=%r S=%r (0 preimages)" % (X.name, S.name))
+        return g
 
     # -- units / counits -------------------------------------------------
 

@@ -128,16 +128,6 @@ class PcMasks:
     comp: dict[str, dict[tuple[str, str], int]]
     masks: dict[str, list[int]]
 
-    def restrict(self, m: str, w: int) -> int:
-        """w·m for m: b→c, the pullback of w along the component map
-        π₀(X×y(b)) → π₀(X×y(c)) that sends (x, g) to (x, m∘g)."""
-        C = self.of.base
-        b, c = C.morphisms[m]
-        into = self.comp[c]
-        return sum(1 << i for i in {
-            i for (x, g), i in self.comp[b].items()
-            if w >> into[x, C.compose(m, g)] & 1})
-
     def name(self, c: str, w: int) -> str:
         """The id of w, as P(X) names a relation: "{d:x:g;…}" over the
         elements (x, g) of w's part in the order of `comp[c]`."""

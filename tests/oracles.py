@@ -37,7 +37,10 @@ classifier Ω built from sieves as the reference for subobject counts,
 and the hom-set bijection of an adjunction, Π(f), the triangle
 identities of Π ⊣ inclusion ⊣ f_* and the listing check that decidables
 are closed under subobjects and products, as the references for the
-checks that hold by construction and are no longer run.
+checks that hold by construction and are no longer run.  The restriction
+of P_c(X) on component masks is here because only the tests use it, and
+the inverse f_* ⊣ f^! transpose found by a search over Hom(f_*X, S) is
+the reference for the one read off its formula.
 """
 
 from __future__ import annotations
@@ -545,8 +548,8 @@ def listed_check_dso(X, cap=DEFAULT_SIZE_CAP) -> Result:
 
 # ---------------------------------------------------------------------------
 # what holds by construction: hom-set bijections, Π(f), the triangle
-# identities of Π ⊣ inclusion ⊣ f_*, and decidables closed under
-# subobjects and products
+# identities of Π ⊣ inclusion ⊣ f_*, the f_* ⊣ f^! transpose found by
+# search, and decidables closed under subobjects and products
 
 def bijective(transpose, lhs: list[NatTrans], rhs: list[NatTrans]) -> bool:
     """Whether transpose maps the hom-set lhs one-to-one onto the
@@ -612,6 +615,20 @@ def triangle_failures(adj) -> list[str]:
                 .same_components(identity_nat(S)):
             bad.append("dso-triangle-left@%s" % S.name)
     return bad
+
+
+def listed_phi_inv(adj, X, S, h) -> NatTrans:
+    """The inverse f_* ⊣ f^! transpose of h: X → f^!S by search: the one
+    g in Hom(f_*X, S) with phi(g) = h."""
+    D, _i = adj.f_star(X)
+    matches = [g for g in nat_transformations(D, S)
+               if adj.phi(X, S, g).components == h.components]
+    if len(matches) != 1:
+        raise TriangleIdentityFailed(
+            "transpose of Hom(f_*X,S) ≅ Hom(X,f^!S) is not a "
+            "bijection at X=%r S=%r (%d preimages)"
+            % (X.name, S.name, len(matches)))
+    return matches[0]
 
 
 def decidable_closure_failure(corpus):
@@ -889,6 +906,18 @@ def pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:
     return _relation_object(
         X, lambda B: [S.parts for S in complemented_subobjects(B, cap)],
         cap, "P_c(%s)" % (X.name or "X"))
+
+
+def pc_mask_restrict(pc, m: str, w: int) -> int:
+    """w·m in P_c(X) on component masks (`sublattice.PcMasks`), for
+    m: b→c: the pullback of w along the component map
+    π₀(X×y(b)) → π₀(X×y(c)) that sends (x, g) to (x, m∘g)."""
+    C = pc.of.base
+    b, c = C.morphisms[m]
+    into = pc.comp[c]
+    return sum(1 << i for i in {
+        i for (x, g), i in pc.comp[b].items()
+        if w >> into[x, C.compose(m, g)] & 1})
 
 
 def forced_pc_object(X, cap=DEFAULT_SIZE_CAP) -> PowerObject:

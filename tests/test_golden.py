@@ -31,7 +31,10 @@ hom-sets Hom(y(c)×X, Y) and the lemma listed every map from an epi's
 domain to each decidable; both are now read per component of the
 category of elements.  `verify A` on the point at bound 6 was pinned
 while theorem A listed Hom(ΠX, S) and Hom(X, S) for every pair; it now
-asks whether every map into a decidable factors through the unit."""
+asks whether every map into a decidable factors through the unit.
+`precohesion` on the point at bound 6 was pinned while each f_* ⊣ f^!
+transpose was found by a search over Hom(f_*X, S); it is now read off
+its formula."""
 
 import pathlib
 
@@ -125,6 +128,8 @@ COMMANDS = {
     "verify-A-5": (("verify", "A", "--bound", "5"), 0),
     "verify-A-point-6": (("verify", "A", "--base", "point", "--bound", "6"),
                          0),
+    "precohesion-point-6": (("precohesion", "--base", "point", "--bound",
+                             "6"), 0),
     "verify-lemma-two-discrete-4": (("verify", "lemma", "--base",
                                      "two-discrete", "--bound", "4"), 0),
 }

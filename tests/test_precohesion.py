@@ -9,13 +9,12 @@ import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import is_decidable, pi
-from fptopos.errors import AxiomPrereqFailed
+from fptopos.errors import AxiomPrereqFailed, TriangleIdentityFailed
 from fptopos.fincat import catalog
 from fptopos.harness import _domain_maps, _factors_all
-from fptopos.precohesion import (AdjointString, _hom,
-                                 build_adjoint_string, check_precohesive,
+from fptopos.precohesion import (build_adjoint_string, check_precohesive,
                                  theorem_ab_harness, theorem_c_harness)
-from fptopos.presheaf import (global_elements, is_isomorphic,
+from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
                               nat_transformations, terminal)
 
 PT = catalog("point")
@@ -36,11 +35,23 @@ def test_build_rejects_ns_failure():
         build_adjoint_string(enumerate_presheaves(GR, {"V": 1, "E": 1}))
 
 
+def hom_cache():
+    """nat_transformations, listing each hom-set once."""
+    cache = {}
+
+    def homs(X, Y):
+        key = (id(X), id(Y))
+        if key not in cache:
+            cache[key] = nat_transformations(X, Y)
+        return cache[key]
+    return homs
+
+
 def hom_bijection_failures(adj) -> list[str]:
     """The hom-set bijections of all three adjunctions over the corpus."""
     bad = []
     decs = adj.decidables()
-    homs = partial(_hom, adj._homs)
+    homs = hom_cache()
     for X in adj.corpus:
         r = adj.f_shriek(X)
         D, i = adj.f_star(X)
@@ -59,18 +70,20 @@ def hom_bijection_failures(adj) -> list[str]:
                 bad.append("fs-adjunction@%s,%s" % (X.name, S.name))
     return bad
 
+
 def naturality_failures(adj) -> list[str]:
     """Naturality of the f_* ⊣ f^! transpose in both variables over
     all corpus arrows."""
     bad = []
     decs = adj.decidables()
+    homs = hom_cache()
     for X in adj.corpus:
         DX, _ = adj.f_star(X)
         for S in decs:
-            for g in _hom(adj._homs, DX, S):
+            for g in homs(DX, S):
                 hg = adj.phi(X, S, g)
                 for X2 in adj.corpus:
-                    for k in _hom(adj._homs, X2, X):
+                    for k in homs(X2, X):
                         lhs = adj.phi(X2, S,
                                        adj.f_star_arrow(k).then(g))
                         if not lhs.same_components(k.then(hg)):
@@ -78,7 +91,7 @@ def naturality_failures(adj) -> list[str]:
                                        % (X.name, S.name, X2.name))
                             break
                 for S2 in decs:
-                    for m in _hom(adj._homs, S, S2):
+                    for m in homs(S, S2):
                         lhs = adj.phi(X, S2, g.then(m))
                         rhs = hg.then(adj.f_upper_shriek_arrow(m))
                         if not lhs.same_components(rhs):
@@ -126,6 +139,61 @@ def test_transposes_are_mutually_inverse(adj):
         for g in nat_transformations(adj.f_star(X)[0], S):
             h = adj.phi(X, S, g)
             assert adj.phi_inv(X, S, h).same_components(g)
+
+
+def _one_value_changed(h):
+    """Each copy of h with one value replaced by the next element of its
+    stage of the codomain."""
+    for c in h.dom.base.objects:
+        ids = h.cod.sets[c]
+        for x in h.dom.sets[c] if len(ids) > 1 else ():
+            comps = {b: dict(h.components[b]) for b in h.components}
+            comps[c][x] = ids[(ids.index(h.apply(c, x)) + 1) % len(ids)]
+            yield NatTrans(h.dom, h.cod, comps)
+
+
+def _inverse_or_failure(phi_inv, *args):
+    try:
+        return phi_inv(*args).key()
+    except TriangleIdentityFailed:
+        return "no preimage"
+
+
+@pytest.mark.parametrize("base, bound, inverses, failures", [
+    ("refgraph", 2, 21, 42), ("refgraph", {"V": 2, "E": 3}, 43, 130),
+    ("point", 3, 318, 0)])
+def test_phi_inv_matches_the_search(base, bound, inverses, failures):
+    # The inverse transpose read off h against the search over
+    # Hom(f_*X, S), for every h: X → f^!S and h with one value changed,
+    # with X in the corpus and S a decidable or f_*X.  On the point every
+    # map of sets is natural, so each changed h has a preimage too.
+    adj = build_adjoint_string(enumerate_presheaves(catalog(base), bound))
+    outcomes = []
+    for X in adj.corpus:
+        for S in [*adj.decidables(), adj.f_star(X)[0]]:
+            for h in nat_transformations(X, adj.f_upper_shriek(S)):
+                for h2 in (h, *_one_value_changed(h)):
+                    got = _inverse_or_failure(adj.phi_inv, X, S, h2)
+                    assert got == _inverse_or_failure(
+                        partial(oracles.listed_phi_inv, adj), X, S, h2)
+                    outcomes.append(got)
+    assert (len(outcomes) - outcomes.count("no preimage"),
+            outcomes.count("no preimage")) == (inverses, failures)
+
+
+def test_adjoint_string_lists_no_hom_sets():
+    # The f_* ⊣ f^! transposes on the point at bound 6 are read off their
+    # formulas; finding each preimage by a search over Hom(f_*X, S)
+    # traced over 50 MB.
+    corpus = enumerate_presheaves(PT, 6)
+    tracemalloc.start()
+    try:
+        adj = build_adjoint_string(corpus)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(adj.corpus) == 7
+    assert peak < 5 * 10 ** 6
 
 
 def test_point_base_string_is_degenerate():

@@ -166,8 +166,9 @@ def _mask_tables(pc):
     actions = {}
     for m in C.morphism_names():
         b, c = C.morphisms[m]
-        actions[m] = {pc.name(c, w): pc.name(b, pc.restrict(m, w))
-                      for w in pc.masks[c]}
+        actions[m] = {
+            pc.name(c, w): pc.name(b, oracles.pc_mask_restrict(pc, m, w))
+            for w in pc.masks[c]}
     return sets, actions
 
 
