@@ -1,7 +1,8 @@
 """Everything about dec(E) inside one finite presheaf topos.
 
 Decidability tests, the maps into a decidable object one component at
-a time and the exponential ideal read from them, the exact NS decision,
+a time, whether they factor through a map, and the exponential ideal
+read from them, the exact NS decision,
 the decidable-quotient reflection and the DQO checker, connectedness,
 the DSO checker, congruence closure, and the ¬¬-separated reflection.
 """
@@ -86,6 +87,49 @@ def component_maps(X: Presheaf, D: Presheaf, comp) -> list[list[dict]]:
                 maps.append(f)
         factors.append(maps)
     return factors
+
+
+def _domain_maps(X: Presheaf, decidables: list[Presheaf],
+                 stats: dict | None = None) -> tuple:
+    """The components of ∫X, and for each decidable D with a map X → D
+    the maps into D from each component (`component_maps`): Hom(X, D)
+    is their product, and empty if one of them is."""
+    if stats is not None:
+        stats["domain_hom_sets"] += len(decidables)
+    comp, _k = connected_components(X)
+    factors = (component_maps(X, D, comp) for D in decidables)
+    return comp, [maps for maps in factors if all(maps)]
+
+
+def _constant_on_fibers(fibers: dict, domain_maps: tuple) -> bool:
+    """Whether every map from X to a decidable is constant on each fiber
+    of the table `fibers` (stage → {element of X: fiber}), given X's maps
+    (`_domain_maps`).  A map is a choice per component, so on a fiber
+    pair (x, x0) in one component every choice must agree, and across
+    two components both value sets must be one and the same value."""
+    comp, factors = domain_maps
+    for c, table in fibers.items():
+        first = {}
+        for x, y in table.items():
+            x0 = first.setdefault(y, x)
+            i, j = comp[c][x], comp[c][x0]
+            for maps in factors:
+                if i == j:
+                    if any(f[c][x] != f[c][x0] for f in maps[i]):
+                        return False
+                    continue
+                values = {f[c][x] for f in maps[i]}
+                if len(values) > 1 or values != {f[c][x0] for f in maps[j]}:
+                    return False
+    return True
+
+
+def _factors_all(q: NatTrans, domain_maps: tuple) -> bool:
+    """Whether every map from q's domain to a decidable factors through
+    q, given the domain's maps: q is epi and each map is constant on q's
+    fibers; true when there are no maps."""
+    return not domain_maps[1] or (
+        is_epi(q) and _constant_on_fibers(q.components, domain_maps))
 
 
 def exponential_is_decidable(X: Presheaf, Y: Presheaf,
@@ -173,10 +217,12 @@ def pi(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PiResult:
     return PiResult(X, Q, NatTrans(X, Q, tuples, "p"))
 
 
-def pi_sizes(X: Presheaf) -> tuple[int, ...]:
+def pi_sizes(X: Presheaf, comp: dict | None = None) -> tuple[int, ...]:
     """The stage sizes of ΠX, without building it: the number of
-    components of ∫X meeting each X(c)."""
-    comp, _k = connected_components(X)
+    components of ∫X meeting each X(c), read off X's component table
+    (`connected_components`) if one is given."""
+    if comp is None:
+        comp, _k = connected_components(X)
     return tuple(len(set(comp[c].values())) for c in X.base.objects)
 
 
@@ -185,12 +231,11 @@ def pi_product_failures(corpus: Corpus) -> Iterator[tuple]:
     the product, Π(X×Y) ≇ ΠX × ΠY, in corpus order.  The comparison map
     is onto at every stage, so it is an iso iff the stage sizes agree."""
     cap = corpus.cap
-    for X in corpus:
-        for Y in corpus:
+    sizes = [pi_sizes(X) for X in corpus]
+    for X, a in zip(corpus, sizes):
+        for Y, b in zip(corpus, sizes):
             P, _p1, _p2 = product(X, Y, cap)
-            sizes = zip(corpus.fact(pi, X).quotient.size_vector(),
-                        corpus.fact(pi, Y).quotient.size_vector())
-            if pi_sizes(P) != tuple(a * b for a, b in sizes):
+            if pi_sizes(P) != tuple(i * j for i, j in zip(a, b)):
                 yield X, Y
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import partial
 
 from .corpus import Corpus
-from .decidable import (check_dqo, check_dso, component_maps,
+from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
                         exponential_is_decidable, first_failure, is_connected,
-                        pi, pi_product_failures, presheaf_snippet,
+                        pi, pi_product_failures, pi_sizes, presheaf_snippet,
                         separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, connected_components,
@@ -51,46 +51,6 @@ def _fiber_stats(corpus: Corpus) -> dict:
     for key in FIBER_COUNTS:
         corpus.stats.setdefault(key, 0)
     return corpus.stats
-
-
-def _domain_maps(X: Presheaf, decidables: list[Presheaf],
-                 stats: dict | None = None) -> tuple:
-    """The components of ∫X, and for each decidable D with a map X → D
-    the maps into D from each component (`component_maps`): Hom(X, D)
-    is their product, and empty if one of them is."""
-    if stats is not None:
-        stats["domain_hom_sets"] += len(decidables)
-    comp, _k = connected_components(X)
-    factors = (component_maps(X, D, comp) for D in decidables)
-    return comp, [maps for maps in factors if all(maps)]
-
-
-def _factors_all(q: NatTrans, domain_maps: tuple) -> bool:
-    """Whether every map from q's domain to a decidable factors through
-    q, given the domain's maps: q is epi and each map is constant on q's
-    fibers; true when there are no maps.  A map is a choice per
-    component, so on a fiber pair (x, x0) in one component every choice
-    must agree, and across two components both value sets must be one
-    and the same value."""
-    comp, factors = domain_maps
-    if not factors:
-        return True
-    if not is_epi(q):
-        return False
-    for c, table in q.components.items():
-        first = {}
-        for x, y in table.items():
-            x0 = first.setdefault(y, x)
-            i, j = comp[c][x], comp[c][x0]
-            for maps in factors:
-                if i == j:
-                    if any(f[c][x] != f[c][x0] for f in maps[i]):
-                        return False
-                    continue
-                values = {f[c][x] for f in maps[i]}
-                if len(values) > 1 or values != {f[c][x0] for f in maps[j]}:
-                    return False
-    return True
 
 
 def _inverts_two(q: NatTrans) -> bool:
@@ -171,10 +131,11 @@ def _by_construction(corpus: Corpus):
 
 
 def _prop_connected_iff_pi_one(corpus: Corpus):
-    one = terminal(corpus.base)
+    one = terminal(corpus.base).size_vector()
     for X in corpus:
-        lhs = is_connected(X)
-        rhs = corpus.fact(pi, X).quotient.size_vector() == one.size_vector()
+        comp, k = connected_components(X)
+        lhs = k == 1
+        rhs = pi_sizes(X, comp) == one
         if lhs != rhs:
             return {"object": presheaf_snippet(X),
                     "connected": lhs, "pi_terminal": rhs}

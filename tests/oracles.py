@@ -35,8 +35,10 @@ built from them as the reference for complemented and ¬¬-dense parts
 and ¬¬-equality read off the restriction tables, the subobject
 classifier Ω built from sieves as the reference for subobject counts,
 and the hom-set bijection of an adjunction, Π(f), the triangle
-identities of Π ⊣ inclusion ⊣ f_* and the listing check that decidables
-are closed under subobjects and products, as the references for the
+identities of Π ⊣ inclusion ⊣ f_*, the listing check that decidables
+are closed under subobjects and products, the Nullstellensatz map θ_X
+and theorem C's ¬¬-dense f_*X and epic Π(ι) built from Π, and theorem
+B's reflectivity and DQO at each object, as the references for the
 checks that hold by construction and are no longer run.  The restriction
 of P_c(X) on component masks is here because only the tests use it, and
 the inverse f_* ⊣ f^! transpose found by a search over Hom(f_*X, S) is
@@ -50,8 +52,8 @@ import itertools
 import random
 
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (_is_equivalence, check_dqo, is_decidable, pi,
-                               presheaf_snippet)
+from fptopos.decidable import (_domain_maps, _factors_all, _is_equivalence,
+                               check_dqo, is_decidable, pi, presheaf_snippet)
 from fptopos.errors import (DEFAULT_SIZE_CAP, PresheafError, SizeCapError,
                             ToposError, TriangleIdentityFailed)
 from fptopos.fincat import catalog
@@ -607,7 +609,7 @@ def triangle_failures(adj) -> list[str]:
             bad.append("dso-triangle-right@%s" % X.name)
     for S in adj.decidables():
         # Π ⊣ inclusion: ε_S ∘ η_S = id on decidables.
-        if not adj.unit_pi(S).then(counit_pi(adj, S)) \
+        if not adj.f_shriek(S).map.then(counit_pi(adj, S)) \
                 .same_components(identity_nat(S)):
             bad.append("pi-triangle-right@%s" % S.name)
         # inclusion ⊣ f_*: ε_S ∘ η_S = id.
@@ -615,6 +617,34 @@ def triangle_failures(adj) -> list[str]:
                 .same_components(identity_nat(S)):
             bad.append("dso-triangle-left@%s" % S.name)
     return bad
+
+
+def theta_is_epic(adj, X) -> bool:
+    """The Nullstellensatz map θ_X = p_X ∘ ι: f_*X → ΠX is epic, from Π
+    and f_*X built, as `precohesion` checked it before it was known to
+    hold once NS, DQO and DSO do."""
+    _D, i = adj.f_star(X)
+    return is_epi(i.then(adj.f_shriek(X).map))
+
+
+def dso_part_checks(adj, X) -> tuple[bool, bool]:
+    """Theorem C's ingredients at X as its harness computed them: f_*X is
+    ¬¬-dense in X, by the Heyting negation, and Π(ι) is epic, with Π(ι)
+    factored through Π of f_*X."""
+    D, i = adj.f_star(X)
+    dense = is_nn_dense(Subobject(X, {c: frozenset(D.sets[c])
+                                      for c in adj.base.objects}))
+    pi_i = pi_arrow(i, adj.f_shriek(D), adj.f_shriek(X))
+    return dense, is_epi(pi_i)
+
+
+def reflective_and_dqo(corpus) -> list[tuple[bool, bool]]:
+    """Per corpus object X: whether every map from X to a decidable
+    factors through the built unit p_X: X ↠ ΠX, and whether DQO holds at
+    X, the two sides of theorem B's check that reflectivity gives DQO."""
+    decs = corpus.decidables()
+    return [(_factors_all(corpus.fact(pi, X).map, _domain_maps(X, decs)),
+             corpus.fact(check_dqo, X).holds()) for X in corpus]
 
 
 def listed_phi_inv(adj, X, S, h) -> NatTrans:

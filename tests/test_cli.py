@@ -148,14 +148,40 @@ def test_dec_topos_cap_hit_is_unknown_at_cap(capsys):
     "pneumo-separated-reflections", "pneumo-two-inverting-epis"])
 def test_search_cap_hit_is_unknown_at_cap(capsys, prop):
     # A search that is not a per-object check reports a cap hit anywhere
-    # in it as unknown at the cap, with the cap's message.
+    # in it as unknown at the cap, with the cap's message.  Π's products
+    # read ΠX's sizes off ∫X, so only the product X×Y can pass the cap.
     code, rep = run_json(capsys, "search-counterexample", "--base",
                          "sierpinski", "--bound", "3", "--cap", "4",
                          "--property", prop)
     assert code == 1 and rep["verdict"] == "unknown-at-cap"
     assert rep["witnesses"] == []
-    assert rep["details"] == {"capped": "Hom(X,2) has 8 elements (cap 4)",
-                              "property": prop}
+    capped = ("product needs 6 elements at one stage (cap 4)"
+              if prop == "pi-product-preservation" else
+              "Hom(X,2) has 8 elements (cap 4)")
+    assert rep["details"] == {"capped": capped, "property": prop}
+
+
+def test_point_bound_13_builds_no_pi(capsys):
+    # Π of a 13-element set lists its sides under the 2^13 maps to 2,
+    # past the default cap; precohesion and theorems A and C reach their
+    # verdicts without building Π.
+    for argv, verdict in ((("precohesion",), "precohesive"),
+                          (("verify", "A"), "holds"),
+                          (("verify", "C"), "holds")):
+        code, rep = run_json(capsys, *argv, "--base", "point", "--bound",
+                             "13")
+        assert (code, rep["verdict"]) == (0, verdict), argv
+
+
+def test_connected_iff_pi_one_reads_pi_sizes(capsys):
+    # ΠX ≅ 1 is read off the components of ∫X, so a cap that Π of a
+    # three-component object would pass does not stop the property.
+    for base in ("refgraph", "point"):
+        code, rep = run_json(capsys, "verify", "props", "--base", base,
+                             "--bound", "3", "--cap", "4", "--props",
+                             "connected-iff-pi-one")
+        assert code == 0, base
+        assert rep["details"]["properties"] == {"connected-iff-pi-one": True}
 
 
 def test_props_witnesses_name_their_property(capsys):

@@ -34,7 +34,10 @@ while theorem A listed Hom(ΠX, S) and Hom(X, S) for every pair; it now
 asks whether every map into a decidable factors through the unit.
 `precohesion` on the point at bound 6 was pinned while each f_* ⊣ f^!
 transpose was found by a search over Hom(f_*X, S); it is now read off
-its formula."""
+its formula.  `precohesion` and `verify C` on the monoids idem ({1, e},
+e∘e = e) and lz ({1, a, b}, x∘y = x), both at bound 4, were pinned while
+both built Π of every corpus object to check the Nullstellensatz and
+theorem C's ingredients, which now hold by construction."""
 
 import pathlib
 
@@ -132,6 +135,14 @@ COMMANDS = {
                              "6"), 0),
     "verify-lemma-two-discrete-4": (("verify", "lemma", "--base",
                                      "two-discrete", "--bound", "4"), 0),
+    "precohesion-idem-4": (("precohesion", "--base", "samples/idem.cat",
+                            "--bound", "4"), 0),
+    "verify-C-idem-4": (("verify", "C", "--base", "samples/idem.cat",
+                         "--bound", "4"), 0),
+    "precohesion-lz-4": (("precohesion", "--base", "samples/lz.cat",
+                          "--bound", "4"), 0),
+    "verify-C-lz-4": (("verify", "C", "--base", "samples/lz.cat",
+                       "--bound", "4"), 0),
 }
 
 

@@ -8,13 +8,12 @@ import oracles
 
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import is_decidable, pi
+from fptopos.decidable import _domain_maps, _factors_all, is_decidable, pi
 from fptopos.errors import SizeCapError, UnknownName
 from fptopos.fincat import catalog
 from fptopos.harness import (PROPERTIES, SEARCHES, _corpus_epis,
-                             _domain_maps, _factors_all, _first_witness,
-                             _inverts_two, epi_conditions, fiber,
-                             lemma_report, props_report,
+                             _first_witness, _inverts_two, epi_conditions,
+                             fiber, lemma_report, props_report,
                              search_counterexample)
 from fptopos.presheaf import (connected_components, global_elements,
                               is_isomorphic, make_presheaf,

@@ -1,5 +1,6 @@
 """The adjoint string over decidables and the precohesion checks."""
 
+import pathlib
 import tracemalloc
 from functools import partial
 
@@ -8,10 +9,11 @@ import pytest
 import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import is_decidable, pi
+from fptopos.decidable import (_constant_on_fibers, _domain_maps,
+                               _factors_all, is_decidable, pi)
 from fptopos.errors import AxiomPrereqFailed, TriangleIdentityFailed
 from fptopos.fincat import catalog
-from fptopos.harness import _domain_maps, _factors_all
+from fptopos.files import parse_category_file
 from fptopos.precohesion import (build_adjoint_string, check_precohesive,
                                  theorem_ab_harness, theorem_c_harness)
 from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
@@ -23,6 +25,15 @@ GR = catalog("graph")
 D2 = builtin_object(RG, "D2")
 
 BOUND2 = {"V": 2, "E": 2}
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+def _base(name):
+    """A catalog base, or a .cat file of samples/."""
+    if name.endswith(".cat"):
+        return parse_category_file(str(SAMPLES / name))
+    return catalog(name)
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +300,41 @@ def test_theorem_ab_harness():
     assert h.details["checks"]["pi_preserves_products"]
     assert h.details["checks"]["exponential_ideal"]
     assert h.details["checks"]["reflective_implies_dqo"]
+
+
+@pytest.mark.parametrize("base, bound", [
+    ("refgraph", 2), ("refgraph", 3), ("refgraph", 4), ("point", 3),
+    ("point", 4), ("point", 5), ("point", 6), ("idem.cat", 3),
+    ("idem.cat", 4), ("lz.cat", 3), ("lz.cat", 4)])
+def test_nullstellensatz_and_theorem_c_checks_hold_by_construction(
+        base, bound):
+    # Once NS, DQO and DSO hold, θ_X is epic, and f_*X is ¬¬-dense in X
+    # with Π(ι) epic, at every corpus object: the reports state it, and
+    # the checks built from Π, as they ran before, agree.
+    corpus = enumerate_presheaves(_base(base), bound)
+    adj = build_adjoint_string(corpus)
+    pre = check_precohesive(corpus)
+    assert pre.verdict == "precohesive"
+    assert [oracles.theta_is_epic(adj, X) for X in corpus] == \
+        [pre.details["nullstellensatz"]] * len(corpus)
+    checks = theorem_c_harness(corpus).details["checks"]
+    assert [oracles.dso_part_checks(adj, X) for X in corpus] == \
+        [(checks["dso_part_nn_dense"],
+          checks["pi_of_dense_mono_epic"])] * len(corpus)
+
+
+@pytest.mark.parametrize("base, bound, objects, failing", [
+    ("refgraph", 3, 8, 0), ("graph", {"V": 3, "E": 2}, 26, 10),
+    ("two-discrete", 3, 16, 0), ("sierpinski", 3, 18, 0),
+    ("point", 4, 5, 0)])
+def test_reflective_iff_dqo_at_each_object(base, bound, objects, failing):
+    # X/R₀ is a decidable quotient within the bound, so reflectivity at X
+    # gives DQO at X, and theorem B's check holds by construction.  The
+    # reflection read off the fiber table of p_X (the components of ∫X)
+    # agrees with factoring through the unit p_X built, and with DQO.
+    corpus = enumerate_presheaves(catalog(base), bound)
+    decs = corpus.decidables()
+    by_table = [_constant_on_fibers(maps[0], maps)
+                for maps in (_domain_maps(X, decs) for X in corpus)]
+    assert oracles.reflective_and_dqo(corpus) == [(r, r) for r in by_table]
+    assert (len(by_table), by_table.count(False)) == (objects, failing)
