@@ -73,11 +73,5 @@ class AxiomPrereqFailed(ToposError):
     kind = "AxiomPrereqFailed"
 
 
-class TriangleIdentityFailed(ToposError):
-    """An adjunction triangle identity failed on a concrete object."""
-
-    kind = "TriangleIdentityFailed"
-
-
 # Default cap: no computed set may exceed this many elements at any stage.
 DEFAULT_SIZE_CAP = 4096

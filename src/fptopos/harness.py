@@ -14,7 +14,7 @@ from .corpus import Corpus
 from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
                         exponential_is_decidable, first_failure, is_connected,
                         pi, pi_product_failures, pi_sizes, presheaf_snippet,
-                        separated_reflection)
+                        product_components, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, connected_components,
                        global_elements, homs, inclusion_of, is_epi, pairing,
@@ -147,8 +147,7 @@ def _prop_connected_products(corpus: Corpus):
     connected = [X for X in corpus if is_connected(X)]
     for X in connected:
         for Y in connected:
-            P, _p1, _p2 = product(X, Y, cap)
-            if not is_connected(P):
+            if product_components(X, Y, cap)[1] != 1:
                 return {"left": presheaf_snippet(X),
                         "right": presheaf_snippet(Y)}
     return None

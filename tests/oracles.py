@@ -34,8 +34,9 @@ X ↣ X×X, quotients by a congruence on X×X and the separated reflection
 built from them as the reference for complemented and ¬¬-dense parts
 and ¬¬-equality read off the restriction tables, the subobject
 classifier Ω built from sieves as the reference for subobject counts,
-and the hom-set bijection of an adjunction, Π(f), the triangle
-identities of Π ⊣ inclusion ⊣ f_*, the listing check that decidables
+and the hom-set bijection of an adjunction, Π(f), the adjoint string
+with f^!S = Hom(f_*y(−), S) built and the triangle identities of
+Π ⊣ inclusion ⊣ f_* ⊣ f^!, the listing check that decidables
 are closed under subobjects and products, the Nullstellensatz map θ_X
 and theorem C's ¬¬-dense f_*X and epic Π(ι) built from Π, and theorem
 B's reflectivity and DQO at each object, as the references for the
@@ -51,20 +52,23 @@ import functools
 import itertools
 import random
 
-from fptopos.corpus import enumerate_presheaves
+from fptopos.corpus import Corpus, enumerate_presheaves
 from fptopos.decidable import (_domain_maps, _factors_all, _is_equivalence,
-                               check_dqo, is_decidable, pi, presheaf_snippet)
+                               check_dqo, check_dso, is_decidable, pi,
+                               presheaf_snippet, PiResult)
 from fptopos.errors import (DEFAULT_SIZE_CAP, PresheafError, SizeCapError,
-                            ToposError, TriangleIdentityFailed)
+                            ToposError)
 from fptopos.fincat import catalog
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
-from fptopos.presheaf import (NatTrans, _cap, _encode_nat, _same_base,
-                              factor_through, global_elements, identity_nat,
-                              is_epi, is_isomorphic,
+from fptopos.precohesion import require_axioms
+from fptopos.presheaf import (NatTrans, Presheaf, _cap, _encode_nat,
+                              _same_base, factor_through, global_elements,
+                              identity_nat, inclusion_of, is_epi,
+                              is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, pel, product,
                               quotient_by_pairs, sub_presheaf, subfunctors,
@@ -546,6 +550,202 @@ def listed_check_dso(X, cap=DEFAULT_SIZE_CAP) -> Result:
                                  "subobject": snippet[0]}])
     return Result("fails", [{"object": presheaf_snippet(X),
                              "decidable_subobjects": snippet}])
+
+
+# ---------------------------------------------------------------------------
+# the adjoint string f_! ⊣ f^* ⊣ f_* ⊣ f^! built over a corpus, with the
+# f_* ⊣ f^! triangle identities checked on f^!S = Hom(f_*y(−), S)
+
+class TriangleIdentityFailed(ToposError):
+    """An adjunction triangle identity failed on a concrete object."""
+
+    kind = "TriangleIdentityFailed"
+
+
+@dataclass(eq=False)
+class AdjointString:
+    """The four functors and their adjunction data over one corpus.
+
+    Π and the DSO reports of corpus objects come from the corpus memo;
+    the caches here hold what is built for the string itself."""
+
+    corpus: Corpus
+    _fstar: dict = field(default_factory=dict)
+    _fstar_y: dict = field(default_factory=dict)
+    _fshriek_y: dict = field(default_factory=dict)
+    _decode: dict = field(default_factory=dict)
+
+    @property
+    def base(self) -> FinCategory:
+        return self.corpus.base
+
+    # -- f_! = Π ---------------------------------------------------------
+
+    def f_shriek(self, X: Presheaf) -> PiResult:
+        return self.corpus.fact(pi, X)
+
+    # -- f_* = DSO subobject --------------------------------------------
+
+    def f_star(self, X: Presheaf):
+        """(f_*X, counit inclusion f_*X ↪ X)."""
+        if id(X) not in self._fstar:
+            report = self.corpus.fact(check_dso, X)
+            if not report.holds():
+                raise PresheafError("DSOFails",
+                                    "DSO fails at %r" % (X.name or "X"))
+            part = report.witnesses[0]["subobject"]
+            D, inc = inclusion_of(X, {c: frozenset(part[c])
+                                      for c in self.base.objects})
+            D.name = "f_*(%s)" % (X.name or "X")
+            self._fstar[id(X)] = (D, inc)
+        return self._fstar[id(X)]
+
+    def f_star_arrow(self, h: NatTrans) -> NatTrans:
+        """Restriction of h: X→Y to f_*X → f_*Y.  f_*X holds the values
+        of the points of X, and h maps them to values of points of Y."""
+        D, _i = self.f_star(h.dom)
+        E, _j = self.f_star(h.cod)
+        comps = {c: {x: h.apply(c, x) for x in D.sets[c]}
+                 for c in self.base.objects}
+        return NatTrans(D, E, comps, "f_*(%s)" % (h.name or "h"))
+
+    def f_star_rep(self, c: str):
+        """(y(c), f_*y(c), inclusion) for a representable stage."""
+        if c not in self._fstar_y:
+            yc = yoneda(self.base, c)
+            D, i = self.f_star(yc)
+            self._fstar_y[c] = (yc, D, i)
+        return self._fstar_y[c]
+
+    # -- f^! -------------------------------------------------------------
+
+    def f_upper_shriek(self, S: Presheaf) -> Presheaf:
+        """(f^!S)(c) = Hom(f_*y(c), S), restriction by precomposition."""
+        if id(S) in self._fshriek_y:
+            return self._fshriek_y[id(S)]
+        C = self.base
+        decode = {}
+        sets = {}
+        for c in C.objects:
+            _yc, D, _i = self.f_star_rep(c)
+            homs = sorted(nat_transformations(D, S), key=lambda h: h.key())
+            ids = []
+            for h in homs:
+                eid = _encode_nat(C, h)
+                ids.append(eid)
+                decode[(c, eid)] = h
+            sets[c] = tuple(ids)
+        actions = {}
+        for m in C.nonidentity_morphisms():
+            d, c = C.morphisms[m]
+            _yd, Dd, _ = self.f_star_rep(d)
+            _yc, Dc, _ = self.f_star_rep(c)
+            # f_*y(m): f_*y(d) → f_*y(c) is postcomposition with m.
+            rm = NatTrans(Dd, Dc, {
+                b: {j: C.compose(m, j) for j in Dd.sets[b]}
+                for b in C.objects})
+            actions[m] = {eid: _encode_nat(C, rm.then(decode[(c, eid)]))
+                          for eid in sets[c]}
+        out = make_presheaf(C, sets, actions, "f^!(%s)" % (S.name or "S"))
+        self._fshriek_y[id(S)] = out
+        self._decode[id(out)] = decode
+        return out
+
+    def f_upper_shriek_arrow(self, m: NatTrans) -> NatTrans:
+        """f^!(m): f^!S → f^!T by postcomposition."""
+        FS = self.f_upper_shriek(m.dom)
+        FT = self.f_upper_shriek(m.cod)
+        dec = self._decode[id(FS)]
+        comps = {c: {eid: _encode_nat(self.base, dec[(c, eid)].then(m))
+                     for eid in FS.sets[c]}
+                 for c in self.base.objects}
+        return NatTrans(FS, FT, comps)
+
+    # -- the f_* ⊣ f^! adjunct maps -------------------------------------
+
+    def phi(self, X: Presheaf, S: Presheaf, g: NatTrans) -> NatTrans:
+        """Transpose Hom(f_*X, S) → Hom(X, f^!S): x at stage c goes to
+        g ∘ f_*(x̂), and f_*(x̂): f_*y(c) → f_*X sends k to x·k."""
+        C = self.base
+        FS = self.f_upper_shriek(S)
+        comps = {}
+        for c in C.objects:
+            _yc, D, _i = self.f_star_rep(c)
+            comps[c] = {x: _encode_nat(C, NatTrans(D, g.dom, {
+                b: {k: X.act(k, x) for k in D.sets[b]}
+                for b in C.objects}).then(g)) for x in X.sets[c]}
+        return NatTrans(X, FS, comps)
+
+    def phi_inv(self, X: Presheaf, S: Presheaf, h: NatTrans) -> NatTrans:
+        """Inverse transpose, read off h.  f_*X holds the values of the
+        points of X, so x·k = x for x ∈ f_*X(c) and k ∈ f_*y(c)(c), which
+        NS makes nonempty; a preimage g must then be g(x) = h(x)(k).  One
+        check that phi(g) = h is enough: it also makes g natural, as
+        g(x·m) = h(x)(k∘m) = h(x)(k)·m = g(x)·m."""
+        D, _i = self.f_star(X)
+        dec = self._decode[id(self.f_upper_shriek(S))]
+        comps = {}
+        for c in self.base.objects:
+            k = next(iter(self.f_star_rep(c)[1].sets[c]), None)
+            comps[c] = {x: dec[(c, h.apply(c, x))].apply(c, k)
+                        for x in D.sets[c]}
+        g = NatTrans(D, S, comps)
+        if self.phi(X, S, g).components != h.components:
+            raise TriangleIdentityFailed(
+                "transpose of Hom(f_*X,S) ≅ Hom(X,f^!S) is not a "
+                "bijection at X=%r S=%r (0 preimages)" % (X.name, S.name))
+        return g
+
+    # -- units / counits -------------------------------------------------
+
+    def unit_fs(self, X: Presheaf) -> NatTrans:
+        D, _i = self.f_star(X)
+        return self.phi(X, D, identity_nat(D))
+
+    def counit_fs(self, S: Presheaf) -> NatTrans:
+        FS = self.f_upper_shriek(S)
+        return self.phi_inv(FS, S, identity_nat(FS))
+
+    # -- verification ----------------------------------------------------
+
+    def decidables(self) -> list[Presheaf]:
+        return self.corpus.decidables()
+
+    def verify_triangles(self) -> list[str]:
+        """The f_* ⊣ f^! triangle identities at every corpus object;
+        returns the list of violated identities (empty = pass).  Those of
+        Π ⊣ inclusion ⊣ f_* hold once NS, DQO and DSO do: p_S is one-to-one
+        for decidable S (R₀ = Δ there, and DQO gives K = R₀), p_{ΠX} is
+        one-to-one as ΠX restricts identically, and f_*S = S, as DSO holds
+        at S and S is decidable and contains the values of its points."""
+        bad = []
+        for X in self.corpus:
+            # f_* ⊣ f^!: ε_{f_*X} ∘ f_*(η_X) = id.
+            D, _i = self.f_star(X)
+            lhs = self.f_star_arrow(self.unit_fs(X)).then(self.counit_fs(D))
+            if not lhs.same_components(identity_nat(D)):
+                bad.append("fs-triangle-left@%s" % X.name)
+        for S in self.decidables():
+            # f_* ⊣ f^!: f^!(ε_S) ∘ η_{f^!S} = id.
+            FS = self.f_upper_shriek(S)
+            lhs = self.unit_fs(FS).then(
+                self.f_upper_shriek_arrow(self.counit_fs(S)))
+            if not lhs.same_components(identity_nat(FS)):
+                bad.append("fs-triangle-right@%s" % S.name)
+        return bad
+
+
+def adjoint_string(corpus: Corpus) -> AdjointString:
+    """The adjoint string over the corpus once NS, DQO and DSO hold
+    (else AxiomPrereqFailed), its f_* ⊣ f^! triangle identities checked
+    as `precohesion` checked them before they were known to hold by
+    construction."""
+    require_axioms(corpus)
+    adj = AdjointString(corpus)
+    bad = adj.verify_triangles()
+    if bad:
+        raise TriangleIdentityFailed("; ".join(bad))
+    return adj
 
 
 # ---------------------------------------------------------------------------

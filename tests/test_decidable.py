@@ -14,12 +14,11 @@ from fptopos.decidable import (_check_bounded, check_dqo,
                                dec_is_topos_check,
                                exponential_is_decidable, is_connected,
                                is_decidable, pi, pi_product_failures,
-                               pi_sizes,
+                               pi_sizes, product_components,
                                separated_reflection)
 from fptopos.errors import SizeCapError
 from fptopos.files import resolve_base
 from fptopos.fincat import catalog
-from fptopos.precohesion import AdjointString
 from fptopos.presheaf import (connected_components, global_elements, homs,
                               initial, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,
@@ -167,6 +166,30 @@ def test_pi_product_failures_match_the_iso_search(base, bound, failing):
     assert len(got) == failing
 
 
+SAMPLE_BASES = tuple("samples/%s.cat" % n
+                     for n in ("graph", "idem", "lz", "refgraph"))
+
+
+@pytest.mark.parametrize("base", CATALOG + SAMPLE_BASES)
+def test_product_components_match_the_built_product(base):
+    # Π(X×Y)'s stage sizes and the component count of ∫(X×Y) from the
+    # union-find over pairs, against building X×Y, on every pair.
+    corpus = enumerate_presheaves(resolve_base(base), 3)
+    for X in corpus:
+        for Y in corpus:
+            P = product(X, Y)[0]
+            assert product_components(X, Y) == \
+                (pi_sizes(P), connected_components(P)[1]), (X, Y)
+
+
+def test_product_components_cap_message_is_the_products():
+    with pytest.raises(SizeCapError) as built:
+        product(D2, D2, 3)
+    with pytest.raises(SizeCapError) as counted:
+        product_components(D2, D2, 3)
+    assert str(counted.value) == str(built.value)
+
+
 @pytest.mark.parametrize("base, bound, arrows, not_epic", [
     ("refgraph", 3, 186, 92), ("point", 3, 60, 42),
     ("sierpinski", 3, 3203, 2409), ("two-discrete", 3, 3600, 3276),
@@ -178,7 +201,7 @@ def test_pi_arrow_is_epic_iff_the_unit_after_the_arrow_is(base, bound,
     # is, against building Π(f) by factoring p_Y ∘ f through p_X, on
     # every arrow between corpus objects and each inclusion f_*X ↪ X.
     corpus = enumerate_presheaves(catalog(base), bound)
-    adj = AdjointString(corpus)
+    adj = oracles.AdjointString(corpus)
     incs = [adj.f_star(X)[1] for X in corpus
             if corpus.fact(check_dso, X).holds()]
     verdicts = []
