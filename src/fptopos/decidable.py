@@ -9,7 +9,6 @@ the DSO checker, congruence closure, and the ¬¬-separated reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import SizeCapError, DEFAULT_SIZE_CAP
@@ -188,11 +187,11 @@ def check_ns(C: FinCategory) -> Result:
 # ---------------------------------------------------------------------------
 # the decidable-quotient reflection Π
 
-@dataclass(eq=False)
 class PiResult:
-    source: Presheaf
-    quotient: Presheaf
-    map: NatTrans
+    def __init__(self, source: Presheaf, quotient: Presheaf, map: NatTrans):
+        self.source = source
+        self.quotient = quotient
+        self.map = map
 
 
 def pi(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> PiResult:

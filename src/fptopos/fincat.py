@@ -8,30 +8,31 @@ presentation and are then re-validated like any other input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CategoryError, UnknownName
 
 # Hard cap for the generator-closure routine.
 MAX_MORPHISMS = 64
 
 
-@dataclass(eq=False)
 class FinCategory:
     """A finite category: the base C of the presheaf topos Set^(C^op).
 
     Immutable after validation; object and morphism ids are opaque strings.
     """
 
-    name: str
-    objects: tuple[str, ...]
-    morphisms: dict[str, tuple[str, str]]  # name -> (dom, cod)
-    identities: dict[str, str]             # object -> identity morphism name
-    composition: dict[tuple[str, str], str]  # (g, f) -> g∘f, cod f = dom g
-    generators: tuple[str, ...] = ()
-    words: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, name: str, objects: tuple[str, ...],
+                 morphisms: dict[str, tuple[str, str]],
+                 identities: dict[str, str],
+                 composition: dict[tuple[str, str], str],
+                 generators: tuple[str, ...] = (),
+                 words: dict[str, tuple[str, ...]] | None = None):
+        self.name = name
+        self.objects = objects
+        self.morphisms = morphisms      # name -> (dom, cod)
+        self.identities = identities    # object -> identity morphism name
+        self.composition = composition  # (g, f) -> g∘f, cod f = dom g
+        self.generators = generators
+        self.words = {} if words is None else words
         # The morphism lists below, computed once in sorted name order.
         names = tuple(sorted(self.morphisms))
         self._identity_names = frozenset(self.identities.values())
@@ -283,12 +284,13 @@ def close_generators(name, objects, generators, relations=()) -> FinCategory:
     return cat
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    category: FinCategory
-    # Expected axiom profile, re-verified by the harness, never trusted.
-    notes: dict[str, str]
+    def __init__(self, name: str, category: FinCategory,
+                 notes: dict[str, str]):
+        self.name = name
+        self.category = category
+        # Expected axiom profile, re-verified by the harness, never trusted.
+        self.notes = notes
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:

@@ -17,7 +17,7 @@ from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
                         product_components, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, connected_components,
-                       global_elements, homs, inclusion_of, is_epi, pairing,
+                       global_elements, homs, inclusion_of, pairing,
                        product, pullback, terminal)
 from .report import Result, unknown_at_cap
 from .sublattice import has_pneumoconnected_fibers, pc_masks
@@ -85,10 +85,9 @@ def _corpus_epis(corpus: Corpus):
     stats = _fiber_stats(corpus)
     for X in corpus:
         for Y in corpus:
-            for q in homs(X, Y):
-                if is_epi(q):
-                    stats["epis_checked"] += 1
-                    yield q
+            for q in homs(X, Y, epi=True):
+                stats["epis_checked"] += 1
+                yield q
 
 
 def _epi_witness(q: NatTrans) -> dict:

@@ -9,22 +9,22 @@ element ids are canonical strings, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import (BaseMismatch, PresheafError, ShapeMismatch,
                      SizeCapError, UnknownName, DEFAULT_SIZE_CAP)
 from .fincat import FinCategory
 
 
-@dataclass(eq=False)
 class Presheaf:
     """A presheaf X: one finite set per base object, one restriction
     function per base morphism (contravariant: f: b→c acts X(c)→X(b))."""
 
-    base: FinCategory
-    sets: dict[str, tuple[str, ...]]
-    actions: dict[str, dict[str, str]]
-    name: str = ""
+    def __init__(self, base: FinCategory, sets: dict[str, tuple[str, ...]],
+                 actions: dict[str, dict[str, str]], name: str = ""):
+        self.base = base
+        self.sets = sets
+        self.actions = actions
+        self.name = name
 
     def act(self, m: str, x: str) -> str:
         return self.actions[m][x]
@@ -51,14 +51,15 @@ class Presheaf:
         return "<Presheaf %s [%s]>" % (label, sizes)
 
 
-@dataclass(eq=False)
 class NatTrans:
     """A natural transformation between presheaves on the same base."""
 
-    dom: Presheaf
-    cod: Presheaf
-    components: dict[str, dict[str, str]]
-    name: str = ""
+    def __init__(self, dom: Presheaf, cod: Presheaf,
+                 components: dict[str, dict[str, str]], name: str = ""):
+        self.dom = dom
+        self.cod = cod
+        self.components = components
+        self.name = name
 
     def apply(self, c: str, x: str) -> str:
         return self.components[c][x]
@@ -94,8 +95,9 @@ def _cap(n: int, cap: int, what: str):
 
 
 # The characters constructed element ids are built from: pel, coproduct,
-# quotient_by_pairs, pi, _encode_nat and PcMasks.name.  Ids read from
-# input may not contain them, so a constructed id cannot collide.
+# quotient_by_pairs, pi, PcMasks.name and the arrow ids of the tests'
+# reference objects.  Ids read from input may not contain them, so a
+# constructed id cannot collide.
 RESERVED_ID_CHARS = "(),|[]{};:>"
 
 
@@ -232,10 +234,11 @@ def make_presheaf(C: FinCategory, sets, actions, name="") -> Presheaf:
 # ---------------------------------------------------------------------------
 # hom-sets
 
-def _hom_search(X: Presheaf, Y: Presheaf, iso: bool, values=None):
+def _hom_search(X: Presheaf, Y: Presheaf, epi: bool, values=None):
     """Components of the natural transformations X → Y, or of the
-    pointwise injective ones if `iso`, as a generator: each is found
-    only when the consumer asks for it.
+    pointwise onto ones if `epi` (where the stage sizes agree, these are
+    the isos), as a generator: each is found only when the consumer asks
+    for it.
 
     Elements of X are assigned one at a time in stage-major order, each
     trying the values of Y at its stage in order, or only values[c][x]
@@ -243,29 +246,40 @@ def _hom_search(X: Presheaf, Y: Presheaf, iso: bool, values=None):
     map meets, which forced values are not checked against.  A choice
     x ↦ y at once forces X(m)(x) ↦ Y(m)(y) for every non-identity m into
     x's stage, which covers every restriction of x, so the search fails
-    on the first clash (or reused value, if iso) and an assigned element
-    never needs checking again.  Forced values depend only on earlier
-    choices, so solutions come out in lexicographic order of their value
-    tuples.
+    on the first clash and an assigned element never needs checking
+    again.  If `epi`, each stage keeps how often each value of Y is hit
+    and a slack: its unassigned elements less its values not yet hit.
+    A value hit again spends one unit of slack, and the search fails
+    where the slack would go negative, as too few elements are left to
+    hit the rest (forward checking, Haralick & Elliott 1980).  Forced
+    values depend only on earlier choices, so solutions come out in
+    lexicographic order of their value tuples, and the epis in the order
+    of the hom-set.
     """
     _same_base(X, Y)
     C = X.base
+    slack = {c: len(X.sets[c]) - len(Y.sets[c]) for c in C.objects}
+    if epi and any(s < 0 for s in slack.values()):
+        return iter(())
     into = {c: [(C.dom(m), X.actions[m], Y.actions[m])
                 for m in C.nonidentity_morphisms() if C.cod(m) == c]
             for c in C.objects}
     elems = [(c, x) for c in C.objects for x in X.sets[c]]
     comps = {c: {} for c in C.objects}
-    used = {c: set() for c in C.objects}
+    hits = ({c: dict.fromkeys(Y.sets[c], 0) for c in C.objects}
+            if epi else None)
     trail = []
 
     def put(c, x, y) -> bool:
-        # x ↦ y at stage c; False on a clash or a reused value.
+        # x ↦ y at stage c; False on a clash or, if epi, no slack left.
         if x in comps[c]:
             return comps[c][x] == y
-        if iso:
-            if y in used[c]:
-                return False
-            used[c].add(y)
+        if epi:
+            if hits[c][y]:
+                if not slack[c]:
+                    return False
+                slack[c] -= 1
+            hits[c][y] += 1
         comps[c][x] = y
         trail.append((c, x))
         return True
@@ -286,26 +300,25 @@ def _hom_search(X: Presheaf, Y: Presheaf, iso: bool, values=None):
                 yield from search(i + 1)
             while len(trail) > mark:
                 d, u = trail.pop()
-                used[d].discard(comps[d].pop(u))
+                v = comps[d].pop(u)
+                if epi:
+                    hits[d][v] -= 1
+                    if hits[d][v]:
+                        slack[d] += 1
 
     return search(0)
 
 
-def homs(X: Presheaf, Y: Presheaf):
-    """The natural transformations X → Y in the order of
-    `nat_transformations`, one at a time."""
-    return (NatTrans(X, Y, comps) for comps in _hom_search(X, Y, False))
+def homs(X: Presheaf, Y: Presheaf, epi: bool = False):
+    """The natural transformations X → Y, or only the epis if `epi`, in
+    the order of `nat_transformations`, one at a time."""
+    return (NatTrans(X, Y, comps) for comps in _hom_search(X, Y, epi))
 
 
 def nat_transformations(X: Presheaf, Y: Presheaf) -> list[NatTrans]:
     """All natural transformations X → Y, by the propagating search of
     `_hom_search`; duplicate-free, deterministic order."""
     return list(homs(X, Y))
-
-
-def identity_nat(X: Presheaf) -> NatTrans:
-    return NatTrans(X, X, {c: {x: x for x in X.sets[c]}
-                           for c in X.base.objects}, "id")
 
 
 def is_epi(f: NatTrans) -> bool:
@@ -501,25 +514,6 @@ def quotient_by_pairs(Y: Presheaf, pairs: dict) -> tuple[Presheaf, NatTrans]:
     return Q, q
 
 
-def factor_through(q: NatTrans, h: NatTrans):
-    """The unique g with g∘q = h when h is constant on the fibers of the
-    epi q; None if no such g exists."""
-    Q, Z = q.cod, h.cod
-    comps = {}
-    for c in Q.base.objects:
-        table = {}
-        for x in q.dom.sets[c]:
-            key = q.apply(c, x)
-            val = h.apply(c, x)
-            if table.get(key, val) != val:
-                return None
-            table[key] = val
-        if set(table) != set(Q.sets[c]):
-            return None  # q not epi at this stage
-        comps[c] = table
-    return NatTrans(Q, Z, comps)
-
-
 # ---------------------------------------------------------------------------
 # Yoneda
 
@@ -534,16 +528,6 @@ def yoneda(C: FinCategory, c: str) -> Presheaf:
         _d, b = C.morphisms[m]
         actions[m] = {h: C.compose(h, m) for h in sets[b]}
     return make_presheaf(C, sets, actions, "y(%s)" % c)
-
-
-def yoneda_arrow(X: Presheaf, c: str, x: str,
-                 yc: Presheaf | None = None) -> NatTrans:
-    """The arrow y(c) → X classifying x ∈ X(c) (Yoneda lemma)."""
-    if yc is None:
-        yc = yoneda(X.base, c)
-    comps = {b: {h: X.act(h, x) for h in yc.sets[b]}
-             for b in X.base.objects}
-    return NatTrans(yc, X, comps)
 
 
 def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP,
@@ -601,20 +585,13 @@ def subfunctors(X: Presheaf, cap: int = DEFAULT_SIZE_CAP,
     return parts_list
 
 
-def _encode_nat(C: FinCategory, nt: NatTrans) -> str:
-    chunks = []
-    for d in C.objects:
-        for e in nt.dom.sets[d]:
-            chunks.append("%s:%s->%s" % (d, e, nt.apply(d, e)))
-    return "{" + ";".join(chunks) + "}"
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
 def find_iso(X: Presheaf, Y: Presheaf):
-    """A natural family of bijections X → Y, or None: the first pointwise
-    injective natural transformation, once the stage sizes agree."""
+    """A natural family of bijections X → Y, or None: the first epi,
+    once the stage sizes agree, as an onto map of finite sets of the
+    same size is a bijection."""
     _same_base(X, Y)
     if X.size_vector() != Y.size_vector():
         return None

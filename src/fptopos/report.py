@@ -4,7 +4,6 @@ formula checks return."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import wraps
 
 from .errors import SizeCapError
@@ -15,14 +14,15 @@ PASSING = frozenset({"holds", "holds-at-bound", "agree", "precohesive",
                      "pneumoconnected-fibers", "valid", "none"})
 
 
-@dataclass
 class Result:
     """A verdict, the witnesses that back it (each re-checkable from its
     JSON alone) and the details a report shows beside them."""
 
-    verdict: str
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, witnesses: list | None = None,
+                 details: dict | None = None):
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.details = {} if details is None else details
 
     def holds(self) -> bool:
         return self.verdict in PASSING
@@ -40,10 +40,10 @@ def unknown_at_cap(check):
     return capped
 
 
-@dataclass
 class Countermodel:
     """Where a formula fails: a stage and the values of its variables
     there."""
 
-    stage: str
-    bindings: dict[str, str]
+    def __init__(self, stage: str, bindings: dict[str, str]):
+        self.stage = stage
+        self.bindings = bindings

@@ -13,20 +13,18 @@ fiber condition of an arrow quantifies over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SizeCapError, DEFAULT_SIZE_CAP
 from .presheaf import (NatTrans, Presheaf, _UnionFind, _cap,
                        connected_components)
 from .report import Countermodel
 
 
-@dataclass(eq=False)
 class Subobject:
     """A subfunctor of an ambient presheaf."""
 
-    ambient: Presheaf
-    parts: dict[str, frozenset]
+    def __init__(self, ambient: Presheaf, parts: dict[str, frozenset]):
+        self.ambient = ambient
+        self.parts = parts
 
     def __eq__(self, other):
         return (isinstance(other, Subobject)
@@ -115,7 +113,6 @@ def complemented_subobjects(X: Presheaf,
 # ---------------------------------------------------------------------------
 # the complemented-parts object P_c(X) on component masks
 
-@dataclass(eq=False)
 class PcMasks:
     """P_c(X): stage c holds the maps X×y(c) → 2, one side per component
     of X×y(c), each a mask w with bit i set when component i lies in the
@@ -124,9 +121,12 @@ class PcMasks:
     sorted, which is the order the part's name lists them in; `masks[c]`
     lists the masks in the order of their names."""
 
-    of: Presheaf
-    comp: dict[str, dict[tuple[str, str], int]]
-    masks: dict[str, list[int]]
+    def __init__(self, of: Presheaf,
+                 comp: dict[str, dict[tuple[str, str], int]],
+                 masks: dict[str, list[int]]):
+        self.of = of
+        self.comp = comp
+        self.masks = masks
 
     def name(self, c: str, w: int) -> str:
         """The id of w, as P(X) names a relation: "{d:x:g;…}" over the

@@ -43,7 +43,9 @@ B's reflectivity and DQO at each object, as the references for the
 checks that hold by construction and are no longer run.  The restriction
 of P_c(X) on component masks is here because only the tests use it, and
 the inverse f_* ⊣ f^! transpose found by a search over Hom(f_*X, S) is
-the reference for the one read off its formula.
+the reference for the one read off its formula.  Identity arrows,
+factoring through an epi, the Yoneda arrow of an element and the ids of
+arrows as elements are here because only the tests build them.
 """
 
 from __future__ import annotations
@@ -58,16 +60,15 @@ from fptopos.decidable import (_domain_maps, _factors_all, _is_equivalence,
                                presheaf_snippet, PiResult)
 from fptopos.errors import (DEFAULT_SIZE_CAP, PresheafError, SizeCapError,
                             ToposError)
-from fptopos.fincat import catalog
+from fptopos.fincat import FinCategory, catalog
 from dataclasses import dataclass, field
 
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
 from fptopos.precohesion import require_axioms
-from fptopos.presheaf import (NatTrans, Presheaf, _cap, _encode_nat,
-                              _same_base, factor_through, global_elements,
-                              identity_nat, inclusion_of, is_epi,
+from fptopos.presheaf import (NatTrans, Presheaf, _cap, _same_base,
+                              global_elements, inclusion_of, is_epi,
                               is_isomorphic,
                               make_from_generators, make_presheaf,
                               nat_transformations, pel, product,
@@ -75,6 +76,51 @@ from fptopos.presheaf import (NatTrans, Presheaf, _cap, _encode_nat,
                               terminal, two, yoneda)
 from fptopos.report import Countermodel, Result
 from fptopos.sublattice import Subobject, complemented_subobjects
+
+
+# ---------------------------------------------------------------------------
+# arrows only the tests build
+
+def identity_nat(X: Presheaf) -> NatTrans:
+    return NatTrans(X, X, {c: {x: x for x in X.sets[c]}
+                           for c in X.base.objects}, "id")
+
+
+def factor_through(q: NatTrans, h: NatTrans):
+    """The unique g with g∘q = h when h is constant on the fibers of the
+    epi q; None if no such g exists."""
+    Q, Z = q.cod, h.cod
+    comps = {}
+    for c in Q.base.objects:
+        table = {}
+        for x in q.dom.sets[c]:
+            key = q.apply(c, x)
+            val = h.apply(c, x)
+            if table.get(key, val) != val:
+                return None
+            table[key] = val
+        if set(table) != set(Q.sets[c]):
+            return None  # q not epi at this stage
+        comps[c] = table
+    return NatTrans(Q, Z, comps)
+
+
+def yoneda_arrow(X: Presheaf, c: str, x: str,
+                 yc: Presheaf | None = None) -> NatTrans:
+    """The arrow y(c) → X classifying x ∈ X(c) (Yoneda lemma)."""
+    if yc is None:
+        yc = yoneda(X.base, c)
+    comps = {b: {h: X.act(h, x) for h in yc.sets[b]}
+             for b in X.base.objects}
+    return NatTrans(yc, X, comps)
+
+
+def _encode_nat(C: FinCategory, nt: NatTrans) -> str:
+    chunks = []
+    for d in C.objects:
+        for e in nt.dom.sets[d]:
+            chunks.append("%s:%s->%s" % (d, e, nt.apply(d, e)))
+    return "{" + ";".join(chunks) + "}"
 
 
 # ---------------------------------------------------------------------------

@@ -292,22 +292,39 @@ def test_force_formula(capsys):
     assert code == 1 and rep["witnesses"][0]["stage"] in ("V", "E")
 
 
-def test_cli_import_leaves_the_formula_interpreter_unloaded():
-    # Only `force` evaluates formulas, and it imports the interpreter
-    # itself, so no other command pays for compiling it.
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a new interpreter that finds this fptopos."""
     src = os.path.dirname(os.path.dirname(fptopos.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys\n"
-            "import fptopos.cli\n"
-            "assert 'fptopos.forcing' not in sys.modules\n"
-            "sys.exit(fptopos.cli.main(['force', '--formula',\n"
-            "    'all x : P2 . x = x', '--let', 'P2=P2', '--format',\n"
-            "    'json']))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_cli_import_leaves_the_formula_interpreter_unloaded():
+    # Only `force` evaluates formulas, and it imports the interpreter
+    # itself, so no other command pays for compiling it.
+    proc = _fresh_python(
+        "import sys\n"
+        "import fptopos.cli\n"
+        "assert 'fptopos.forcing' not in sys.modules\n"
+        "sys.exit(fptopos.cli.main(['force', '--formula',\n"
+        "    'all x : P2 . x = x', '--let', 'P2=P2', '--format',\n"
+        "    'json']))\n")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "valid"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # The records are plain classes: `dataclasses` would pull in
+    # `inspect` (and with it `ast`, `dis` and `tokenize`) at every start.
+    # pytest loads both, hence the new process.
+    proc = _fresh_python(
+        "import sys\n"
+        "import fptopos.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_file_inputs(capsys, tmp_path):

@@ -115,8 +115,7 @@ def test_pc_object_of_p2():
 
 
 def test_pneumo_identity_and_collapse():
-    from fptopos.presheaf import identity_nat
-    assert has_pneumoconnected_fibers(identity_nat(P2))
+    assert has_pneumoconnected_fibers(oracles.identity_nat(P2))
     one = terminal(RG)
     q = nat_transformations(P2, one)[0]
     assert has_pneumoconnected_fibers(q)

@@ -6,9 +6,12 @@ whole corpus."""
 import random
 from collections import Counter
 
+import pytest
+
 import oracles
-from fptopos.corpus import Corpus
+from fptopos.corpus import Corpus, enumerate_presheaves
 from fptopos.fincat import catalog
+from fptopos.files import resolve_base
 from fptopos.decidable import (check_dqo, check_dqo_bounded, check_dso,
                                check_dso_bounded, check_ns,
                                dec_is_topos_check, is_connected,
@@ -38,6 +41,26 @@ def test_kernel_matches_brute_force_oracle():
                     assert iso.components == ref.components, (X, Y)
                 pairs += 1
     assert pairs == 1584
+
+
+@pytest.mark.parametrize("base, epis, maps", [
+    ("point", 18, 60), ("two-discrete", 324, 3600),
+    ("sierpinski", 274, 3203), ("graph", 1291, 23112), ("refgraph", 34, 186),
+    ("samples/idem.cat", 31, 146), ("samples/lz.cat", 34, 186)])
+def test_epi_mode_matches_the_filtered_brute_force(base, epis, maps):
+    # The epis are the hom-set's epis, in its order, down to dict order,
+    # on every pair of the bound-3 corpus.
+    corpus = enumerate_presheaves(resolve_base(base), 3)
+    counts = Counter()
+    for X in corpus:
+        for Y in corpus:
+            got = list(homs(X, Y, epi=True))
+            every = oracles.brute_force_homs(X, Y)
+            want = [f for f in every if is_epi(f)]
+            assert [list(f.components.items()) for f in got] == \
+                [list(f.components.items()) for f in want], (X, Y)
+            counts.update(epis=len(got), maps=len(every))
+    assert counts == {"epis": epis, "maps": maps}
 
 
 def _point_set(prefix, n):
