@@ -53,6 +53,11 @@ def _fiber_stats(corpus: Corpus) -> dict:
     return corpus.stats
 
 
+def _component_count(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> int:
+    """The number of components of ∫X; the cap is unused."""
+    return connected_components(X)[1]
+
+
 def _inverts_two(q: NatTrans) -> bool:
     """Whether every map X → 2 factors through the epi q: X ↠ Y.  As 2
     is constant and π₀ ⊣ Δ, a map X → 2 is a side per component, so
@@ -61,10 +66,18 @@ def _inverts_two(q: NatTrans) -> bool:
     return connected_components(q.dom)[1] == connected_components(q.cod)[1]
 
 
-def _conditions(q: NatTrans, maps: tuple, cap: int, pc,
+def _corpus_inverts_two(corpus: Corpus, q: NatTrans) -> bool:
+    """`_inverts_two` for an epi between corpus objects, with each
+    object's components counted once per corpus."""
+    return (corpus.fact(_component_count, q.dom)
+            == corpus.fact(_component_count, q.cod))
+
+
+def _conditions(inverts_two: bool, q: NatTrans, maps: tuple, cap: int, pc,
                 stats: dict | None = None) -> tuple[bool, bool, bool]:
-    """The three fiber conditions of the epi q, given its domain's maps."""
-    return (_inverts_two(q),
+    """The three fiber conditions of the epi q, given whether it inverts
+    every map to 2 and its domain's maps."""
+    return (inverts_two,
             has_pneumoconnected_fibers(q, cap, pc, stats),
             _factors_all(q, maps))
 
@@ -75,7 +88,8 @@ def epi_conditions(q: NatTrans, decidables: list[Presheaf],
     """For an epi q: X↠Y — (i) every X→2 factors through q,
     (ii) q has pneumoconnected fibers, (iii) every map from X to a
     decidable object factors through q."""
-    return _conditions(q, _domain_maps(q.dom, decidables), cap, pc)
+    return _conditions(_inverts_two(q), q, _domain_maps(q.dom, decidables),
+                       cap, pc)
 
 
 def _corpus_epis(corpus: Corpus):
@@ -90,9 +104,14 @@ def _corpus_epis(corpus: Corpus):
                 yield q
 
 
+def _components(f: NatTrans) -> dict:
+    """Serializable witness form of an arrow: stage → {element: value}."""
+    return {c: dict(f.components[c]) for c in f.dom.base.objects}
+
+
 def _epi_witness(q: NatTrans) -> dict:
     return {"dom": presheaf_snippet(q.dom), "cod": presheaf_snippet(q.cod),
-            "epi": {c: dict(q.components[c]) for c in q.dom.base.objects}}
+            "epi": _components(q)}
 
 
 def _search_lemma(corpus: Corpus) -> dict | None:
@@ -103,7 +122,8 @@ def _search_lemma(corpus: Corpus) -> dict | None:
     for q in _corpus_epis(corpus):
         if q.dom is not dom:
             dom, maps = q.dom, _domain_maps(q.dom, decidables, corpus.stats)
-        conditions = _conditions(q, maps, corpus.cap,
+        conditions = _conditions(_corpus_inverts_two(corpus, q), q, maps,
+                                 corpus.cap,
                                  corpus.fact(pc_masks, q.dom),
                                  corpus.stats)
         if len(set(conditions)) > 1:
@@ -176,6 +196,7 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
                     if connected_components(F)[1] > 1:
                         return {"dom": presheaf_snippet(X),
                                 "cod": presheaf_snippet(Y),
+                                "map": _components(f),
                                 "point": {c: b.apply(c, "*")
                                           for c in corpus.base.objects}}
     return None
@@ -208,8 +229,12 @@ def _prop_pneumo_product_closed(corpus: Corpus):
             Q, _q1, _q2 = product(f.cod, g.cod, cap)
             fg = pairing(p1.then(f), p2.then(g), Q)
             if not has_pneumoconnected_fibers(fg, cap, pcp, stats):
-                return {"left_cod": presheaf_snippet(f.cod),
-                        "right_cod": presheaf_snippet(g.cod)}
+                return {"left_dom": presheaf_snippet(f.dom),
+                        "left_cod": presheaf_snippet(f.cod),
+                        "left": _components(f),
+                        "right_dom": presheaf_snippet(g.dom),
+                        "right_cod": presheaf_snippet(g.cod),
+                        "right": _components(g)}
     return None
 
 
@@ -224,7 +249,9 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
                 if not has_pneumoconnected_fibers(pr1, cap, stats=stats):
                     return {"arrow_dom": presheaf_snippet(f.dom),
                             "along_dom": presheaf_snippet(Z),
-                            "cod": presheaf_snippet(f.cod)}
+                            "cod": presheaf_snippet(f.cod),
+                            "arrow": _components(f),
+                            "along": _components(g)}
     return None
 
 
@@ -320,7 +347,7 @@ def _search_pneumo_epis(corpus: Corpus):
     """The first epi inverting every map to 2 (so every X→2 factors
     through it) without pneumoconnected fibers."""
     for q in _corpus_epis(corpus):
-        if not _inverts_two(q):
+        if not _corpus_inverts_two(corpus, q):
             continue  # family: epis inverting all maps to 2
         if not has_pneumoconnected_fibers(
                 q, corpus.cap, corpus.fact(pc_masks, q.dom), corpus.stats):

@@ -38,9 +38,11 @@ and the hom-set bijection of an adjunction, Π(f), the adjoint string
 with f^!S = Hom(f_*y(−), S) built and the triangle identities of
 Π ⊣ inclusion ⊣ f_* ⊣ f^!, the listing check that decidables
 are closed under subobjects and products, the Nullstellensatz map θ_X
-and theorem C's ¬¬-dense f_*X and epic Π(ι) built from Π, and theorem
-B's reflectivity and DQO at each object, as the references for the
-checks that hold by construction and are no longer run.  The restriction
+and theorem C's ¬¬-dense f_*X and epic Π(ι) built from Π, theorem
+B's reflectivity and DQO at each object, and DQO and DSO checked at
+every corpus object (`require_axioms`), which NS forces, as the
+references for the checks that hold by construction and are no longer
+run.  The restriction
 of P_c(X) on component masks is here because only the tests use it, and
 the inverse f_* ⊣ f^! transpose found by a search over Hom(f_*X, S) is
 the reference for the one read off its formula.  Identity arrows,
@@ -58,15 +60,15 @@ from fptopos.corpus import Corpus, enumerate_presheaves
 from fptopos.decidable import (_domain_maps, _factors_all, _is_equivalence,
                                check_dqo, check_dso, is_decidable, pi,
                                presheaf_snippet, PiResult)
-from fptopos.errors import (DEFAULT_SIZE_CAP, PresheafError, SizeCapError,
-                            ToposError)
+from fptopos.errors import (DEFAULT_SIZE_CAP, AxiomPrereqFailed,
+                            PresheafError, SizeCapError, ToposError)
 from fptopos.fincat import FinCategory, catalog
 from dataclasses import dataclass, field
 
 from fptopos.forcing import (And, Bot, Eq, Exists, Forall, Implies, Mem,
                              Not, Or, PairT, PowerSort, PresheafSort,
                              SubConst, Top, VarT, forces, universally_valid)
-from fptopos.precohesion import require_axioms
+from fptopos.precohesion import require_ns
 from fptopos.presheaf import (NatTrans, Presheaf, _cap, _same_base,
                               global_elements, inclusion_of, is_epi,
                               is_isomorphic,
@@ -601,6 +603,20 @@ def listed_check_dso(X, cap=DEFAULT_SIZE_CAP) -> Result:
 # ---------------------------------------------------------------------------
 # the adjoint string f_! ⊣ f^* ⊣ f_* ⊣ f^! built over a corpus, with the
 # f_* ⊣ f^! triangle identities checked on f^!S = Hom(f_*y(−), S)
+
+def require_axioms(corpus: Corpus) -> None:
+    """Raise AxiomPrereqFailed, naming the axiom, unless NS holds on the
+    base and DQO and DSO hold at every corpus object, as `precohesion`
+    checked them before NS was known to force both."""
+    require_ns(corpus.base)
+    for X in corpus:
+        if not corpus.fact(check_dqo, X).holds():
+            raise AxiomPrereqFailed("DQO fails at %r" % X.name,
+                                    witness=presheaf_snippet(X))
+        if not corpus.fact(check_dso, X).holds():
+            raise AxiomPrereqFailed("DSO fails at %r" % X.name,
+                                    witness=presheaf_snippet(X))
+
 
 class TriangleIdentityFailed(ToposError):
     """An adjunction triangle identity failed on a concrete object."""

@@ -1,5 +1,6 @@
 """Property battery, fiber-condition equivalences, counterexample search."""
 
+import json
 from functools import partial
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import oracles
 
 from fptopos.builtins import builtin_object
+from fptopos.cli import main
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import _domain_maps, _factors_all, is_decidable, pi
 from fptopos.errors import SizeCapError, UnknownName
@@ -15,9 +17,11 @@ from fptopos.harness import (PROPERTIES, SEARCHES, _corpus_epis,
                              _first_witness, _inverts_two, epi_conditions,
                              fiber, lemma_report, props_report,
                              search_counterexample)
-from fptopos.presheaf import (connected_components, global_elements,
-                              is_isomorphic, make_presheaf,
-                              nat_transformations, terminal)
+from fptopos.presheaf import (NatTrans, connected_components,
+                              global_elements, is_epi, is_isomorphic,
+                              make_presheaf, nat_transformations, pairing,
+                              product, pullback, terminal)
+from fptopos.sublattice import has_pneumoconnected_fibers
 
 PT = catalog("point")
 TD = catalog("two-discrete")
@@ -183,3 +187,74 @@ def test_search_unknown_property():
     assert set(SEARCHES) >= {"dqo-uniqueness", "dso-uniqueness",
                              "pneumo-two-inverting-epis",
                              "pneumo-separated-reflections"}
+
+
+def _rebuilt(snippet):
+    """The refgraph presheaf of a witness's JSON snippet."""
+    return make_presheaf(RG, snippet["sets"], snippet["actions"],
+                         snippet["name"])
+
+
+def _rebuilt_arrow(X, Y, components):
+    """The arrow X → Y with a witness's components, which must be
+    natural."""
+    f = NatTrans(X, Y, components)
+    assert any(f.same_components(h) for h in nat_transformations(X, Y))
+    return f
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (("--bound", "3"), {"pneumo-fibers-connected", "pneumo-pullback-closed"}),
+    (("--bound", "V=2,E=3", "--props",
+      "pneumo-pullback-closed,pneumo-product-closed"),
+     {"pneumo-pullback-closed"})])
+def test_pneumo_witnesses_recheck_from_their_json(capsys, argv, failing):
+    # Each arrow-property witness names its arrows' components, so the
+    # failure is found again from the JSON alone.
+    assert main(["verify", "props", *argv, "--format", "json"]) == 1
+    witnesses = json.loads(capsys.readouterr().out)["witnesses"]
+    pneumo = [w for w in witnesses if w["property"] in failing]
+    assert {w["property"] for w in pneumo} == failing
+    for w in pneumo:
+        if w["property"] == "pneumo-fibers-connected":
+            Y = _rebuilt(w["cod"])
+            f = _rebuilt_arrow(_rebuilt(w["dom"]), Y, w["map"])
+            b = _rebuilt_arrow(terminal(RG), Y, {c: {"*": v} for c, v
+                                                 in w["point"].items()})
+            assert has_pneumoconnected_fibers(f)
+            assert connected_components(fiber(f, b))[1] > 1
+        else:
+            Y = _rebuilt(w["cod"])
+            f = _rebuilt_arrow(_rebuilt(w["arrow_dom"]), Y, w["arrow"])
+            g = _rebuilt_arrow(_rebuilt(w["along_dom"]), Y, w["along"])
+            assert is_epi(f) and has_pneumoconnected_fibers(f)
+            _P, pr1, _pr2 = pullback(g, f)
+            assert not has_pneumoconnected_fibers(pr1)
+
+
+def test_pneumo_product_witness_names_both_arrows(capsys, monkeypatch):
+    # No corpus tried has a product of pneumo epis that fails, so the
+    # fiber check is made to reject the first product it is given; the
+    # witness must rebuild both epis and, from them, that product.
+    import fptopos.harness as harness
+    real, rejected = harness.has_pneumoconnected_fibers, []
+
+    def reject_first_product(f, *args):
+        if "×" in f.dom.name and not rejected:
+            rejected.append(f)
+            return False
+        return real(f, *args)
+
+    monkeypatch.setattr(harness, "has_pneumoconnected_fibers",
+                        reject_first_product)
+    assert main(["verify", "props", "--bound", "2", "--props",
+                 "pneumo-product-closed", "--format", "json"]) == 1
+    (w,) = json.loads(capsys.readouterr().out)["witnesses"]
+    f = _rebuilt_arrow(_rebuilt(w["left_dom"]), _rebuilt(w["left_cod"]),
+                       w["left"])
+    g = _rebuilt_arrow(_rebuilt(w["right_dom"]), _rebuilt(w["right_cod"]),
+                       w["right"])
+    assert all(is_epi(h) and real(h) for h in (f, g))
+    _P, p1, p2 = product(f.dom, g.dom)
+    Q, _q1, _q2 = product(f.cod, g.cod)
+    assert pairing(p1.then(f), p2.then(g), Q).same_components(rejected[0])

@@ -1,6 +1,7 @@
 """The precohesion checks, and the adjoint string over decidables that
 they no longer build (kept in tests/oracles.py as the reference)."""
 
+import json
 import pathlib
 import tracemalloc
 from functools import partial
@@ -8,15 +9,18 @@ from functools import partial
 import pytest
 
 import oracles
+from oracles import require_axioms
 from fptopos.builtins import builtin_object
+from fptopos.cli import main
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_constant_on_fibers, _domain_maps,
-                               _factors_all, is_decidable, pi)
+                               _factors_all, check_dqo, check_dso, check_ns,
+                               is_decidable, pi)
 from fptopos.errors import AxiomPrereqFailed
 from fptopos.fincat import catalog
 from fptopos.files import parse_category_file
-from fptopos.precohesion import (check_precohesive, require_axioms,
-                                 theorem_ab_harness, theorem_c_harness)
+from fptopos.precohesion import (check_precohesive, theorem_ab_harness,
+                                 theorem_c_harness)
 from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
                               nat_transformations, terminal)
 
@@ -215,9 +219,9 @@ def test_adjoint_string_lists_no_hom_sets():
     ("idem.cat", 3), ("idem.cat", 4), ("lz.cat", 2), ("lz.cat", 3),
     ("lz.cat", 4)])
 def test_triangles_hold_wherever_the_axioms_do(base, bound):
-    # Precohesion checks NS, DQO and DSO and no triangle identity; where
-    # the axioms hold, the adjoint string built on f^!S = Hom(f_*y(−), S)
-    # finds both f_* ⊣ f^! triangles at every object.
+    # Precohesion checks NS and no triangle identity; where the axioms
+    # hold, the adjoint string built on f^!S = Hom(f_*y(−), S) finds both
+    # f_* ⊣ f^! triangles at every object.
     corpus = enumerate_presheaves(_base(base), bound)
     require_axioms(corpus)
     assert oracles.AdjointString(corpus).verify_triangles() == []
@@ -274,21 +278,92 @@ def test_theorem_c_harness_agrees(adj):
     assert h.details["checks"]["pi_of_dense_mono_epic"]
 
 
-def test_theorem_c_mutation_flips_both_sides(monkeypatch):
-    """If DSO is made to fail, the axiom side and the precohesion side
-    must both turn false together; the harness is not hard-wired."""
-    import fptopos.decidable as dec
+def test_theorem_c_mutation_of_the_products_side(monkeypatch, capsys):
+    """If Π is made to miss one product, precohesion turns false while
+    the axioms, forced by NS, still hold, so theorem C fails; the
+    harness reads the one side it computes."""
     import fptopos.precohesion as pre
-    from fptopos.report import Result
 
-    def always_fails(X, cap=None):
-        return Result("fails", [{"object": X.name}])
+    def one_failure(corpus):
+        yield corpus[0], corpus[0]
 
-    monkeypatch.setattr(dec, "check_dso", always_fails)
-    monkeypatch.setattr(pre, "check_dso", always_fails)
+    monkeypatch.setattr(pre, "pi_product_failures", one_failure)
+    pre_r = check_precohesive(enumerate_presheaves(RG, {"V": 1, "E": 1}))
+    assert pre_r.verdict == "fails"
+    assert not pre_r.details["products_preserved"]
     h = theorem_c_harness(enumerate_presheaves(RG, {"V": 1, "E": 1}))
-    assert not h.details["axioms_hold"] and \
-        not h.details["precohesive"] and h.holds()
+    assert h.details["axioms_hold"] and not h.details["precohesive"]
+    assert not h.holds()
+    assert main(["verify", "C", "--bound", "V=1,E=1", "--format",
+                 "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["verdict"] == "fails"
+    assert rep["details"]["axioms_hold"] is True
+    assert rep["details"]["precohesive"] is False
+
+
+@pytest.mark.parametrize("base, bound", [
+    (base, bound) for base in ("point", "refgraph", "idem.cat", "lz.cat")
+    for bound in (2, 3, 4)])
+def test_ns_forces_dqo_dso_and_the_reflection(base, bound):
+    # `require_ns`: once NS holds, DQO and DSO hold at every corpus object
+    # (the per-object reference passes), and every map into a corpus
+    # decidable is constant on the components of ∫X at each stage, so
+    # Π ⊣ inclusion holds; `precohesion` and theorems A and C check none
+    # of them.
+    corpus = enumerate_presheaves(_base(base), bound)
+    require_axioms(corpus)
+    decs = corpus.decidables()
+    for X in corpus:
+        maps = _domain_maps(X, decs)
+        assert _constant_on_fibers(maps[0], maps), X.name
+
+
+@pytest.mark.parametrize("base, axioms", [
+    ("rz.cat", (False, True, True)), ("z2.cat", (False, False, False)),
+    ("cospan.cat", (False, True, False)), ("span.cat", (False, True, False)),
+    ("arrowidem.cat", (False, True, False))])
+def test_dqo_and_dso_fail_without_ns(base, axioms):
+    # The gate above is not vacuous: without NS, DQO and DSO fail at some
+    # corpus object at bound 3 on z2 and DSO on cospan, span and
+    # arrowidem; and NS is not necessary, as both hold on rz.
+    C = _base(base)
+    corpus = enumerate_presheaves(C, 3)
+    assert (check_ns(C).holds(),
+            all(corpus.fact(check_dqo, X).holds() for X in corpus),
+            all(corpus.fact(check_dso, X).holds() for X in corpus)) == axioms
+    with pytest.raises(AxiomPrereqFailed, match="NS fails"):
+        require_axioms(corpus)
+
+
+@pytest.mark.parametrize("base, bound", [
+    ("refgraph", "3"), ("point", "6"), ("idem.cat", "4"), ("lz.cat", "4")])
+def test_precohesion_and_theorems_run_no_axiom_pass(monkeypatch, capsys,
+                                                    base, bound):
+    # With every per-object DQO, DSO and reflection check made to raise,
+    # `precohesion` and `verify A|B|C` give the verdicts they gave when
+    # they ran those checks.
+    import fptopos.decidable as dec
+    import fptopos.harness as harness
+    import fptopos.precohesion as pre
+
+    def raises(*args, **kwargs):
+        raise AssertionError("an axiom check ran")
+
+    for name in ("check_dqo", "check_dso", "_domain_maps",
+                 "_constant_on_fibers"):
+        assert not hasattr(pre, name)
+        monkeypatch.setattr(dec, name, raises)
+        monkeypatch.setattr(harness, name, raises, raising=False)
+    ref = str(SAMPLES / base) if base.endswith(".cat") else base
+    for argv, verdict in ((("precohesion",), "precohesive"),
+                          (("verify", "A"), "holds"),
+                          (("verify", "B"), "holds"),
+                          (("verify", "C"), "holds")):
+        code = main([*argv, "--base", ref, "--bound", bound, "--format",
+                     "json"])
+        assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+        assert code == 0
 
 
 @pytest.mark.parametrize("base, bound, objects, not_reflective", [
