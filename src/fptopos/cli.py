@@ -12,27 +12,43 @@ report carries a witness) or its verdict is unknown at the size cap;
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 import time
 
 from . import builtins as builtin_objects
-from .corpus import bound_label, enumerate_presheaves
-from .decidable import (check_dqo, check_dqo_bounded, check_dso,
-                        check_dso_bounded, check_ns, dec_is_topos_check,
-                        is_connected, is_decidable, pi, presheaf_snippet,
-                        separated_reflection)
 from .errors import (AxiomPrereqFailed, ParseError, ToposError,
                      DEFAULT_SIZE_CAP)
 from .files import parse_presheaf_file, resolve_base
-from .fincat import catalog_entries
-from .harness import (lemma_report, props_report, search_counterexample,
-                      PROPERTIES, SEARCHES)
-from .precohesion import (check_precohesive, require_ns, theorem_ab_harness,
-                          theorem_c_harness)
+from .fincat import bound_label, catalog_entries
+from .presheaf import presheaf_snippet
 from .report import Result, unknown_at_cap
-from .sublattice import complemented_subobjects, pneumoconnected_countermodel
+
+
+def _lazy(name: str):
+    """The package's module NAME, put in sys.modules now but compiled and
+    run at the first read of one of its attributes, so each command loads
+    only the modules it uses.  The benchmark's tracer wraps the functions
+    of the modules in sys.modules once the CLI is imported."""
+    full = "%s.%s" % (__package__, name)
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+corpora = _lazy("corpus")
+decidable = _lazy("decidable")
+harness = _lazy("harness")
+precohesion = _lazy("precohesion")
+sublattice = _lazy("sublattice")
 
 
 def _parse_bounds(text: str):
@@ -119,7 +135,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_check_ns(args) -> int:
     C = resolve_base(args.base)
-    r = check_ns(C)
+    r = precohesion.check_ns(C)
     r.details["recheck"] = "fptopos check-ns --base %s" % args.base
     return _emit(args, C.name, r)
 
@@ -127,7 +143,7 @@ def _cmd_check_ns(args) -> int:
 def _cmd_decidable(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    ok = is_decidable(X, args.cap)
+    ok = decidable.is_decidable(X, args.cap)
     return _emit(args, C.name, Result(
         "decidable" if ok else "not-decidable", [],
         {"object": presheaf_snippet(X)}))
@@ -136,7 +152,7 @@ def _cmd_decidable(args) -> int:
 def _cmd_pi(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    r = pi(X, args.cap)
+    r = decidable.pi(X, args.cap)
     return _emit(args, C.name, Result("ok", [], {
         "stage_sizes": list(r.quotient.size_vector()),
         "quotient": presheaf_snippet(r.quotient),
@@ -146,7 +162,7 @@ def _cmd_pi(args) -> int:
 def _cmd_connected(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    ok = is_connected(X)
+    ok = decidable.is_connected(X)
     return _emit(args, C.name,
                  Result("connected" if ok else "not-connected"))
 
@@ -154,7 +170,7 @@ def _cmd_connected(args) -> int:
 def _cmd_subc(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
-    subs = complemented_subobjects(X, args.cap)
+    subs = sublattice.complemented_subobjects(X, args.cap)
     return _emit(args, C.name, Result("ok", [], {
         "count": len(subs),
         "complemented_subobjects": [{c: sorted(S.parts[c])
@@ -172,10 +188,10 @@ def _cmd_pneumo(args) -> int:
     C = resolve_base(args.base)
     X = _resolve_object(args.object, C)
     if args.map == "pi":
-        f = pi(X, args.cap).map
+        f = decidable.pi(X, args.cap).map
     else:
-        _M, f = separated_reflection(X, args.cap)
-    cm = pneumoconnected_countermodel(f, args.cap)
+        _M, f = decidable.separated_reflection(X, args.cap)
+    cm = sublattice.pneumoconnected_countermodel(f, args.cap)
     return _emit(args, C.name, _countermodel(cm, "pneumoconnected-fibers",
                                              {"map": args.map}))
 
@@ -188,7 +204,7 @@ def _axiom_cmd(args, per_object, bounded) -> int:
         where = " --object %s" % args.object
     else:
         label = bound_label(C, args.bound)
-        r = bounded(enumerate_presheaves(C, args.bound, args.cap))
+        r = bounded(corpora.enumerate_presheaves(C, args.bound, args.cap))
         where = " --bound %s" % args.raw_bound
     r.details["recheck"] = "fptopos %s --base %s%s" % (
         args.subcommand, args.base, where)
@@ -196,30 +212,25 @@ def _axiom_cmd(args, per_object, bounded) -> int:
 
 
 def _cmd_check_dqo(args) -> int:
-    return _axiom_cmd(args, check_dqo, check_dqo_bounded)
+    return _axiom_cmd(args, decidable.check_dqo, decidable.check_dqo_bounded)
 
 
 def _cmd_check_dso(args) -> int:
-    return _axiom_cmd(args, check_dso, check_dso_bounded)
+    return _axiom_cmd(args, decidable.check_dso, decidable.check_dso_bounded)
 
 
 def _cmd_dec_topos(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
-    r = dec_is_topos_check(enumerate_presheaves(C, args.bound, args.cap))
+    corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
+    r = decidable.dec_is_topos_check(corpus)
     return _emit(args, C.name, r, label)
 
 
 def _cmd_precohesion(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
-    r = check_precohesive(enumerate_presheaves(C, args.bound, args.cap))
-    return _emit(args, C.name, r, label)
-
-
-# The checks of theorem_ab_harness that make up theorems A and B.
-_AB_CHECKS = {"A": ("pi_left_adjoint", "pi_preserves_products"),
-              "B": ("exponential_ideal", "reflective_implies_dqo")}
+    return _emit(args, C.name, precohesion.check_precohesive(C), label)
 
 
 def _cmd_verify(args) -> int:
@@ -228,29 +239,36 @@ def _cmd_verify(args) -> int:
     t = args.theorem
     counts = None
     try:
-        if t in ("A", "B", "C"):
-            require_ns(C)  # decided on the base alone, before enumerating
-        corpus = enumerate_presheaves(C, args.bound, args.cap)
+        # Theorems A, B and C are decided by NS on the base alone.
         if t in ("A", "B"):
-            r = theorem_ab_harness(corpus)
-            if r.verdict != "unknown-at-cap":
-                ok = all(r.details["checks"][k] for k in _AB_CHECKS[t])
-                r = Result("holds" if ok else "fails", [], r.details)
+            r = precohesion.theorem_ab_harness(C)
         elif t == "C":
-            r = theorem_c_harness(corpus)
+            r = precohesion.theorem_c_harness(C)
         elif t == "D":
             # whether the two sides agree; dec-topos shows the witnesses
-            r = dec_is_topos_check(corpus)
+            r = decidable.dec_is_topos_check(
+                corpora.enumerate_presheaves(C, args.bound, args.cap))
             if r.verdict != "unknown-at-cap":
                 r = Result("holds" if r.holds() else "fails", [], r.details)
         elif t == "lemma":
-            r, counts = lemma_report(corpus), corpus.stats
+            corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
+            r, counts = harness.lemma_report(corpus), corpus.stats
         else:
-            r, counts = props_report(corpus, args.props.split(",")
-                                     if args.props else None), corpus.stats
+            r, counts = _props(args, C)
     except AxiomPrereqFailed as exc:
         r = Result("prerequisite-failed", [], {"failed_prereq": str(exc)})
     return _emit(args, C.name, r, label, counts)
+
+
+def _props(args, C) -> tuple[Result, dict | None]:
+    """The property battery, and the corpus counts if a selected property
+    still walks the corpus, which is enumerated only then."""
+    names = args.props.split(",") if args.props else None
+    forced = harness.forced_properties(C)
+    if not harness.properties_to_walk(names, forced):
+        return harness.props_report(None, names, forced), None
+    corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
+    return harness.props_report(corpus, names, forced), corpus.stats
 
 
 @unknown_at_cap
@@ -259,7 +277,7 @@ def _search(prop: str, corpus) -> Result:
     a per-object check capped at, or none.  A cap hit elsewhere in the
     search makes the whole search unknown at the cap."""
     capped = []
-    w = search_counterexample(prop, corpus, capped)
+    w = harness.search_counterexample(prop, corpus, capped)
     if w is not None:
         return Result("witness", [w])
     if capped:
@@ -271,7 +289,8 @@ def _search(prop: str, corpus) -> Result:
 def _cmd_search(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
-    corpus = enumerate_presheaves(C, args.bound, args.cap)
+    harness.require_known([args.property], harness.SEARCHES)
+    corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     r = _search(args.property, corpus)
     r.details["property"] = args.property
     if r.verdict == "witness":
@@ -284,7 +303,7 @@ def _cmd_search(args) -> int:
 def _cmd_enumerate(args) -> int:
     C = resolve_base(args.base)
     label = bound_label(C, args.bound)
-    corpus = enumerate_presheaves(C, args.bound, args.cap)
+    corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     details = {"count": len(corpus),
                "counts_per_size_vector": {",".join(map(str, k)): v
                                           for k, v in corpus.counts.items()}}
@@ -372,13 +391,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "props"))
     p.add_argument("--props", default=None,
                    help="comma-separated property names (with "
-                        "theorem=props; default all: %s)"
-                        % ",".join(sorted(PROPERTIES)))
+                        "theorem=props; default all)")
     p = add("search-counterexample", _cmd_search,
             "hunt the first corpus witness violating a property",
             bound=True)
     p.add_argument("--property", required=True,
-                   choices=sorted(SEARCHES))
+                   help="the property to search (an unknown name lists "
+                        "them)")
     p = add("enumerate", _cmd_enumerate,
             "enumerate the bounded corpus up to isomorphism", bound=True)
     p.add_argument("--list", action="store_true",

@@ -26,9 +26,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .decidable import is_decidable
-from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .fincat import FinCategory
+from .errors import SizeCapError, DEFAULT_SIZE_CAP
+from .fincat import FinCategory, stage_bounds
 from .presheaf import Presheaf, _hom_search, make_from_generators
 
 
@@ -76,31 +75,9 @@ class Corpus:
 
     def decidables(self) -> list[Presheaf]:
         """The decidable corpus objects, in corpus order."""
+        # Imported here so that `enumerate` loads no decidable layer.
+        from .decidable import is_decidable
         return [X for X in self if self.fact(is_decidable, X)]
-
-
-def _norm_bounds(C: FinCategory, bounds) -> dict[str, int]:
-    """Per-stage bounds from one bound for every stage or a dict of
-    stage bounds (a stage it leaves out is bounded by 0)."""
-    if isinstance(bounds, int):
-        bounds = {c: bounds for c in C.objects}
-    for c in bounds:
-        if c not in C.objects:
-            raise UnknownName("bound for %r, which is not an object of %s "
-                              "(objects: %s)"
-                              % (c, C.name, ", ".join(C.objects)))
-    b = {c: bounds.get(c, 0) for c in C.objects}
-    for c in C.objects:
-        if b[c] < 0:
-            raise SizeCapError("negative bound for %r" % c)
-    return b
-
-
-def bound_label(C: FinCategory, bounds) -> str:
-    """The bounds as reports show them, e.g. 'V<=2,E<=1'; rejects a
-    stage that is not an object of C."""
-    b = _norm_bounds(C, bounds)
-    return ",".join("%s<=%d" % (c, b[c]) for c in C.objects)
 
 
 def _candidates(C: FinCategory, sizes: dict[str, int], stats: Counter):
@@ -312,7 +289,7 @@ def enumerate_presheaves(C: FinCategory, bounds,
     searched in lexicographic order and the leaves of each in
     lexicographic order of their tables, so the corpus is ordered by
     (size vector, least generator tables)."""
-    b = _norm_bounds(C, bounds)
+    b = stage_bounds(C, bounds)
     for c in C.objects:
         if b[c] > cap:
             raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))

@@ -2,9 +2,9 @@
 
 Decidability tests, the maps into a decidable object one component at
 a time, whether they factor through a map, and the exponential ideal
-read from them, the exact NS decision,
-the decidable-quotient reflection and the DQO checker, connectedness,
-the DSO checker, congruence closure, and the ¬¬-separated reflection.
+read from them, the decidable-quotient reflection and the DQO checker,
+connectedness, the DSO checker, congruence closure, and the
+¬¬-separated reflection.
 """
 
 from __future__ import annotations
@@ -12,27 +12,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import SizeCapError, DEFAULT_SIZE_CAP
-from .fincat import FinCategory
-from .presheaf import (NatTrans, Presheaf, _UnionFind, _cap,
+from .presheaf import (NatTrans, Presheaf, _UnionFind, _cap, arrow_snippet,
                        connected_components, global_elements, homs, is_epi,
-                       make_presheaf, pel, product, quotient_by_pairs,
-                       sub_presheaf, subfunctors, yoneda)
+                       make_presheaf, pel, presheaf_snippet, product,
+                       quotient_by_pairs, sub_presheaf, subfunctors, yoneda)
 from .report import Result, unknown_at_cap
 from .sublattice import (SIDES, Subobject, is_complemented,
                          is_nn_dense_arrow, two_components)
 
 if TYPE_CHECKING:
     from .corpus import Corpus
-
-
-def presheaf_snippet(X: Presheaf) -> dict:
-    """Serializable witness form of a presheaf (re-checkable)."""
-    return {
-        "name": X.name or "X",
-        "sets": {c: list(X.sets[c]) for c in X.base.objects},
-        "actions": {m: dict(sorted(X.actions[m].items()))
-                    for m in X.base.nonidentity_morphisms()},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +146,6 @@ def exponential_is_decidable(X: Presheaf, Y: Presheaf,
         if free - hit:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the Nullstellensatz axiom
-
-def check_ns(C: FinCategory) -> Result:
-    """Exact NS decision: every object is initial or has a global element
-    iff every representable has a global element.
-
-    Soundness: a global element p of y(c) turns any x ∈ X(c) into the
-    global element b ↦ X(p_b)(x); necessity: representables are nonempty.
-    """
-    failing = []
-    first = None
-    for c in C.objects:
-        yc = yoneda(C, c)
-        if not global_elements(yc):
-            failing.append("y(%s)" % c)
-            if first is None:
-                first = yc
-    if failing:
-        return Result("fails", [{"representable": failing[0],
-                                 "all_failing": failing,
-                                 "presheaf": presheaf_snippet(first)}])
-    return Result("holds")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +447,8 @@ def dec_is_topos_check(corpus: Corpus) -> Result:
                 if not is_epi(f.then(corpus.fact(pi, Y).map)):
                     right = False
                     right_witness = {"dom": presheaf_snippet(X),
-                                     "cod": presheaf_snippet(Y)}
+                                     "cod": presheaf_snippet(Y),
+                                     "arrow": arrow_snippet(f)}
                     break
             if not right:
                 break

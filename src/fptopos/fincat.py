@@ -1,4 +1,5 @@
-"""Finite categories: validation, generator closure, and the built-in catalog.
+"""Finite categories: validation, generator closure, per-stage bounds and
+the built-in catalog.
 
 A finite category is stored with an explicit total composition table, so
 validation is a direct O(n^3) check of the identity and associativity laws.
@@ -8,7 +9,7 @@ presentation and are then re-validated like any other input.
 
 from __future__ import annotations
 
-from .errors import CategoryError, UnknownName
+from .errors import CategoryError, SizeCapError, UnknownName
 
 # Hard cap for the generator-closure routine.
 MAX_MORPHISMS = 64
@@ -282,6 +283,30 @@ def close_generators(name, objects, generators, relations=()) -> FinCategory:
     cat.generators = tuple(g for g, _d, _c in generators)
     cat.words = words
     return cat
+
+
+def stage_bounds(C: FinCategory, bounds) -> dict[str, int]:
+    """Per-stage bounds from one bound for every stage or a dict of
+    stage bounds (a stage it leaves out is bounded by 0)."""
+    if isinstance(bounds, int):
+        bounds = {c: bounds for c in C.objects}
+    for c in bounds:
+        if c not in C.objects:
+            raise UnknownName("bound for %r, which is not an object of %s "
+                              "(objects: %s)"
+                              % (c, C.name, ", ".join(C.objects)))
+    b = {c: bounds.get(c, 0) for c in C.objects}
+    for c in C.objects:
+        if b[c] < 0:
+            raise SizeCapError("negative bound for %r" % c)
+    return b
+
+
+def bound_label(C: FinCategory, bounds) -> str:
+    """The bounds as reports show them, e.g. 'V<=2,E<=1'; rejects a
+    stage that is not an object of C."""
+    b = stage_bounds(C, bounds)
+    return ",".join("%s<=%d" % (c, b[c]) for c in C.objects)
 
 
 class CatalogEntry:

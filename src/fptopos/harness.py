@@ -13,12 +13,14 @@ from functools import partial
 from .corpus import Corpus
 from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
                         exponential_is_decidable, first_failure, is_connected,
-                        pi, pi_product_failures, pi_sizes, presheaf_snippet,
-                        product_components, separated_reflection)
+                        pi, pi_product_failures, pi_sizes, product_components,
+                        separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .presheaf import (NatTrans, Presheaf, connected_components,
-                       global_elements, homs, inclusion_of, pairing,
-                       product, pullback, terminal)
+from .precohesion import check_ns
+from .presheaf import (NatTrans, Presheaf, arrow_snippet,
+                       connected_components, global_elements, homs,
+                       inclusion_of, pairing, presheaf_snippet, product,
+                       pullback, terminal)
 from .report import Result, unknown_at_cap
 from .sublattice import has_pneumoconnected_fibers, pc_masks
 
@@ -104,14 +106,9 @@ def _corpus_epis(corpus: Corpus):
                 yield q
 
 
-def _components(f: NatTrans) -> dict:
-    """Serializable witness form of an arrow: stage → {element: value}."""
-    return {c: dict(f.components[c]) for c in f.dom.base.objects}
-
-
 def _epi_witness(q: NatTrans) -> dict:
     return {"dom": presheaf_snippet(q.dom), "cod": presheaf_snippet(q.cod),
-            "epi": _components(q)}
+            "epi": arrow_snippet(q)}
 
 
 def _search_lemma(corpus: Corpus) -> dict | None:
@@ -143,11 +140,6 @@ def lemma_report(corpus: Corpus) -> Result:
 
 # ---------------------------------------------------------------------------
 # the standard property battery
-
-def _by_construction(corpus: Corpus):
-    """A property that holds on every corpus: no witness."""
-    return None
-
 
 def _prop_connected_iff_pi_one(corpus: Corpus):
     one = terminal(corpus.base).size_vector()
@@ -196,7 +188,7 @@ def _prop_pneumo_fibers_connected(corpus: Corpus):
                     if connected_components(F)[1] > 1:
                         return {"dom": presheaf_snippet(X),
                                 "cod": presheaf_snippet(Y),
-                                "map": _components(f),
+                                "map": arrow_snippet(f),
                                 "point": {c: b.apply(c, "*")
                                           for c in corpus.base.objects}}
     return None
@@ -231,10 +223,10 @@ def _prop_pneumo_product_closed(corpus: Corpus):
             if not has_pneumoconnected_fibers(fg, cap, pcp, stats):
                 return {"left_dom": presheaf_snippet(f.dom),
                         "left_cod": presheaf_snippet(f.cod),
-                        "left": _components(f),
+                        "left": arrow_snippet(f),
                         "right_dom": presheaf_snippet(g.dom),
                         "right_cod": presheaf_snippet(g.cod),
-                        "right": _components(g)}
+                        "right": arrow_snippet(g)}
     return None
 
 
@@ -250,8 +242,8 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
                     return {"arrow_dom": presheaf_snippet(f.dom),
                             "along_dom": presheaf_snippet(Z),
                             "cod": presheaf_snippet(f.cod),
-                            "arrow": _components(f),
-                            "along": _components(g)}
+                            "arrow": arrow_snippet(f),
+                            "along": arrow_snippet(g)}
     return None
 
 
@@ -276,10 +268,12 @@ def _prop_exponential_ideal(corpus: Corpus):
     return None
 
 
+# Property name → the corpus walk that decides it, returning the first
+# witness or None; None where the property holds by construction.
 PROPERTIES = {
     # Π restricts identically, so ΠQ ≅ Q for Q = ΠX, and ΠX(c) holds
     # the components meeting X(c), so ΠX ≅ 0 iff X ≅ 0.
-    "pi-structure": _by_construction,
+    "pi-structure": None,
     "connected-iff-pi-one": _prop_connected_iff_pi_one,
     "connected-products": _prop_connected_products,
     "pi-products": _prop_pi_products,
@@ -290,25 +284,61 @@ PROPERTIES = {
     "exponential-ideal": _prop_exponential_ideal,
     # Decidable means injective restrictions, and restricting to a
     # subobject or pairing keeps injective maps injective.
-    "decidable-closure": _by_construction,
+    "decidable-closure": None,
 }
 
+# The properties that NS on the base forces, so no walk decides them
+# there; the reasons are in `precohesion.require_ns` and
+# `precohesion.theorem_ab_harness`.
+NS_FORCED = frozenset({"connected-iff-pi-one", "connected-products",
+                       "pi-products", "exponential-ideal"})
 
-def props_report(corpus: Corpus, names: list[str] | None = None) -> Result:
+
+def forced_properties(C) -> frozenset:
+    """The properties that NS forces on the base C: `NS_FORCED` where NS
+    holds, else none."""
+    return NS_FORCED if check_ns(C).holds() else frozenset()
+
+
+def require_known(names, registry: dict) -> None:
+    """Raise UnknownName, listing the registered names, for the first
+    name not in the registry."""
+    for n in names:
+        if n not in registry:
+            raise UnknownName("unknown property %r (have: %s)"
+                              % (n, ", ".join(sorted(registry))))
+
+
+def properties_to_walk(names: list[str] | None, forced) -> list[str]:
+    """The selected properties (all by default) that only a corpus walk
+    decides: neither true by construction nor in `forced`."""
+    selected = sorted(PROPERTIES) if names is None else names
+    require_known(selected, PROPERTIES)
+    return [n for n in selected
+            if PROPERTIES[n] is not None and n not in forced]
+
+
+def props_report(corpus: Corpus | None, names: list[str] | None = None,
+                 forced=None) -> Result:
     """Run the named property checks (all by default) over the corpus.
 
-    Each property is true, false (with a witness naming the property) or
-    "unknown-at-cap" when its check hits the size cap; the battery
+    A property that holds by construction, or is in `forced` (by default
+    `forced_properties` of the corpus's base), is true without a walk;
+    the corpus may be None when no other property is selected.  Each
+    other property is true, false (with a witness naming the property)
+    or "unknown-at-cap" when its walk hits the size cap; the battery
     fails if any property is false, and is unknown at the cap if none is
     false but one hit the cap."""
-    selected = names if names is not None else sorted(PROPERTIES)
-    for n in selected:
-        if n not in PROPERTIES:
-            raise UnknownName("unknown property %r (have: %s)"
-                              % (n, ", ".join(sorted(PROPERTIES))))
-    _fiber_stats(corpus)
+    if forced is None:
+        forced = forced_properties(corpus.base)
+    walked = properties_to_walk(names, forced)
+    if corpus is not None:
+        _fiber_stats(corpus)
     properties, witnesses = {}, []
-    for n in selected:
+    for n in sorted(PROPERTIES) if names is None else names:
+        if n not in walked:
+            properties[n] = True
+            continue
         try:
             witness = PROPERTIES[n](corpus)
         except SizeCapError:
@@ -378,9 +408,7 @@ def search_counterexample(prop: str, corpus: Corpus,
     per-object check (`OBJECT_CHECKS`) appends each object whose check
     hits the size cap to it and goes on; otherwise a cap hit raises
     SizeCapError."""
-    if prop not in SEARCHES:
-        raise UnknownName("unknown property %r (have: %s)"
-                          % (prop, ", ".join(sorted(SEARCHES))))
+    require_known([prop], SEARCHES)
     _fiber_stats(corpus)
     if prop in OBJECT_CHECKS:
         return SEARCHES[prop](corpus, capped)

@@ -83,6 +83,21 @@ class NatTrans:
         return "<NatTrans %s>" % (self.name or "f")
 
 
+def presheaf_snippet(X: Presheaf) -> dict:
+    """Serializable witness form of a presheaf (re-checkable)."""
+    return {
+        "name": X.name or "X",
+        "sets": {c: list(X.sets[c]) for c in X.base.objects},
+        "actions": {m: dict(sorted(X.actions[m].items()))
+                    for m in X.base.nonidentity_morphisms()},
+    }
+
+
+def arrow_snippet(f: NatTrans) -> dict:
+    """Serializable witness form of an arrow: stage → {element: value}."""
+    return {c: dict(f.components[c]) for c in f.dom.base.objects}
+
+
 def _same_base(X: Presheaf, Y: Presheaf):
     if X.base is not Y.base:
         raise BaseMismatch("presheaves live over different base categories")

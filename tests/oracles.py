@@ -42,7 +42,11 @@ and theorem C's ¬¬-dense f_*X and epic Π(ι) built from Π, theorem
 B's reflectivity and DQO at each object, and DQO and DSO checked at
 every corpus object (`require_axioms`), which NS forces, as the
 references for the checks that hold by construction and are no longer
-run.  The restriction
+run, and the corpus walks of Π's products, the exponential ideal,
+products of connected objects and ΠX ≅ 1 iff X is connected, which NS
+on the base forces, as the references for `precohesion`, theorems A and
+B and the four properties that no longer walk on an NS base.  The
+restriction
 of P_c(X) on component masks is here because only the tests use it, and
 the inverse f_* ⊣ f^! transpose found by a search over Hom(f_*X, S) is
 the reference for the one read off its formula.  Identity arrows,
@@ -58,8 +62,10 @@ import random
 
 from fptopos.corpus import Corpus, enumerate_presheaves
 from fptopos.decidable import (_domain_maps, _factors_all, _is_equivalence,
-                               check_dqo, check_dso, is_decidable, pi,
-                               presheaf_snippet, PiResult)
+                               check_dqo, check_dso,
+                               exponential_is_decidable, is_connected,
+                               is_decidable, pi, pi_sizes,
+                               product_components, PiResult)
 from fptopos.errors import (DEFAULT_SIZE_CAP, AxiomPrereqFailed,
                             PresheafError, SizeCapError, ToposError)
 from fptopos.fincat import FinCategory, catalog
@@ -73,7 +79,8 @@ from fptopos.presheaf import (NatTrans, Presheaf, _cap, _same_base,
                               global_elements, inclusion_of, is_epi,
                               is_isomorphic,
                               make_from_generators, make_presheaf,
-                              nat_transformations, pel, product,
+                              nat_transformations, pel, presheaf_snippet,
+                              product,
                               quotient_by_pairs, sub_presheaf, subfunctors,
                               terminal, two, yoneda)
 from fptopos.report import Countermodel, Result
@@ -526,6 +533,40 @@ def iso_pi_product_failures(corpus):
                                     corpus.fact(pi, Y).quotient, cap)
             if not is_isomorphic(pi(P, cap).quotient, rhs):
                 yield X, Y
+
+
+# ---------------------------------------------------------------------------
+# the corpus walks that `precohesion`, theorems A and B and four
+# `verify props` properties ran before NS on the base decided them
+
+def pi_product_failures(corpus) -> list:
+    """The pairs (X, Y) of corpus objects with Π(X×Y) ≇ ΠX × ΠY, from
+    the stage sizes: the comparison map is onto at every stage, so it is
+    an iso iff the sizes agree."""
+    sizes = [pi_sizes(X) for X in corpus]
+    return [(X, Y) for X, a in zip(corpus, sizes)
+            for Y, b in zip(corpus, sizes)
+            if product_components(X, Y, corpus.cap)[0]
+            != tuple(i * j for i, j in zip(a, b))]
+
+
+def exponential_failures(corpus) -> list:
+    """The pairs (X, Y), Y a corpus decidable, with Y^X not decidable."""
+    return [(X, Y) for X in corpus for Y in corpus.decidables()
+            if not exponential_is_decidable(X, Y, corpus.cap)]
+
+
+def connected_product_failures(corpus) -> list:
+    """The pairs of connected corpus objects whose product is not."""
+    connected = [X for X in corpus if is_connected(X)]
+    return [(X, Y) for X in connected for Y in connected
+            if product_components(X, Y, corpus.cap)[1] != 1]
+
+
+def pi_one_failures(corpus) -> list:
+    """The corpus objects X for which X connected and ΠX ≅ 1 disagree."""
+    one = terminal(corpus.base).size_vector()
+    return [X for X in corpus if is_connected(X) != (pi_sizes(X) == one)]
 
 
 def image_in_power_of_two(X, cap=DEFAULT_SIZE_CAP):

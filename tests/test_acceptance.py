@@ -16,13 +16,13 @@ import oracles
 from fptopos.builtins import builtin_object
 from fptopos.cli import main as cli_main
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (check_dqo, check_dso, check_ns, is_connected,
+from fptopos.decidable import (check_dqo, check_dso, is_connected,
                                is_decidable, pi, separated_reflection)
 from fptopos.errors import AxiomPrereqFailed
 from fptopos.fincat import catalog
 from fptopos.forcing import PresheafSort, _restrict_env, forces
 from fptopos.harness import lemma_report, search_counterexample
-from fptopos.precohesion import theorem_c_harness
+from fptopos.precohesion import check_ns, theorem_c_harness
 from fptopos.presheaf import (global_elements, is_epi, is_isomorphic,
                               make_presheaf, product, terminal)
 from fptopos.sublattice import (complemented_subobjects,
@@ -138,13 +138,13 @@ def test_criterion_09_dso_fails_on_lopsided_pair():
 def test_criterion_10_theorem_c_harness():
     with criterion(10, 600, "axioms ⇔ precohesion on refgraph; NS gate on "
                             "graph"):
-        h = theorem_c_harness(enumerate_presheaves(RG, 2))
+        h = theorem_c_harness(RG)
         assert h.holds() and h.details["axioms_hold"] and \
             h.details["precohesive"]
         assert h.details["checks"]["dso_part_nn_dense"]
         assert h.details["checks"]["pi_of_dense_mono_epic"]
         with pytest.raises(AxiomPrereqFailed) as exc:
-            theorem_c_harness(enumerate_presheaves(GR, 2))
+            theorem_c_harness(GR)
         assert "NS" in str(exc.value)
 
 

@@ -327,6 +327,80 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
+def _modules_run_by(*argv) -> list[str]:
+    """The package modules that `fptopos.cli.main(argv)` compiles and runs
+    in a new interpreter.  The CLI registers the decidable layer,
+    sublattice, precohesion and the harness in sys.modules without
+    running them (importlib's LazyLoader), and each runs at the first
+    read of one of its attributes; until then its type is a subclass of
+    the module type."""
+    proc = _fresh_python(
+        "import contextlib, io, sys, types\n"
+        "import fptopos.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = fptopos.cli.main(%r)\n"
+        "assert code == 0, code\n"
+        "print(*sorted(n for n, m in sys.modules.items()\n"
+        "              if n.startswith('fptopos.')\n"
+        "              and type(m) is types.ModuleType))\n" % (list(argv),))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+# The modules that NS on the base leaves unused.
+CORPUS_LAYERS = {"fptopos.corpus", "fptopos.decidable", "fptopos.sublattice",
+                 "fptopos.harness"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("precohesion",), CORPUS_LAYERS), (("verify", "A"), CORPUS_LAYERS),
+    (("verify", "C"), CORPUS_LAYERS),
+    (("enumerate",), CORPUS_LAYERS - {"fptopos.corpus"}
+     | {"fptopos.precohesion"})],
+    ids=("precohesion", "verify A", "verify C", "enumerate"))
+def test_each_command_loads_only_its_modules(argv, unused):
+    # NS is decided on the representables, so the NS-decided commands
+    # compile no corpus layer; `enumerate` compiles no decidable layer.
+    loaded = _modules_run_by(*argv, "--bound", "3")
+    assert unused.isdisjoint(loaded), unused & set(loaded)
+    assert "fptopos.presheaf" in loaded
+
+
+@pytest.mark.parametrize("argv, known", [
+    (("search-counterexample", "--property", "nope"), "lemma-equivalences"),
+    (("verify", "props", "--props", "pi-products,nope"), "pi-products")])
+def test_unknown_property_names_exit_two_listing_the_known(capsys, argv,
+                                                           known):
+    # The parser leaves the names to the harness, which lists them.
+    assert main([*argv, "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown property 'nope'" in captured.err
+    assert known in captured.err
+
+
+def test_dec_topos_witness_rechecks_from_its_json(capsys):
+    # The dense arrow with non-epic Π names its components, so it is
+    # rebuilt and found dense with Π(f) not epic from the JSON alone.
+    from fptopos.decidable import pi
+    from fptopos.fincat import catalog
+    from fptopos.presheaf import (NatTrans, is_epi, make_presheaf,
+                                  nat_transformations)
+    from fptopos.sublattice import is_nn_dense_arrow
+    code, rep = run_json(capsys, "dec-topos", "--base", "graph", "--bound",
+                         "2")
+    assert code == 0 and not rep["details"]["pi_epic_on_dense"]
+    (w,) = [w["dense_arrow_with_nonepic_pi"] for w in rep["witnesses"]
+            if "dense_arrow_with_nonepic_pi" in w]
+    GR = catalog("graph")
+    X, Y = (make_presheaf(GR, w[k]["sets"], w[k]["actions"])
+            for k in ("dom", "cod"))
+    f = NatTrans(X, Y, w["arrow"])
+    assert any(f.same_components(h) for h in nat_transformations(X, Y))
+    assert is_nn_dense_arrow(f)
+    assert not is_epi(f.then(pi(Y).map))
+
+
 def test_file_inputs(capsys, tmp_path):
     code, rep = run_json(capsys, "pi", "--base", "samples/refgraph.cat",
                          "--object", "samples/p2.psh")

@@ -10,8 +10,7 @@ from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_check_bounded, check_dqo,
                                check_dqo_bounded, check_dso,
-                               check_dso_bounded, check_ns,
-                               dec_is_topos_check,
+                               check_dso_bounded, dec_is_topos_check,
                                exponential_is_decidable, is_connected,
                                is_decidable, pi, pi_product_failures,
                                pi_sizes, product_components,
@@ -19,6 +18,7 @@ from fptopos.decidable import (_check_bounded, check_dqo,
 from fptopos.errors import SizeCapError
 from fptopos.files import resolve_base
 from fptopos.fincat import catalog
+from fptopos.precohesion import check_ns
 from fptopos.presheaf import (connected_components, global_elements, homs,
                               initial, is_epi, is_isomorphic,
                               make_from_generators, make_presheaf,

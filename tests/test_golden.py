@@ -37,7 +37,10 @@ transpose was found by a search over Hom(f_*X, S); it is now read off
 its formula.  `precohesion` and `verify C` on the monoids idem ({1, e},
 e∘e = e) and lz ({1, a, b}, x∘y = x), both at bound 4, were pinned while
 both built Π of every corpus object to check the Nullstellensatz and
-theorem C's ingredients, which now hold by construction."""
+theorem C's ingredients, which now hold by construction.  `precohesion`
+and `verify C` at bound 3 on the cospan a → c ← b and on arrowidem, two
+bases without NS, were pinned while both commands enumerated the corpus
+before or after deciding NS; they now decide NS on the base alone."""
 
 import pathlib
 
@@ -143,6 +146,15 @@ COMMANDS = {
                           "--bound", "4"), 0),
     "verify-C-lz-4": (("verify", "C", "--base", "samples/lz.cat",
                        "--bound", "4"), 0),
+    "precohesion-cospan-3": (("precohesion", "--base", "samples/cospan.cat",
+                              "--bound", "3"), 1),
+    "verify-C-cospan-3": (("verify", "C", "--base", "samples/cospan.cat",
+                           "--bound", "3"), 1),
+    "precohesion-arrowidem-3": (("precohesion", "--base",
+                                 "samples/arrowidem.cat", "--bound", "3"),
+                                1),
+    "verify-C-arrowidem-3": (("verify", "C", "--base",
+                              "samples/arrowidem.cat", "--bound", "3"), 1),
 }
 
 

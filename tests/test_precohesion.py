@@ -3,6 +3,7 @@ they no longer build (kept in tests/oracles.py as the reference)."""
 
 import json
 import pathlib
+import sys
 import tracemalloc
 from functools import partial
 
@@ -14,13 +15,13 @@ from fptopos.builtins import builtin_object
 from fptopos.cli import main
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_constant_on_fibers, _domain_maps,
-                               _factors_all, check_dqo, check_dso, check_ns,
+                               _factors_all, check_dqo, check_dso,
                                is_decidable, pi)
 from fptopos.errors import AxiomPrereqFailed
-from fptopos.fincat import catalog
+from fptopos.fincat import catalog, close_generators
 from fptopos.files import parse_category_file
-from fptopos.precohesion import (check_precohesive, theorem_ab_harness,
-                                 theorem_c_harness)
+from fptopos.precohesion import (check_ns, check_precohesive,
+                                 theorem_ab_harness, theorem_c_harness)
 from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
                               nat_transformations, terminal)
 
@@ -32,6 +33,14 @@ D2 = builtin_object(RG, "D2")
 BOUND2 = {"V": 2, "E": 2}
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+# A split idempotent: r∘s = 1_a, and s∘r is an idempotent on b.
+RETRACT = close_generators("retract", ("a", "b"),
+                           (("s", "a", "b"), ("r", "b", "a")),
+                           ((("s", "r"), ()),))
+
+NS_FORCED_WALKS = (oracles.pi_product_failures, oracles.exponential_failures,
+                   oracles.connected_product_failures, oracles.pi_one_failures)
 
 
 def _base(name):
@@ -198,13 +207,13 @@ def test_phi_inv_matches_the_search(base, bound, inverses, failures):
 
 
 def test_adjoint_string_lists_no_hom_sets():
-    # Precohesion on the point at bound 6 builds no f^!S and lists no
-    # hom-set; finding each f_* ⊣ f^! preimage by a search over
-    # Hom(f_*X, S) traced over 50 MB.
+    # Precohesion on the point builds no f^!S and lists no hom-set: NS
+    # on the base decides it; finding each f_* ⊣ f^! preimage by a search
+    # over Hom(f_*X, S) at bound 6 traced over 50 MB.
     corpus = enumerate_presheaves(PT, 6)
     tracemalloc.start()
     try:
-        r = check_precohesive(corpus)
+        r = check_precohesive(PT)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -257,21 +266,21 @@ def test_point_base_string_is_degenerate():
 
 
 def test_refgraph_is_precohesive_at_bound():
-    r = check_precohesive(enumerate_presheaves(RG, BOUND2))
+    r = check_precohesive(RG)
     assert r.verdict != "not-applicable"
     assert r.holds()
     assert r.witnesses == []
 
 
 def test_graph_base_not_applicable():
-    r = check_precohesive(enumerate_presheaves(GR, {"V": 1, "E": 1}))
+    r = check_precohesive(GR)
     assert r.verdict == "not-applicable"
     assert "NS" in r.details["failed_prereq"]
     assert not r.holds()
 
 
 def test_theorem_c_harness_agrees(adj):
-    h = theorem_c_harness(enumerate_presheaves(RG, BOUND2))
+    h = theorem_c_harness(RG)
     assert h.holds() and h.details["axioms_hold"] and \
         h.details["precohesive"]
     assert h.details["checks"]["dso_part_nn_dense"]
@@ -279,27 +288,115 @@ def test_theorem_c_harness_agrees(adj):
 
 
 def test_theorem_c_mutation_of_the_products_side(monkeypatch, capsys):
-    """If Π is made to miss one product, precohesion turns false while
-    the axioms, forced by NS, still hold, so theorem C fails; the
-    harness reads the one side it computes."""
+    """Π's product preservation, theorem C's precohesion side, is forced
+    by NS on the base: a product walk made to find a failing pair no
+    longer moves precohesion or theorem C, as no walk runs, while NS made
+    to fail turns them into not-applicable and prerequisite-failed."""
+    import fptopos.decidable as dec
+    import fptopos.harness as harness
     import fptopos.precohesion as pre
 
     def one_failure(corpus):
         yield corpus[0], corpus[0]
 
-    monkeypatch.setattr(pre, "pi_product_failures", one_failure)
-    pre_r = check_precohesive(enumerate_presheaves(RG, {"V": 1, "E": 1}))
-    assert pre_r.verdict == "fails"
-    assert not pre_r.details["products_preserved"]
-    h = theorem_c_harness(enumerate_presheaves(RG, {"V": 1, "E": 1}))
-    assert h.details["axioms_hold"] and not h.details["precohesive"]
-    assert not h.holds()
+    monkeypatch.setattr(dec, "pi_product_failures", one_failure)
+    monkeypatch.setattr(harness, "pi_product_failures", one_failure)
+    assert check_precohesive(RG).details["products_preserved"] is True
+    assert main(["verify", "C", "--bound", "V=1,E=1", "--format",
+                 "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["verdict"], rep["details"]["precohesive"]) == ("holds", True)
+    ns_fails = check_ns(GR)
+    monkeypatch.setattr(pre, "check_ns", lambda C: ns_fails)
+    assert check_precohesive(RG).verdict == "not-applicable"
     assert main(["verify", "C", "--bound", "V=1,E=1", "--format",
                  "json"]) == 1
     rep = json.loads(capsys.readouterr().out)
-    assert rep["verdict"] == "fails"
-    assert rep["details"]["axioms_hold"] is True
-    assert rep["details"]["precohesive"] is False
+    assert rep["verdict"] == "prerequisite-failed"
+
+
+# The commands that NS on the base decides, each with its verdict there.
+DECIDED_BY_NS = ((("precohesion",), "precohesive"),
+                 (("verify", "A"), "holds"), (("verify", "B"), "holds"),
+                 (("verify", "C"), "holds"),
+                 (("verify", "props", "--props", "connected-iff-pi-one,"
+                   "connected-products,pi-products,exponential-ideal"),
+                  "holds"))
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Bind `replacement` wherever a package module binds `original`."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fptopos") and \
+                getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, replacement)
+
+
+@pytest.mark.parametrize("argv, verdict", DECIDED_BY_NS,
+                         ids=("precohesion", "A", "B", "C", "props"))
+def test_ns_is_decided_once_per_command(monkeypatch, capsys, argv, verdict):
+    # `verify C` used to decide NS three times and `verify A|B` twice.
+    calls = []
+
+    def counting(C):
+        calls.append(C.name)
+        return check_ns(C)
+
+    def no_corpus(*args):
+        raise AssertionError("a corpus was enumerated")
+
+    _patch_everywhere(monkeypatch, check_ns, counting)
+    _patch_everywhere(monkeypatch, enumerate_presheaves, no_corpus)
+    assert main([*argv, "--bound", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+    assert calls == ["refgraph"]
+
+
+@pytest.mark.parametrize("base", ["refgraph", "point", "idem.cat",
+                                  "lz.cat"])
+def test_failed_ns_turns_every_shortcut_off(monkeypatch, capsys, base):
+    # With NS made to fail on an NS base, precohesion is not applicable,
+    # theorems A, B and C fail their prerequisite, and the four
+    # properties NS forces are walked over the corpus (which finds no
+    # failure, as NS in fact holds).
+    ns_fails = check_ns(GR)
+    _patch_everywhere(monkeypatch, check_ns, lambda C: ns_fails)
+    walked = []
+
+    def counting(*args):
+        walked.append(args)
+        return enumerate_presheaves(*args)
+
+    _patch_everywhere(monkeypatch, enumerate_presheaves, counting)
+    ref = str(SAMPLES / base) if base.endswith(".cat") else base
+    verdicts = []
+    for argv, _verdict in DECIDED_BY_NS:
+        main([*argv, "--base", ref, "--bound", "2", "--format", "json"])
+        verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
+    assert verdicts == ["not-applicable"] + ["prerequisite-failed"] * 3 + \
+        ["holds"]
+    assert len(walked) == 1
+
+
+@pytest.mark.parametrize("base, bound", [
+    (base, bound) for base in ("point", "refgraph", "idem.cat", "lz.cat",
+                               "retract")
+    for bound in (2, 3, 4)])
+def test_ns_forced_walks_find_no_failure(base, bound):
+    # The corpus walks NS makes unnecessary (`tests/oracles.py`): Π of
+    # products, the exponential ideal, products of connected objects and
+    # ΠX ≅ 1 iff X is connected.  None fails on the NS bases, among them
+    # the retract a ⇄ b (r∘s = 1_a), which `samples/` does not hold.
+    corpus = enumerate_presheaves(RETRACT if base == "retract"
+                                  else _base(base), bound)
+    assert check_ns(corpus.base).holds()
+    assert [walk(corpus) for walk in NS_FORCED_WALKS] == [[], [], [], []]
+
+
+def test_ns_forced_walks_fail_without_ns():
+    # The gate above is not vacuous: on graph at bound 2 each walk fails.
+    corpus = enumerate_presheaves(GR, 2)
+    assert [len(walk(corpus)) for walk in NS_FORCED_WALKS] == [59, 34, 29, 1]
 
 
 @pytest.mark.parametrize("base, bound", [
@@ -391,13 +488,12 @@ def test_pi_left_adjoint_by_component_matches_the_hom_bijection(
 
 
 def test_theorem_a_lists_no_hom_sets():
-    # Theorem A on the point at bound 6 reads maps into decidables per
-    # component; listing Hom(ΠX, S) and Hom(X, S) (6⁶ maps between two
-    # 6-element sets) would trace over 100 MB.
-    corpus = enumerate_presheaves(PT, 6)
+    # Theorem A on the point is decided by NS on the base; listing
+    # Hom(ΠX, S) and Hom(X, S) at bound 6 (6⁶ maps between two 6-element
+    # sets) would trace over 100 MB.
     tracemalloc.start()
     try:
-        h = theorem_ab_harness(corpus)
+        h = theorem_ab_harness(PT)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -406,7 +502,7 @@ def test_theorem_a_lists_no_hom_sets():
 
 
 def test_theorem_ab_harness():
-    h = theorem_ab_harness(enumerate_presheaves(RG, {"V": 1, "E": 2}))
+    h = theorem_ab_harness(RG)
     assert h.holds()  # theorems A and B both hold
     assert h.details["checks"]["pi_left_adjoint"]
     assert h.details["checks"]["pi_preserves_products"]
@@ -425,11 +521,11 @@ def test_nullstellensatz_and_theorem_c_checks_hold_by_construction(
     # the checks built from Π, as they ran before, agree.
     corpus = enumerate_presheaves(_base(base), bound)
     adj = oracles.AdjointString(corpus)
-    pre = check_precohesive(corpus)
+    pre = check_precohesive(corpus.base)
     assert pre.verdict == "precohesive"
     assert [oracles.theta_is_epic(adj, X) for X in corpus] == \
         [pre.details["nullstellensatz"]] * len(corpus)
-    checks = theorem_c_harness(corpus).details["checks"]
+    checks = theorem_c_harness(corpus.base).details["checks"]
     assert [oracles.dso_part_checks(adj, X) for X in corpus] == \
         [(checks["dso_part_nn_dense"],
           checks["pi_of_dense_mono_epic"])] * len(corpus)
