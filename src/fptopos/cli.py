@@ -18,20 +18,17 @@ import os
 import sys
 import time
 
-from . import builtins as builtin_objects
 from .errors import (AxiomPrereqFailed, ParseError, ToposError,
                      DEFAULT_SIZE_CAP)
-from .files import parse_presheaf_file, resolve_base
-from .fincat import bound_label, catalog_entries
-from .presheaf import presheaf_snippet
+from .fincat import bound_label, capped_bounds, catalog, catalog_entries
 from .report import Result, unknown_at_cap
 
 
 def _lazy(name: str):
     """The package's module NAME, put in sys.modules now but compiled and
-    run at the first read of one of its attributes, so each command loads
-    only the modules it uses.  The benchmark's tracer wraps the functions
-    of the modules in sys.modules once the CLI is imported."""
+    run at the first read of one of its attributes, so each command
+    compiles only the modules it runs.  The benchmark's tracer wraps the
+    functions of the modules in sys.modules once the CLI is imported."""
     full = "%s.%s" % (__package__, name)
     module = sys.modules.get(full)
     if module is None:
@@ -44,10 +41,13 @@ def _lazy(name: str):
     return module
 
 
+builtin_objects = _lazy("builtins")
 corpora = _lazy("corpus")
 decidable = _lazy("decidable")
+files = _lazy("files")
 harness = _lazy("harness")
 precohesion = _lazy("precohesion")
+presheaf = _lazy("presheaf")
 sublattice = _lazy("sublattice")
 
 
@@ -67,13 +67,21 @@ def _parse_bounds(text: str):
     return out
 
 
+def _resolve_base(ref: str):
+    """A catalog base, or the base of a .cat file, whose parser is
+    compiled only then."""
+    if ref in catalog_entries():
+        return catalog(ref)
+    return files.resolve_base(ref)
+
+
 def _resolve_object(ref: str, C):
     """An object from a builtin name, builtin:NAME, or a .psh file whose
     declared base must match the command's base category."""
     if ref.startswith("builtin:"):
         return builtin_objects.builtin_object(C, ref[len("builtin:"):])
     if ref.endswith(".psh") or os.path.sep in ref:
-        X = parse_presheaf_file(ref)
+        X = files.parse_presheaf_file(ref)
         if X.base.to_raw() != C.to_raw():
             raise ParseError("presheaf file %r is over base %r, not %r"
                              % (ref, X.base.name, C.name))
@@ -134,33 +142,33 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_check_ns(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     r = precohesion.check_ns(C)
     r.details["recheck"] = "fptopos check-ns --base %s" % args.base
     return _emit(args, C.name, r)
 
 
 def _cmd_decidable(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     X = _resolve_object(args.object, C)
     ok = decidable.is_decidable(X, args.cap)
     return _emit(args, C.name, Result(
         "decidable" if ok else "not-decidable", [],
-        {"object": presheaf_snippet(X)}))
+        {"object": presheaf.presheaf_snippet(X)}))
 
 
 def _cmd_pi(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     X = _resolve_object(args.object, C)
     r = decidable.pi(X, args.cap)
     return _emit(args, C.name, Result("ok", [], {
         "stage_sizes": list(r.quotient.size_vector()),
-        "quotient": presheaf_snippet(r.quotient),
+        "quotient": presheaf.presheaf_snippet(r.quotient),
         "quotient_map": {c: dict(r.map.components[c]) for c in C.objects}}))
 
 
 def _cmd_connected(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     X = _resolve_object(args.object, C)
     ok = decidable.is_connected(X)
     return _emit(args, C.name,
@@ -168,7 +176,7 @@ def _cmd_connected(args) -> int:
 
 
 def _cmd_subc(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     X = _resolve_object(args.object, C)
     subs = sublattice.complemented_subobjects(X, args.cap)
     return _emit(args, C.name, Result("ok", [], {
@@ -185,7 +193,7 @@ def _countermodel(cm, holds: str, details: dict) -> Result:
 
 
 def _cmd_pneumo(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     X = _resolve_object(args.object, C)
     if args.map == "pi":
         f = decidable.pi(X, args.cap).map
@@ -196,15 +204,32 @@ def _cmd_pneumo(args) -> int:
                                              {"map": args.map}))
 
 
-def _axiom_cmd(args, per_object, bounded) -> int:
-    C = resolve_base(args.base)
+def _ns_forces_axioms(C, args) -> bool:
+    """Whether NS holds on the base, which forces DQO, DSO and Π's
+    product preservation at every object (`precohesion.require_ns`), so
+    that a bounded check or search of them needs no corpus.  The bound
+    is still held to the cap, as enumerating the corpus would."""
+    if not precohesion.check_ns(C).holds():
+        return False
+    capped_bounds(C, args.bound, args.cap)
+    return True
+
+
+def _axiom_cmd(args, axiom: str) -> int:
+    C = _resolve_base(args.base)
     label = None
     if args.object:
-        r = per_object(_resolve_object(args.object, C), args.cap)
+        check = getattr(decidable, "check_" + axiom)
+        r = check(_resolve_object(args.object, C), args.cap)
         where = " --object %s" % args.object
     else:
         label = bound_label(C, args.bound)
-        r = bounded(corpora.enumerate_presheaves(C, args.bound, args.cap))
+        if _ns_forces_axioms(C, args):
+            r = Result("holds-at-bound")
+        else:
+            bounded = getattr(decidable, "check_%s_bounded" % axiom)
+            r = bounded(corpora.enumerate_presheaves(C, args.bound,
+                                                     args.cap))
         where = " --bound %s" % args.raw_bound
     r.details["recheck"] = "fptopos %s --base %s%s" % (
         args.subcommand, args.base, where)
@@ -212,15 +237,15 @@ def _axiom_cmd(args, per_object, bounded) -> int:
 
 
 def _cmd_check_dqo(args) -> int:
-    return _axiom_cmd(args, decidable.check_dqo, decidable.check_dqo_bounded)
+    return _axiom_cmd(args, "dqo")
 
 
 def _cmd_check_dso(args) -> int:
-    return _axiom_cmd(args, decidable.check_dso, decidable.check_dso_bounded)
+    return _axiom_cmd(args, "dso")
 
 
 def _cmd_dec_topos(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     label = bound_label(C, args.bound)
     corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     r = decidable.dec_is_topos_check(corpus)
@@ -228,13 +253,13 @@ def _cmd_dec_topos(args) -> int:
 
 
 def _cmd_precohesion(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     label = bound_label(C, args.bound)
     return _emit(args, C.name, precohesion.check_precohesive(C), label)
 
 
 def _cmd_verify(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     label = bound_label(C, args.bound)
     t = args.theorem
     counts = None
@@ -262,11 +287,16 @@ def _cmd_verify(args) -> int:
 
 def _props(args, C) -> tuple[Result, dict | None]:
     """The property battery, and the corpus counts if a selected property
-    still walks the corpus, which is enumerated only then."""
+    still walks the corpus, which is enumerated only then.  When every
+    selected property is true by construction or forced by NS, neither
+    the harness nor a corpus is loaded."""
     names = args.props.split(",") if args.props else None
-    forced = harness.forced_properties(C)
-    if not harness.properties_to_walk(names, forced):
-        return harness.props_report(None, names, forced), None
+    forced = precohesion.forced_properties(C)
+    if names is not None and \
+            set(names) <= precohesion.BY_CONSTRUCTION | forced:
+        return Result("holds", [],
+                      {"properties": dict.fromkeys(names, True)}), None
+    harness.require_known(names or (), harness.PROPERTIES)
     corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     return harness.props_report(corpus, names, forced), corpus.stats
 
@@ -287,28 +317,33 @@ def _search(prop: str, corpus) -> Result:
 
 
 def _cmd_search(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     label = bound_label(C, args.bound)
-    harness.require_known([args.property], harness.SEARCHES)
-    corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
-    r = _search(args.property, corpus)
+    if args.property in precohesion.NS_FORCED_SEARCHES and \
+            _ns_forces_axioms(C, args):
+        r, counts = Result("none"), None
+    else:
+        harness.require_known([args.property], harness.SEARCHES)
+        corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
+        r, counts = _search(args.property, corpus), corpus.stats
     r.details["property"] = args.property
     if r.verdict == "witness":
         r.details["recheck"] = ("fptopos search-counterexample --property "
                                 "%s --base %s --bound %s"
                                 % (args.property, args.base, args.raw_bound))
-    return _emit(args, C.name, r, label, corpus.stats)
+    return _emit(args, C.name, r, label, counts)
 
 
 def _cmd_enumerate(args) -> int:
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     label = bound_label(C, args.bound)
     corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     details = {"count": len(corpus),
                "counts_per_size_vector": {",".join(map(str, k)): v
                                           for k, v in corpus.counts.items()}}
     if args.list:
-        details["presheaves"] = [presheaf_snippet(X) for X in corpus]
+        details["presheaves"] = [presheaf.presheaf_snippet(X)
+                                 for X in corpus]
     return _emit(args, C.name, Result("ok", [], details), label,
                  corpus.stats)
 
@@ -316,7 +351,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_force(args) -> int:
     # The interpreter is imported here only: no other command needs it.
     from .forcing import PresheafSort, parse_formula, universally_valid
-    C = resolve_base(args.base)
+    C = _resolve_base(args.base)
     names = {}
     for n in builtin_objects.builtin_names(C):
         names[n] = PresheafSort(builtin_objects.builtin_object(C, n))
@@ -332,15 +367,86 @@ def _cmd_force(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its function, its help, whether it takes --object
+# ("req": must) and whether it takes --bound.
+_SUBCOMMANDS = {
+    "catalog": (_cmd_catalog, "list built-in base categories", False, False),
+    "check-ns": (_cmd_check_ns,
+                 "decide whether every object is initial or has a point",
+                 False, False),
+    "decidable": (_cmd_decidable, "is the object's diagonal complemented",
+                  "req", False),
+    "pi": (_cmd_pi, "compute the decidable quotient", "req", False),
+    "connected": (_cmd_connected,
+                  "does the object have exactly two complemented subobjects",
+                  "req", False),
+    "subc": (_cmd_subc, "list complemented subobjects", "req", False),
+    "pneumo": (_cmd_pneumo,
+               "check pneumoconnected fibers of a canonical quotient map",
+               "req", False),
+    "check-dqo": (_cmd_check_dqo, "unique decidable quotient axiom", True,
+                  True),
+    "check-dso": (_cmd_check_dso, "unique decidable subobject axiom", True,
+                  True),
+    "dec-topos": (_cmd_dec_topos,
+                  "two-sided check that the decidables form a topos", False,
+                  True),
+    "precohesion": (_cmd_precohesion,
+                    "precohesion over the decidable objects", False, True),
+    "verify": (_cmd_verify, "run a theorem harness", False, True),
+    "search-counterexample": (
+        _cmd_search, "hunt the first corpus witness violating a property",
+        False, True),
+    "enumerate": (_cmd_enumerate,
+                  "enumerate the bounded corpus up to isomorphism", False,
+                  True),
+    "force": (_cmd_force, "evaluate a closed formula by stage-wise forcing",
+              False, False),
+}
+
+
+def _add_own_arguments(name: str, p: argparse.ArgumentParser) -> None:
+    """The arguments of subcommand NAME past those every one takes."""
+    if name == "pneumo":
+        p.add_argument("--map", choices=("pi", "separated"), default="pi",
+                       help="which quotient map of the object to check")
+    elif name == "verify":
+        p.add_argument("theorem", choices=("A", "B", "C", "D", "lemma",
+                                           "props"))
+        p.add_argument("--props", default=None,
+                       help="comma-separated property names (with "
+                            "theorem=props; default all)")
+    elif name == "search-counterexample":
+        p.add_argument("--property", required=True,
+                       help="the property to search (an unknown name "
+                            "lists them)")
+    elif name == "enumerate":
+        p.add_argument("--list", action="store_true",
+                       help="include the presheaves themselves")
+    elif name == "force":
+        p.add_argument("--formula", required=True)
+        p.add_argument("--let", action="append", metavar="NAME=OBJECT",
+                       help="bind extra sort names (builtin or .psh file)")
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with only the subparser that argv[0] names, or with
+    every subparser when argv[0] names none (help, no arguments, an
+    unknown name)."""
     parser = argparse.ArgumentParser(
         prog="fptopos",
         description="Finite presheaf topos checker: decidable quotients, "
                     "connectedness, pneumoconnected fibers, and "
                     "precohesion over decidable objects.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, help_text, obj=False, bound=False):
+    names = list(_SUBCOMMANDS)
+    if argv and argv[0] in _SUBCOMMANDS:
+        # The top-level usage, shown for an unknown option, still lists
+        # every subcommand.
+        sub.metavar = "{%s}" % ",".join(names)
+        names = [argv[0]]
+    for name in names:
+        func, help_text, obj, bound = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--base", default="refgraph",
@@ -361,58 +467,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "sequentially")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings in the report")
-        return p
-
-    add("catalog", _cmd_catalog, "list built-in base categories")
-    add("check-ns", _cmd_check_ns,
-        "decide whether every object is initial or has a point")
-    add("decidable", _cmd_decidable,
-        "is the object's diagonal complemented", obj="req")
-    add("pi", _cmd_pi, "compute the decidable quotient", obj="req")
-    add("connected", _cmd_connected,
-        "does the object have exactly two complemented subobjects",
-        obj="req")
-    add("subc", _cmd_subc, "list complemented subobjects", obj="req")
-    p = add("pneumo", _cmd_pneumo,
-            "check pneumoconnected fibers of a canonical quotient map",
-            obj="req")
-    p.add_argument("--map", choices=("pi", "separated"), default="pi",
-                   help="which quotient map of the object to check")
-    add("check-dqo", _cmd_check_dqo,
-        "unique decidable quotient axiom", obj=True, bound=True)
-    add("check-dso", _cmd_check_dso,
-        "unique decidable subobject axiom", obj=True, bound=True)
-    add("dec-topos", _cmd_dec_topos,
-        "two-sided check that the decidables form a topos", bound=True)
-    add("precohesion", _cmd_precohesion,
-        "precohesion over the decidable objects", bound=True)
-    p = add("verify", _cmd_verify, "run a theorem harness", bound=True)
-    p.add_argument("theorem", choices=("A", "B", "C", "D", "lemma",
-                                       "props"))
-    p.add_argument("--props", default=None,
-                   help="comma-separated property names (with "
-                        "theorem=props; default all)")
-    p = add("search-counterexample", _cmd_search,
-            "hunt the first corpus witness violating a property",
-            bound=True)
-    p.add_argument("--property", required=True,
-                   help="the property to search (an unknown name lists "
-                        "them)")
-    p = add("enumerate", _cmd_enumerate,
-            "enumerate the bounded corpus up to isomorphism", bound=True)
-    p.add_argument("--list", action="store_true",
-                   help="include the presheaves themselves")
-    p = add("force", _cmd_force,
-            "evaluate a closed formula by stage-wise forcing")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--let", action="append", metavar="NAME=OBJECT",
-                   help="bind extra sort names (builtin or .psh file)")
+        _add_own_arguments(name, p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     args.started = time.time()
     if hasattr(args, "raw_bound"):
         try:

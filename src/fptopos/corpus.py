@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .errors import SizeCapError, DEFAULT_SIZE_CAP
-from .fincat import FinCategory, stage_bounds
+from .errors import DEFAULT_SIZE_CAP
+from .fincat import FinCategory, capped_bounds
 from .presheaf import Presheaf, _hom_search, make_from_generators
 
 
@@ -289,10 +289,7 @@ def enumerate_presheaves(C: FinCategory, bounds,
     searched in lexicographic order and the leaves of each in
     lexicographic order of their tables, so the corpus is ordered by
     (size vector, least generator tables)."""
-    b = stage_bounds(C, bounds)
-    for c in C.objects:
-        if b[c] > cap:
-            raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))
+    b = capped_bounds(C, bounds, cap)
     stats = Counter(candidate_tables_tried=0, prefixes_pruned=0,
                     leaves_validated=0, refined_keys=0)
     buckets: dict[tuple, list] = {}  # invariant -> [(rep, its colours)]

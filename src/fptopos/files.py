@@ -30,8 +30,9 @@ import re
 
 from .errors import ParseError
 from .fincat import FinCategory, catalog, catalog_entries, validate_category
-from .presheaf import (RESERVED_ID_CHARS, Presheaf, make_from_generators,
-                       validate_presheaf)
+
+# The presheaf layer is imported by the .psh functions alone, so reading
+# a .cat file does not compile it.
 
 
 def _lines(text: str):
@@ -129,6 +130,7 @@ def presheaf_to_text(X: Presheaf) -> str:
     character (ids of constructed presheaves do), every element is
     written as <stage><index> instead, so the text parses back to a
     presheaf isomorphic to X."""
+    from .presheaf import RESERVED_ID_CHARS
     C = X.base
     rename = any(ch in RESERVED_ID_CHARS
                  for _c, x in X.elements() for ch in x)
@@ -149,6 +151,8 @@ def presheaf_to_text(X: Presheaf) -> str:
 
 def parse_presheaf_text(text: str, path: str | None = None,
                         base: FinCategory | None = None) -> Presheaf:
+    from .presheaf import (RESERVED_ID_CHARS, make_from_generators,
+                           validate_presheaf)
     name = None
     base_ref = None
     sets: dict[str, list[str]] = {}

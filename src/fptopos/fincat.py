@@ -302,6 +302,15 @@ def stage_bounds(C: FinCategory, bounds) -> dict[str, int]:
     return b
 
 
+def capped_bounds(C: FinCategory, bounds, cap: int) -> dict[str, int]:
+    """`stage_bounds`, none of which may pass the per-stage size cap."""
+    b = stage_bounds(C, bounds)
+    for c in C.objects:
+        if b[c] > cap:
+            raise SizeCapError("bound %d at %r exceeds cap" % (b[c], c))
+    return b
+
+
 def bound_label(C: FinCategory, bounds) -> str:
     """The bounds as reports show them, e.g. 'V<=2,E<=1'; rejects a
     stage that is not an object of C."""

@@ -16,7 +16,7 @@ from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
                         pi, pi_product_failures, pi_sizes, product_components,
                         separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
-from .precohesion import check_ns
+from .precohesion import BY_CONSTRUCTION, forced_properties
 from .presheaf import (NatTrans, Presheaf, arrow_snippet,
                        connected_components, global_elements, homs,
                        inclusion_of, pairing, presheaf_snippet, product,
@@ -271,9 +271,7 @@ def _prop_exponential_ideal(corpus: Corpus):
 # Property name → the corpus walk that decides it, returning the first
 # witness or None; None where the property holds by construction.
 PROPERTIES = {
-    # Π restricts identically, so ΠQ ≅ Q for Q = ΠX, and ΠX(c) holds
-    # the components meeting X(c), so ΠX ≅ 0 iff X ≅ 0.
-    "pi-structure": None,
+    **dict.fromkeys(sorted(BY_CONSTRUCTION)),
     "connected-iff-pi-one": _prop_connected_iff_pi_one,
     "connected-products": _prop_connected_products,
     "pi-products": _prop_pi_products,
@@ -282,22 +280,7 @@ PROPERTIES = {
     "pneumo-pullback-closed": _prop_pneumo_pullback_closed,
     "separated-reflection-pneumo": _prop_separated_reflection_pneumo,
     "exponential-ideal": _prop_exponential_ideal,
-    # Decidable means injective restrictions, and restricting to a
-    # subobject or pairing keeps injective maps injective.
-    "decidable-closure": None,
 }
-
-# The properties that NS on the base forces, so no walk decides them
-# there; the reasons are in `precohesion.require_ns` and
-# `precohesion.theorem_ab_harness`.
-NS_FORCED = frozenset({"connected-iff-pi-one", "connected-products",
-                       "pi-products", "exponential-ideal"})
-
-
-def forced_properties(C) -> frozenset:
-    """The properties that NS forces on the base C: `NS_FORCED` where NS
-    holds, else none."""
-    return NS_FORCED if check_ns(C).holds() else frozenset()
 
 
 def require_known(names, registry: dict) -> None:
@@ -309,34 +292,24 @@ def require_known(names, registry: dict) -> None:
                               % (n, ", ".join(sorted(registry))))
 
 
-def properties_to_walk(names: list[str] | None, forced) -> list[str]:
-    """The selected properties (all by default) that only a corpus walk
-    decides: neither true by construction nor in `forced`."""
-    selected = sorted(PROPERTIES) if names is None else names
-    require_known(selected, PROPERTIES)
-    return [n for n in selected
-            if PROPERTIES[n] is not None and n not in forced]
-
-
-def props_report(corpus: Corpus | None, names: list[str] | None = None,
+def props_report(corpus: Corpus, names: list[str] | None = None,
                  forced=None) -> Result:
     """Run the named property checks (all by default) over the corpus.
 
     A property that holds by construction, or is in `forced` (by default
-    `forced_properties` of the corpus's base), is true without a walk;
-    the corpus may be None when no other property is selected.  Each
-    other property is true, false (with a witness naming the property)
-    or "unknown-at-cap" when its walk hits the size cap; the battery
-    fails if any property is false, and is unknown at the cap if none is
-    false but one hit the cap."""
+    `forced_properties` of the corpus's base), is true without a walk.
+    Each other property is true, false (with a witness naming the
+    property) or "unknown-at-cap" when its walk hits the size cap; the
+    battery fails if any property is false, and is unknown at the cap if
+    none is false but one hit the cap."""
     if forced is None:
         forced = forced_properties(corpus.base)
-    walked = properties_to_walk(names, forced)
-    if corpus is not None:
-        _fiber_stats(corpus)
+    selected = sorted(PROPERTIES) if names is None else names
+    require_known(selected, PROPERTIES)
+    _fiber_stats(corpus)
     properties, witnesses = {}, []
-    for n in sorted(PROPERTIES) if names is None else names:
-        if n not in walked:
+    for n in selected:
+        if PROPERTIES[n] is None or n in forced:
             properties[n] = True
             continue
         try:

@@ -13,8 +13,27 @@ from __future__ import annotations
 
 from .errors import AxiomPrereqFailed
 from .fincat import FinCategory
-from .presheaf import global_elements, presheaf_snippet, yoneda
 from .report import Result
+
+
+def has_point(C: FinCategory, c: str) -> bool:
+    """Whether the representable y(c) has a point, decided on the
+    hom-sets: a family p_d ∈ Hom(d, c), one per object d, with
+    p_d∘m = p_e for every m: e → d.  Each choice of p_d fixes p_e as
+    p_d∘m along every arrow m: e → d, so a family that clashes there is
+    dropped at once; every constraint p_d'∘m = p_e is met when p_d' is
+    first fixed, as m and the arrow that fixed p_d' compose into d."""
+    def extend(p: dict) -> bool:
+        d = next((d for d in C.objects if d not in p), None)
+        if d is None:
+            return True
+        for k in C.hom(d, c):
+            q = dict(p)
+            fixed = ((C.dom(m), C.compose(k, m)) for m in C.arrows_into(d))
+            if all(q.setdefault(e, v) == v for e, v in fixed) and extend(q):
+                return True
+        return False
+    return extend({})
 
 
 def check_ns(C: FinCategory) -> Result:
@@ -23,19 +42,16 @@ def check_ns(C: FinCategory) -> Result:
 
     Soundness: a global element p of y(c) turns any x ∈ X(c) into the
     global element b ↦ X(p_b)(x); necessity: representables are nonempty.
+    Only the first failing representable is built, as the witness.
     """
-    failing = []
-    first = None
-    for c in C.objects:
-        yc = yoneda(C, c)
-        if not global_elements(yc):
-            failing.append("y(%s)" % c)
-            if first is None:
-                first = yc
+    failing = [c for c in C.objects if not has_point(C, c)]
     if failing:
-        return Result("fails", [{"representable": failing[0],
-                                 "all_failing": failing,
-                                 "presheaf": presheaf_snippet(first)}])
+        from .presheaf import presheaf_snippet, yoneda
+        return Result("fails", [{"representable": "y(%s)" % failing[0],
+                                 "all_failing": ["y(%s)" % c
+                                                 for c in failing],
+                                 "presheaf": presheaf_snippet(
+                                     yoneda(C, failing[0]))}])
     return Result("holds")
 
 
@@ -75,6 +91,28 @@ def require_ns(C: FinCategory) -> None:
     if not ns.holds():
         raise AxiomPrereqFailed("NS fails on this base",
                                 witness=ns.witnesses[0])
+
+
+# The `verify props` properties that hold by construction on any base.
+# pi-structure: Π restricts identically, so ΠQ ≅ Q for Q = ΠX, and ΠX(c)
+# holds the components meeting X(c), so ΠX ≅ 0 iff X ≅ 0.
+# decidable-closure: decidable means injective restrictions, and
+# restricting to a subobject or pairing keeps injective maps injective.
+BY_CONSTRUCTION = frozenset({"pi-structure", "decidable-closure"})
+
+# The properties that NS on the base forces (`require_ns` and
+# `theorem_ab_harness` give the reasons), and the counterexample searches
+# it answers: DQO, DSO and Π's product preservation hold at every object.
+NS_FORCED = frozenset({"connected-iff-pi-one", "connected-products",
+                       "pi-products", "exponential-ideal"})
+NS_FORCED_SEARCHES = frozenset({"dqo-uniqueness", "dso-uniqueness",
+                                "pi-product-preservation"})
+
+
+def forced_properties(C: FinCategory) -> frozenset:
+    """The properties that NS forces on the base C: `NS_FORCED` where NS
+    holds, else none."""
+    return NS_FORCED if check_ns(C).holds() else frozenset()
 
 
 def check_precohesive(C: FinCategory) -> Result:

@@ -22,7 +22,9 @@ X×X or of X, as the reference for their readings off the components of
 the category of elements, and complemented parts
 found by filtering every subobject (Sub_c(X)) or every element of the
 power object by forcing (P_c(X)), as the reference for Sub_c(X),
-NS decided by searching a corpus for a nonempty object without points,
+NS decided by listing the points of each representable, as the
+reference for the point search on the hom-sets, and by searching a
+corpus for a nonempty object without points,
 monos as pointwise injections and the power object P(X), which only the
 tests use, P_c(X) as a relation object of named relations, and the
 pneumoconnected-fiber condition checked on its relation tables and its
@@ -985,8 +987,27 @@ def decidable_closure_failure(corpus):
 
 
 # ---------------------------------------------------------------------------
-# test-only constructions: NS by searching the corpus, monos, and the
-# power object P(X)
+# test-only constructions: NS on the representables and by searching the
+# corpus, monos, and the power object P(X)
+
+def representable_check_ns(C: FinCategory) -> Result:
+    """The reference for `precohesion.check_ns`, which searches the
+    hom-sets for points: every representable y(c) built and its points
+    listed by the hom search."""
+    failing = []
+    first = None
+    for c in C.objects:
+        yc = yoneda(C, c)
+        if not global_elements(yc):
+            failing.append("y(%s)" % c)
+            if first is None:
+                first = yc
+    if failing:
+        return Result("fails", [{"representable": failing[0],
+                                 "all_failing": failing,
+                                 "presheaf": presheaf_snippet(first)}])
+    return Result("holds")
+
 
 def ns_brute_force(corpus) -> Result:
     """Bounded falsifier companion to check_ns: search the corpus for a

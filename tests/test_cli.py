@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import fptopos
-from fptopos.cli import main
+from fptopos.cli import _SUBCOMMANDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -329,11 +329,10 @@ def test_cli_import_leaves_dataclasses_unloaded():
 
 def _modules_run_by(*argv) -> list[str]:
     """The package modules that `fptopos.cli.main(argv)` compiles and runs
-    in a new interpreter.  The CLI registers the decidable layer,
-    sublattice, precohesion and the harness in sys.modules without
-    running them (importlib's LazyLoader), and each runs at the first
-    read of one of its attributes; until then its type is a subclass of
-    the module type."""
+    in a new interpreter.  The CLI registers every module past errors,
+    fincat and report in sys.modules without running it (importlib's
+    LazyLoader), and each runs at the first read of one of its
+    attributes; until then its type is a subclass of the module type."""
     proc = _fresh_python(
         "import contextlib, io, sys, types\n"
         "import fptopos.cli\n"
@@ -347,23 +346,59 @@ def _modules_run_by(*argv) -> list[str]:
     return proc.stdout.split()
 
 
-# The modules that NS on the base leaves unused.
-CORPUS_LAYERS = {"fptopos.corpus", "fptopos.decidable", "fptopos.sublattice",
-                 "fptopos.harness"}
+# What a command that NS on the base decides runs: the base, NS decided
+# on its hom-sets, and the report.
+NS_DECIDED_RUN = ["fptopos.cli", "fptopos.errors", "fptopos.fincat",
+                  "fptopos.precohesion", "fptopos.report"]
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (("precohesion",), CORPUS_LAYERS), (("verify", "A"), CORPUS_LAYERS),
-    (("verify", "C"), CORPUS_LAYERS),
-    (("enumerate",), CORPUS_LAYERS - {"fptopos.corpus"}
-     | {"fptopos.precohesion"})],
-    ids=("precohesion", "verify A", "verify C", "enumerate"))
-def test_each_command_loads_only_its_modules(argv, unused):
-    # NS is decided on the representables, so the NS-decided commands
-    # compile no corpus layer; `enumerate` compiles no decidable layer.
-    loaded = _modules_run_by(*argv, "--bound", "3")
-    assert unused.isdisjoint(loaded), unused & set(loaded)
-    assert "fptopos.presheaf" in loaded
+@pytest.mark.parametrize("argv, run", [
+    (("precohesion",), NS_DECIDED_RUN), (("verify", "A"), NS_DECIDED_RUN),
+    (("verify", "C"), NS_DECIDED_RUN),
+    (("verify", "props", "--props", "pi-structure,connected-iff-pi-one,"
+      "connected-products,pi-products"), NS_DECIDED_RUN),
+    (("check-dqo",), NS_DECIDED_RUN),
+    (("enumerate",), ["fptopos.cli", "fptopos.corpus", "fptopos.errors",
+                      "fptopos.fincat", "fptopos.presheaf",
+                      "fptopos.report"])],
+    ids=("precohesion", "verify A", "verify C", "verify props",
+         "check-dqo", "enumerate"))
+def test_each_command_loads_only_its_modules(argv, run):
+    # The NS-decided commands compile no presheaf, files, builtins,
+    # corpus, decidable, sublattice or harness layer; `enumerate`
+    # compiles no decidable layer and no builtins.
+    assert _modules_run_by(*argv, "--bound", "3") == run
+
+
+# Arguments that argparse answers itself: help, an unknown option, a
+# missing required option and a bad choice, for each subcommand; and at
+# the top level, help, no arguments and an unknown subcommand.
+PARSER_CASES = [["-h"], [], ["nope"], ["verify", "X"],
+                *([name, "-h"] for name in _SUBCOMMANDS),
+                *([name, "--bogus"] for name in _SUBCOMMANDS),
+                *([name, "--format", "xml"] for name in _SUBCOMMANDS),
+                *([name] for name, spec in _SUBCOMMANDS.items()
+                  if spec[2] == "req" or name in ("force", "verify",
+                                                  "search-counterexample"))]
+
+
+def _exit_of(parse, argv, capsys) -> tuple:
+    """The exit code, stdout and stderr of parse(argv), which exits."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_subparser_answers_as_the_full_parser(argv, capsys):
+    # `main` builds only the subparser that argv[0] names; its usage,
+    # help and error text equal those of a parser with every subcommand,
+    # including the top-level usage that an unknown option prints.
+    full = _exit_of(_build_parser().parse_args, argv, capsys)
+    assert _exit_of(main, argv, capsys) == full
+    assert full[0] == (0 if "-h" in argv else 2)
 
 
 @pytest.mark.parametrize("argv, known", [

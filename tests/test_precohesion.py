@@ -1,6 +1,7 @@
 """The precohesion checks, and the adjoint string over decidables that
 they no longer build (kept in tests/oracles.py as the reference)."""
 
+import itertools
 import json
 import pathlib
 import sys
@@ -17,13 +18,13 @@ from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import (_constant_on_fibers, _domain_maps,
                                _factors_all, check_dqo, check_dso,
                                is_decidable, pi)
-from fptopos.errors import AxiomPrereqFailed
-from fptopos.fincat import catalog, close_generators
+from fptopos.errors import AxiomPrereqFailed, CategoryError
+from fptopos.fincat import catalog, close_generators, validate_category
 from fptopos.files import parse_category_file
-from fptopos.precohesion import (check_ns, check_precohesive,
+from fptopos.precohesion import (check_ns, check_precohesive, has_point,
                                  theorem_ab_harness, theorem_c_harness)
 from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
-                              nat_transformations, terminal)
+                              nat_transformations, terminal, yoneda)
 
 PT = catalog("point")
 RG = catalog("refgraph")
@@ -321,7 +322,12 @@ DECIDED_BY_NS = ((("precohesion",), "precohesive"),
                  (("verify", "C"), "holds"),
                  (("verify", "props", "--props", "connected-iff-pi-one,"
                    "connected-products,pi-products,exponential-ideal"),
-                  "holds"))
+                  "holds"),
+                 (("check-dqo",), "holds-at-bound"),
+                 (("check-dso",), "holds-at-bound"),
+                 *((("search-counterexample", "--property", prop), "none")
+                   for prop in ("dqo-uniqueness", "dso-uniqueness",
+                                "pi-product-preservation")))
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -333,7 +339,9 @@ def _patch_everywhere(monkeypatch, original, replacement):
 
 
 @pytest.mark.parametrize("argv, verdict", DECIDED_BY_NS,
-                         ids=("precohesion", "A", "B", "C", "props"))
+                         ids=("precohesion", "A", "B", "C", "props",
+                              "check-dqo", "check-dso", "search-dqo",
+                              "search-dso", "search-pi-products"))
 def test_ns_is_decided_once_per_command(monkeypatch, capsys, argv, verdict):
     # `verify C` used to decide NS three times and `verify A|B` twice.
     calls = []
@@ -357,8 +365,9 @@ def test_ns_is_decided_once_per_command(monkeypatch, capsys, argv, verdict):
 def test_failed_ns_turns_every_shortcut_off(monkeypatch, capsys, base):
     # With NS made to fail on an NS base, precohesion is not applicable,
     # theorems A, B and C fail their prerequisite, and the four
-    # properties NS forces are walked over the corpus (which finds no
-    # failure, as NS in fact holds).
+    # properties, the bounded DQO and DSO checks and the three searches
+    # that NS forces are walked over the corpus (which finds no failure,
+    # as NS in fact holds).
     ns_fails = check_ns(GR)
     _patch_everywhere(monkeypatch, check_ns, lambda C: ns_fails)
     walked = []
@@ -374,8 +383,50 @@ def test_failed_ns_turns_every_shortcut_off(monkeypatch, capsys, base):
         main([*argv, "--base", ref, "--bound", "2", "--format", "json"])
         verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
     assert verdicts == ["not-applicable"] + ["prerequisite-failed"] * 3 + \
-        ["holds"]
-    assert len(walked) == 1
+        ["holds"] + ["holds-at-bound"] * 2 + ["none"] * 3
+    assert len(walked) == 6
+
+
+def _monoids(order: int):
+    """Every monoid of the given order as a one-object category, by brute
+    force: each multiplication table of its non-identity elements, kept
+    when it is associative."""
+    names = ["1"] + ["m%d" % i for i in range(1, order)]
+    pairs = list(itertools.product(names[1:], repeat=2))
+    for values in itertools.product(names, repeat=len(pairs)):
+        table = dict(zip(pairs, values))
+        try:
+            yield validate_category({
+                "name": "monoid", "objects": ["*"], "identities": {"*": "1"},
+                "morphisms": [[m, "*", "*"] for m in names],
+                "composition": [[g, f, f if g == "1" else g if f == "1"
+                                 else table[g, f]]
+                                for g in names for f in names]})
+        except CategoryError:
+            pass
+
+
+def test_monoid_generator_counts_the_monoids():
+    # 1, 2 and 7 monoids of order 1, 2 and 3 up to isomorphism; the
+    # generator keeps both labellings of the order-3 monoids without an
+    # automorphism swapping m1 and m2, so 11 tables of order 3.
+    assert [len(list(_monoids(n))) for n in (1, 2, 3)] == [1, 2, 11]
+
+
+@pytest.mark.parametrize("C", [
+    *(catalog(name) for name in ("point", "two-discrete", "sierpinski",
+                                 "graph", "refgraph")),
+    *(parse_category_file(str(path))
+      for path in sorted(SAMPLES.glob("*.cat"))),
+    RETRACT, *(C for n in (1, 2, 3) for C in _monoids(n))],
+    ids=lambda C: C.name)
+def test_point_search_on_the_hom_sets_matches_the_representables(C):
+    # `check_ns` searches the hom-sets for a point of each y(c); the
+    # reference builds every representable and lists its points.
+    assert [has_point(C, c) for c in C.objects] == \
+        [bool(global_elements(yoneda(C, c))) for c in C.objects]
+    got, want = check_ns(C), oracles.representable_check_ns(C)
+    assert (got.verdict, got.witnesses) == (want.verdict, want.witnesses)
 
 
 @pytest.mark.parametrize("base, bound", [

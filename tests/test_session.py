@@ -1,6 +1,6 @@
 """Each corpus-quantified command enumerates its corpus exactly once, and
 the commands that NS on the base decides (precohesion, theorems A and
-C) enumerate none."""
+C, and the bounded DQO and DSO checks) enumerate none."""
 
 import sys
 
@@ -24,7 +24,9 @@ COMMANDS = [
 
 DECIDED_BY_NS = (["precohesion", "--bound", "2"],
                  ["verify", "A", "--bound", "2"],
-                 ["verify", "C", "--bound", "2"])
+                 ["verify", "C", "--bound", "2"],
+                 ["check-dqo", "--bound", "2"],
+                 ["check-dso", "--bound", "2"])
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
