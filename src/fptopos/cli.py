@@ -1,12 +1,13 @@
 """Command-line surface.
 
-Every subcommand maps onto one library operation, reads a base category
-(catalog name or .cat file) and optionally an object (builtin name or
-.psh file), and emits a report in text or machine-readable JSON.
+Every subcommand maps onto one library operation.  `main` reads the
+base category (catalog name or .cat file) and optionally an object
+(builtin name or .psh file), runs the subcommand, and emits its report
+in text or machine-readable JSON.
 
 Exit codes: 0 = all checks pass / property holds; 1 = a check fails (the
 report carries a witness) or its verdict is unknown at the size cap;
-2 = usage, parse, or size-cap error.
+2 = usage, parse, file, or size-cap error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from .errors import (AxiomPrereqFailed, ParseError, ToposError,
                      DEFAULT_SIZE_CAP)
 from .fincat import bound_label, capped_bounds, catalog, catalog_entries
-from .report import Result, unknown_at_cap
+from .report import Result
 
 
 def _lazy(name: str):
@@ -89,8 +90,8 @@ def _resolve_object(ref: str, C):
     return builtin_objects.builtin_object(C, ref)
 
 
-def _emit(args, base: str, r: Result, bounds: str | None = None,
-          counts: dict | None = None) -> int:
+def _emit(args, base: str, r: Result, bounds: str | None,
+          counts: dict | None) -> int:
     """Print the result in the report envelope (command, base, bounds,
     timings, which with --timings also holds `counts`); the exit code is
     0 if it holds, else 1."""
@@ -129,60 +130,53 @@ def _short(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the arguments, the base C (None for `catalog`)
+# and the --object X (None where none is given), and returns the result
+# and the corpus counts that --timings shows (None without a corpus).
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args, C, X):
     entries = {}
     for name, entry in catalog_entries().items():
-        C = entry.category
-        entries[name] = {"objects": list(C.objects),
-                         "morphisms": len(C.morphism_names()),
+        D = entry.category
+        entries[name] = {"objects": list(D.objects),
+                         "morphisms": len(D.morphism_names()),
                          "expected_profile": entry.notes}
-    return _emit(args, "-", Result("ok", [], {"catalog": entries}))
+    return Result("ok", [], {"catalog": entries}), None
 
 
-def _cmd_check_ns(args) -> int:
-    C = _resolve_base(args.base)
+def _cmd_check_ns(args, C, X):
     r = precohesion.check_ns(C)
     r.details["recheck"] = "fptopos check-ns --base %s" % args.base
-    return _emit(args, C.name, r)
+    return r, None
 
 
-def _cmd_decidable(args) -> int:
-    C = _resolve_base(args.base)
-    X = _resolve_object(args.object, C)
+def _cmd_decidable(args, C, X):
     ok = decidable.is_decidable(X, args.cap)
-    return _emit(args, C.name, Result(
-        "decidable" if ok else "not-decidable", [],
-        {"object": presheaf.presheaf_snippet(X)}))
+    return Result("decidable" if ok else "not-decidable", [],
+                  {"object": presheaf.presheaf_snippet(X)}), None
 
 
-def _cmd_pi(args) -> int:
-    C = _resolve_base(args.base)
-    X = _resolve_object(args.object, C)
+def _cmd_pi(args, C, X):
     r = decidable.pi(X, args.cap)
-    return _emit(args, C.name, Result("ok", [], {
+    return Result("ok", [], {
         "stage_sizes": list(r.quotient.size_vector()),
         "quotient": presheaf.presheaf_snippet(r.quotient),
-        "quotient_map": {c: dict(r.map.components[c]) for c in C.objects}}))
+        "quotient_map": {c: dict(r.map.components[c])
+                         for c in C.objects}}), None
 
 
-def _cmd_connected(args) -> int:
-    C = _resolve_base(args.base)
-    X = _resolve_object(args.object, C)
+def _cmd_connected(args, C, X):
     ok = decidable.is_connected(X)
-    return _emit(args, C.name,
-                 Result("connected" if ok else "not-connected"))
+    return Result("connected" if ok else "not-connected"), None
 
 
-def _cmd_subc(args) -> int:
-    C = _resolve_base(args.base)
-    X = _resolve_object(args.object, C)
+def _cmd_subc(args, C, X):
     subs = sublattice.complemented_subobjects(X, args.cap)
-    return _emit(args, C.name, Result("ok", [], {
+    return Result("ok", [], {
         "count": len(subs),
         "complemented_subobjects": [{c: sorted(S.parts[c])
-                                     for c in C.objects} for S in subs]}))
+                                     for c in C.objects}
+                                    for S in subs]}), None
 
 
 def _countermodel(cm, holds: str, details: dict) -> Result:
@@ -192,16 +186,13 @@ def _countermodel(cm, holds: str, details: dict) -> Result:
                   details)
 
 
-def _cmd_pneumo(args) -> int:
-    C = _resolve_base(args.base)
-    X = _resolve_object(args.object, C)
+def _cmd_pneumo(args, C, X):
     if args.map == "pi":
         f = decidable.pi(X, args.cap).map
     else:
         _M, f = decidable.separated_reflection(X, args.cap)
     cm = sublattice.pneumoconnected_countermodel(f, args.cap)
-    return _emit(args, C.name, _countermodel(cm, "pneumoconnected-fibers",
-                                             {"map": args.map}))
+    return _countermodel(cm, "pneumoconnected-fibers", {"map": args.map}), None
 
 
 def _ns_forces_axioms(C, args) -> bool:
@@ -215,74 +206,61 @@ def _ns_forces_axioms(C, args) -> bool:
     return True
 
 
-def _axiom_cmd(args, axiom: str) -> int:
-    C = _resolve_base(args.base)
-    label = None
-    if args.object:
-        check = getattr(decidable, "check_" + axiom)
-        r = check(_resolve_object(args.object, C), args.cap)
-        where = " --object %s" % args.object
+# The per-object check of each axiom command, named in `decidable`, which
+# is compiled only where a check runs.
+_AXIOM_CHECKS = {"check-dqo": "check_dqo", "check-dso": "check_dso"}
+
+
+def _cmd_axiom(args, C, X):
+    """The axiom at the --object, or over the corpus within the bound,
+    where NS on the base decides it."""
+    if X is None and _ns_forces_axioms(C, args):
+        r = Result("holds-at-bound")
     else:
-        label = bound_label(C, args.bound)
-        if _ns_forces_axioms(C, args):
-            r = Result("holds-at-bound")
+        check = getattr(decidable, _AXIOM_CHECKS[args.subcommand])
+        if X is None:
+            r = decidable.check_bounded(
+                corpora.enumerate_presheaves(C, args.bound, args.cap), check)
         else:
-            bounded = getattr(decidable, "check_%s_bounded" % axiom)
-            r = bounded(corpora.enumerate_presheaves(C, args.bound,
-                                                     args.cap))
-        where = " --bound %s" % args.raw_bound
-    r.details["recheck"] = "fptopos %s --base %s%s" % (
+            r = check(X, args.cap)
+    where = ("--object %s" % args.object if X is not None else
+             "--bound %s" % args.raw_bound)
+    r.details["recheck"] = "fptopos %s --base %s %s" % (
         args.subcommand, args.base, where)
-    return _emit(args, C.name, r, label)
+    return r, None
 
 
-def _cmd_check_dqo(args) -> int:
-    return _axiom_cmd(args, "dqo")
-
-
-def _cmd_check_dso(args) -> int:
-    return _axiom_cmd(args, "dso")
-
-
-def _cmd_dec_topos(args) -> int:
-    C = _resolve_base(args.base)
-    label = bound_label(C, args.bound)
+def _cmd_dec_topos(args, C, X):
     corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
-    r = decidable.dec_is_topos_check(corpus)
-    return _emit(args, C.name, r, label)
+    return decidable.dec_is_topos_check(corpus), None
 
 
-def _cmd_precohesion(args) -> int:
-    C = _resolve_base(args.base)
-    label = bound_label(C, args.bound)
-    return _emit(args, C.name, precohesion.check_precohesive(C), label)
+def _cmd_precohesion(args, C, X):
+    return precohesion.check_precohesive(C), None
 
 
-def _cmd_verify(args) -> int:
-    C = _resolve_base(args.base)
-    label = bound_label(C, args.bound)
+def _cmd_verify(args, C, X):
     t = args.theorem
-    counts = None
     try:
         # Theorems A, B and C are decided by NS on the base alone.
         if t in ("A", "B"):
-            r = precohesion.theorem_ab_harness(C)
-        elif t == "C":
-            r = precohesion.theorem_c_harness(C)
-        elif t == "D":
+            return precohesion.theorem_ab_harness(C), None
+        if t == "C":
+            return precohesion.theorem_c_harness(C), None
+        if t == "D":
             # whether the two sides agree; dec-topos shows the witnesses
             r = decidable.dec_is_topos_check(
                 corpora.enumerate_presheaves(C, args.bound, args.cap))
             if r.verdict != "unknown-at-cap":
                 r = Result("holds" if r.holds() else "fails", [], r.details)
-        elif t == "lemma":
+            return r, None
+        if t == "lemma":
             corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
-            r, counts = harness.lemma_report(corpus), corpus.stats
-        else:
-            r, counts = _props(args, C)
+            return harness.lemma_report(corpus), corpus.stats
+        return _props(args, C)
     except AxiomPrereqFailed as exc:
-        r = Result("prerequisite-failed", [], {"failed_prereq": str(exc)})
-    return _emit(args, C.name, r, label, counts)
+        return Result("prerequisite-failed", [],
+                      {"failed_prereq": str(exc)}), None
 
 
 def _props(args, C) -> tuple[Result, dict | None]:
@@ -301,57 +279,37 @@ def _props(args, C) -> tuple[Result, dict | None]:
     return harness.props_report(corpus, names, forced), corpus.stats
 
 
-@unknown_at_cap
-def _search(prop: str, corpus) -> Result:
-    """The search's witness; else unknown at the cap, naming the objects
-    a per-object check capped at, or none.  A cap hit elsewhere in the
-    search makes the whole search unknown at the cap."""
-    capped = []
-    w = harness.search_counterexample(prop, corpus, capped)
-    if w is not None:
-        return Result("witness", [w])
-    if capped:
-        return Result("unknown-at-cap", [],
-                      {"capped": [X.name for X in capped]})
-    return Result("none")
-
-
-def _cmd_search(args) -> int:
-    C = _resolve_base(args.base)
-    label = bound_label(C, args.bound)
+def _cmd_search(args, C, X):
     if args.property in precohesion.NS_FORCED_SEARCHES and \
             _ns_forces_axioms(C, args):
         r, counts = Result("none"), None
     else:
         harness.require_known([args.property], harness.SEARCHES)
         corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
-        r, counts = _search(args.property, corpus), corpus.stats
+        r = harness.search_counterexample(args.property, corpus)
+        counts = corpus.stats
     r.details["property"] = args.property
     if r.verdict == "witness":
         r.details["recheck"] = ("fptopos search-counterexample --property "
                                 "%s --base %s --bound %s"
                                 % (args.property, args.base, args.raw_bound))
-    return _emit(args, C.name, r, label, counts)
+    return r, counts
 
 
-def _cmd_enumerate(args) -> int:
-    C = _resolve_base(args.base)
-    label = bound_label(C, args.bound)
+def _cmd_enumerate(args, C, X):
     corpus = corpora.enumerate_presheaves(C, args.bound, args.cap)
     details = {"count": len(corpus),
                "counts_per_size_vector": {",".join(map(str, k)): v
                                           for k, v in corpus.counts.items()}}
     if args.list:
-        details["presheaves"] = [presheaf.presheaf_snippet(X)
-                                 for X in corpus]
-    return _emit(args, C.name, Result("ok", [], details), label,
-                 corpus.stats)
+        details["presheaves"] = [presheaf.presheaf_snippet(Y)
+                                 for Y in corpus]
+    return Result("ok", [], details), corpus.stats
 
 
-def _cmd_force(args) -> int:
+def _cmd_force(args, C, X):
     # The interpreter is imported here only: no other command needs it.
     from .forcing import PresheafSort, parse_formula, universally_valid
-    C = _resolve_base(args.base)
     names = {}
     for n in builtin_objects.builtin_names(C):
         names[n] = PresheafSort(builtin_objects.builtin_object(C, n))
@@ -360,8 +318,7 @@ def _cmd_force(args) -> int:
         names[alias] = PresheafSort(_resolve_object(ref, C))
     phi = parse_formula(args.formula, names)
     cm = universally_valid(phi, {}, base=C)
-    return _emit(args, C.name,
-                 _countermodel(cm, "valid", {"formula": args.formula}))
+    return _countermodel(cm, "valid", {"formula": args.formula}), None
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +341,8 @@ _SUBCOMMANDS = {
     "pneumo": (_cmd_pneumo,
                "check pneumoconnected fibers of a canonical quotient map",
                "req", False),
-    "check-dqo": (_cmd_check_dqo, "unique decidable quotient axiom", True,
-                  True),
-    "check-dso": (_cmd_check_dso, "unique decidable subobject axiom", True,
+    "check-dqo": (_cmd_axiom, "unique decidable quotient axiom", True, True),
+    "check-dso": (_cmd_axiom, "unique decidable subobject axiom", True,
                   True),
     "dec-topos": (_cmd_dec_topos,
                   "two-sided check that the decidables form a topos", False,
@@ -446,9 +402,8 @@ def _build_parser(argv=()) -> argparse.ArgumentParser:
         sub.metavar = "{%s}" % ",".join(names)
         names = [argv[0]]
     for name in names:
-        func, help_text, obj, bound = _SUBCOMMANDS[name]
+        _func, help_text, obj, bound = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--base", default="refgraph",
                        help="catalog name or .cat file (default refgraph)")
         if obj:
@@ -484,14 +439,19 @@ def main(argv=None) -> int:
                                                str(exc) and ": %s" % exc),
                   file=sys.stderr)
             return 2
+    # The base (none for `catalog`), the --object where it is required or
+    # given, and the bounds of a corpus command, for every subcommand.
+    func, _help, obj, bound = _SUBCOMMANDS[args.subcommand]
     try:
-        return args.func(args)
-    except ToposError as exc:
+        C = None if func is _cmd_catalog else _resolve_base(args.base)
+        X = (_resolve_object(args.object, C)
+             if obj == "req" or obj and args.object else None)
+        label = bound_label(C, args.bound) if bound and X is None else None
+        r, counts = func(args, C, X)
+    except (ToposError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    return _emit(args, "-" if C is None else C.name, r, label, counts)
 
 
 if __name__ == "__main__":

@@ -314,41 +314,27 @@ def check_dqo(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
                                   for R in found]}])
 
 
-def first_failure(corpus: Corpus, check,
-                  capped: list | None = None) -> Result | None:
-    """The result of the first corpus object at which the per-object
-    axiom check fails, or None if it holds throughout.  Given a list
-    `capped`, an object whose check hits the size cap is appended to it
-    and the scan goes on; otherwise the SizeCapError propagates."""
+def check_bounded(corpus: Corpus, check) -> Result:
+    """The per-object axiom check over the corpus: fails at the first
+    failing object; otherwise unknown at the cap if the check hit the
+    size cap at some object, else holds at the bound.  An object at the
+    cap does not stop the scan; the objects at the cap are named in
+    `details["capped"]`."""
+    capped, r = [], Result("holds-at-bound")
     for X in corpus:
         try:
             result = corpus.fact(check, X)
         except SizeCapError:
-            if capped is None:
-                raise
-            capped.append(X)
+            capped.append(X.name)
             continue
         if not result.holds():
-            return result
-    return None
-
-
-def _check_bounded(corpus: Corpus, check) -> Result:
-    """Fails at the first failing object; otherwise unknown at the cap
-    if the check hit the size cap at some object, else holds at the
-    bound.  The objects at the cap are named in `details["capped"]`."""
-    capped = []
-    failure = first_failure(corpus, check, capped)
-    r = (Result("fails", failure.witnesses) if failure is not None else
-         Result("unknown-at-cap") if capped else Result("holds-at-bound"))
+            r = Result("fails", result.witnesses)
+            break
     if capped:
-        r.details["capped"] = [X.name for X in capped]
+        if r.holds():
+            r = Result("unknown-at-cap")
+        r.details["capped"] = capped
     return r
-
-
-def check_dqo_bounded(corpus: Corpus) -> Result:
-    """DQO over all presheaves up to iso within the bounds."""
-    return _check_bounded(corpus, check_dqo)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +364,6 @@ def check_dso(X: Presheaf, cap: int = DEFAULT_SIZE_CAP) -> Result:
         "object": presheaf_snippet(X),
         "decidable_subobjects": [{c: sorted(p[c]) for c in X.base.objects}
                                  for p in candidates]}])
-
-
-def check_dso_bounded(corpus: Corpus) -> Result:
-    """DSO over all presheaves up to iso within the bounds."""
-    return _check_bounded(corpus, check_dso)
 
 
 # ---------------------------------------------------------------------------

@@ -6,25 +6,21 @@ class ToposError(Exception):
 
     kind = "Error"
 
-    def __init__(self, message, **data):
-        super().__init__(message)
-        self.data = data
-
 
 class CategoryError(ToposError):
     """A finite-category description is malformed (bad identities,
     incomplete or non-associative composition, dangling references)."""
 
-    def __init__(self, kind, message, **data):
-        super().__init__(message, **data)
+    def __init__(self, kind, message):
+        super().__init__(message)
         self.kind = kind
 
 
 class PresheafError(ToposError):
     """A presheaf description violates functoriality or totality."""
 
-    def __init__(self, kind, message, **data):
-        super().__init__(message, **data)
+    def __init__(self, kind, message):
+        super().__init__(message)
         self.kind = kind
 
 

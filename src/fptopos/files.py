@@ -51,6 +51,16 @@ def _fail(msg, line, col):
     raise ParseError(msg, line=line, col=col)
 
 
+def _read(path: str) -> str:
+    """The text of the file at path, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("file %r is not UTF-8 text (%s at byte %d)"
+                         % (path, exc.reason, exc.start)) from None
+
+
 # ---------------------------------------------------------------------------
 # categories
 
@@ -106,8 +116,7 @@ def parse_category_text(text: str) -> FinCategory:
 
 
 def parse_category_file(path: str) -> FinCategory:
-    with open(path, encoding="utf-8") as fh:
-        return parse_category_text(fh.read())
+    return parse_category_text(_read(path))
 
 
 def resolve_base(ref: str, relative_to: str | None = None) -> FinCategory:
@@ -220,5 +229,4 @@ def parse_presheaf_text(text: str, path: str | None = None,
 
 def parse_presheaf_file(path: str,
                         base: FinCategory | None = None) -> Presheaf:
-    with open(path, encoding="utf-8") as fh:
-        return parse_presheaf_text(fh.read(), path, base)
+    return parse_presheaf_text(_read(path), path, base)

@@ -8,13 +8,11 @@ stage-size-lexicographically minimal by construction.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .corpus import Corpus
-from .decidable import (_domain_maps, _factors_all, check_dqo, check_dso,
-                        exponential_is_decidable, first_failure, is_connected,
-                        pi, pi_product_failures, pi_sizes, product_components,
-                        separated_reflection)
+from .decidable import (_domain_maps, _factors_all, check_bounded,
+                        check_dqo, check_dso, exponential_is_decidable,
+                        is_connected, pi, pi_product_failures, pi_sizes,
+                        product_components, separated_reflection)
 from .errors import SizeCapError, UnknownName, DEFAULT_SIZE_CAP
 from .precohesion import BY_CONSTRUCTION, forced_properties
 from .presheaf import (NatTrans, Presheaf, arrow_snippet,
@@ -173,7 +171,7 @@ def _prop_pi_products(corpus: Corpus):
 def _prop_pneumo_fibers_connected(corpus: Corpus):
     """If f has pneumoconnected fibers then no fiber over a global point
     has a nontrivial complemented subobject: more than one component."""
-    cap, stats = corpus.cap, _fiber_stats(corpus)
+    cap, stats = corpus.cap, corpus.stats
     for X in corpus:
         for Y in corpus:
             points = None  # found at the first arrow X → Y
@@ -207,7 +205,7 @@ def _pneumo_epis(corpus: Corpus):
 def _prop_pneumo_product_closed(corpus: Corpus):
     """f, g with pneumoconnected fibers ⇒ f×g has pneumoconnected
     fibers (epis only, to keep the arrow space small)."""
-    cap, stats = corpus.cap, _fiber_stats(corpus)
+    cap, stats = corpus.cap, corpus.stats
     epis = list(_pneumo_epis(corpus))
     # Each product of two domains, with its P_c, is built once.
     dom_products = {}
@@ -233,7 +231,7 @@ def _prop_pneumo_product_closed(corpus: Corpus):
 def _prop_pneumo_pullback_closed(corpus: Corpus):
     """Any pullback of an epi with pneumoconnected fibers again has
     pneumoconnected fibers."""
-    cap, stats = corpus.cap, _fiber_stats(corpus)
+    cap, stats = corpus.cap, corpus.stats
     for f in _pneumo_epis(corpus):
         for Z in corpus:
             for g in homs(Z, f.cod):
@@ -248,11 +246,10 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
 
 
 def _prop_separated_reflection_pneumo(corpus: Corpus):
-    stats = _fiber_stats(corpus)
     for X in corpus:
         _M, m = separated_reflection(X, corpus.cap)
         if not has_pneumoconnected_fibers(
-                m, corpus.cap, corpus.fact(pc_masks, X), stats):
+                m, corpus.cap, corpus.fact(pc_masks, X), corpus.stats):
             return {"object": presheaf_snippet(X)}
     return None
 
@@ -329,19 +326,11 @@ def props_report(corpus: Corpus, names: list[str] | None = None,
 # ---------------------------------------------------------------------------
 # counterexample search
 
-def _first_witness(check, corpus: Corpus, capped: list | None = None):
-    """The witness of the first corpus object at which the per-object
-    check fails, or None; `capped` as in `first_failure`."""
-    failure = first_failure(corpus, check, capped)
-    return None if failure is None else failure.witnesses[0]
-
-
 def _search_pneumo_pi(corpus: Corpus):
-    stats = _fiber_stats(corpus)
     for X in corpus:
         r = corpus.fact(pi, X)
         if not has_pneumoconnected_fibers(
-                r.map, corpus.cap, corpus.fact(pc_masks, X), stats):
+                r.map, corpus.cap, corpus.fact(pc_masks, X), corpus.stats):
             return {"object": presheaf_snippet(X), "family": "pi-quotient"}
     return None
 
@@ -359,12 +348,13 @@ def _search_pneumo_epis(corpus: Corpus):
 
 
 # The searches for the first corpus object at which a per-object check
-# fails, which can go on past an object at the size cap.
+# fails, which are the bounded scan `check_bounded`.
 OBJECT_CHECKS = {"dqo-uniqueness": check_dqo, "dso-uniqueness": check_dso}
 
+# Search name → the per-object check, or the corpus walk that returns the
+# first witness or None.
 SEARCHES = {
-    **{prop: partial(_first_witness, check)
-       for prop, check in OBJECT_CHECKS.items()},
+    **OBJECT_CHECKS,
     "pneumo-pi-quotients": _search_pneumo_pi,
     "pneumo-separated-reflections": _prop_separated_reflection_pneumo,
     "pneumo-two-inverting-epis": _search_pneumo_epis,
@@ -373,16 +363,22 @@ SEARCHES = {
 }
 
 
-def search_counterexample(prop: str, corpus: Corpus,
-                          capped: list | None = None) -> dict | None:
-    """First witness violating the registered property, in deterministic
-    corpus order (hence stage-size minimal); None if the bound is
-    exhausted without one.  Given a list `capped`, a search over a
-    per-object check (`OBJECT_CHECKS`) appends each object whose check
-    hits the size cap to it and goes on; otherwise a cap hit raises
-    SizeCapError."""
+@unknown_at_cap
+def search_counterexample(prop: str, corpus: Corpus) -> Result:
+    """The first witness violating the registered property, in
+    deterministic corpus order (hence stage-size minimal), or "none" if
+    the bound is exhausted without one.  A search over a per-object
+    check (`OBJECT_CHECKS`) goes on past an object whose check hits the
+    size cap, and is unknown at the cap, naming those objects, if it
+    finds no witness; a cap hit in any other search makes the whole
+    search unknown at the cap."""
     require_known([prop], SEARCHES)
     _fiber_stats(corpus)
     if prop in OBJECT_CHECKS:
-        return SEARCHES[prop](corpus, capped)
-    return SEARCHES[prop](corpus)
+        r = check_bounded(corpus, OBJECT_CHECKS[prop])
+        if r.verdict == "unknown-at-cap":
+            return r
+        witness = r.witnesses[0] if r.witnesses else None
+    else:
+        witness = SEARCHES[prop](corpus)
+    return Result("none") if witness is None else Result("witness", [witness])

@@ -654,11 +654,9 @@ def require_axioms(corpus: Corpus) -> None:
     require_ns(corpus.base)
     for X in corpus:
         if not corpus.fact(check_dqo, X).holds():
-            raise AxiomPrereqFailed("DQO fails at %r" % X.name,
-                                    witness=presheaf_snippet(X))
+            raise AxiomPrereqFailed("DQO fails at %r" % X.name)
         if not corpus.fact(check_dso, X).holds():
-            raise AxiomPrereqFailed("DSO fails at %r" % X.name,
-                                    witness=presheaf_snippet(X))
+            raise AxiomPrereqFailed("DSO fails at %r" % X.name)
 
 
 class TriangleIdentityFailed(ToposError):

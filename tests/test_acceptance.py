@@ -114,9 +114,10 @@ def test_criterion_07_decidables_are_an_exponential_ideal():
 
 def test_criterion_08_dqo_counterexample_search_finds_a1():
     with criterion(8, 30, "DQO search on graph base yields A1 with K={Δ,X²}"):
-        w = search_counterexample("dqo-uniqueness",
+        r = search_counterexample("dqo-uniqueness",
                                   enumerate_presheaves(GR, 2))
-        assert w is not None
+        assert r.verdict == "witness"
+        (w,) = r.witnesses
         W = make_presheaf(GR, w["object"]["sets"], w["object"]["actions"])
         assert is_isomorphic(W, builtin_object(GR, "A1"))
         ks = sorted((len(k["V"]), len(k["E"]))

@@ -452,6 +452,26 @@ def test_errors_exit_two(capsys):
     assert main(["pi", "--object", "builtin:nope"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-ns", "--base", "{dir}"),
+    ("decidable", "--object", "{dir}/"),
+    ("check-ns", "--base", "{bad}.cat"),
+    ("decidable", "--object", "{bad}.psh"),
+    ("force", "--formula", "all x : Q . x = x", "--let", "Q={bad}.psh")],
+    ids=("directory base", "directory object", "undecodable .cat",
+         "undecodable .psh", "undecodable --let"))
+def test_unreadable_paths_exit_two(capsys, tmp_path, argv):
+    # A directory, or a file whose bytes are not UTF-8, is an input error
+    # (exit 2), not a failed check (exit 1) with a traceback.
+    for suffix in (".cat", ".psh"):
+        (tmp_path / ("bad" + suffix)).write_bytes(b"\xff\xfecategory x\n")
+    assert main([a.format(dir=tmp_path, bad=tmp_path / "bad")
+                 for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_json_reports_are_parallelism_invariant(capsys):
     outs = []
     for jobs in ("1", "4"):

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (_check_bounded, check_dqo,
-                               check_dqo_bounded, check_dso,
-                               check_dso_bounded, dec_is_topos_check,
+from fptopos.decidable import (check_bounded, check_dqo, check_dso,
+                               dec_is_topos_check,
                                exponential_is_decidable, is_connected,
                                is_decidable, pi, pi_product_failures,
                                pi_sizes, product_components,
@@ -311,8 +310,8 @@ def test_congruences_on_two_point_set():
 
 
 def test_dqo_holds_on_point_and_two_discrete():
-    assert check_dqo_bounded(enumerate_presheaves(PT, 3)).holds()
-    assert check_dqo_bounded(enumerate_presheaves(TD, 2)).holds()
+    assert check_bounded(enumerate_presheaves(PT, 3), check_dqo).holds()
+    assert check_bounded(enumerate_presheaves(TD, 2), check_dqo).holds()
 
 
 def test_dqo_fails_at_a1_with_diagonal_and_total():
@@ -326,7 +325,7 @@ def test_dqo_fails_at_a1_with_diagonal_and_total():
 
 
 def test_dqo_bounded_first_witness_is_a1():
-    r = check_dqo_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}))
+    r = check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}), check_dqo)
     assert r.verdict == "fails"
     w = r.witnesses[0]["object"]
     W = make_presheaf(GR, w["sets"], w["actions"])
@@ -337,8 +336,8 @@ def test_bounded_check_names_the_objects_at_the_cap():
     # An object whose check passes the size cap does not abort the scan:
     # it is named, and the verdict is unknown at the cap unless another
     # object fails.  DQO at X×X passes a cap of 3 where X has 2 vertices.
-    r = _check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}, 3),
-                       oracles.check_dqo_of_square)
+    r = check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}, 3),
+                      oracles.check_dqo_of_square)
     assert (r.verdict, r.witnesses) == ("unknown-at-cap", [])
     assert r.details == {"capped": ["X3", "X4", "X5"]}
 
@@ -347,8 +346,8 @@ def test_bounded_check_names_the_objects_at_the_cap():
             raise SizeCapError("capped")
         return check_dqo(X, cap)
 
-    r = _check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}),
-                       capped_at_x1)
+    r = check_bounded(enumerate_presheaves(GR, {"V": 2, "E": 1}),
+                      capped_at_x1)
     assert r.verdict == "fails" and r.details == {"capped": ["X1"]}
     w = r.witnesses[0]["object"]
     assert is_isomorphic(make_presheaf(GR, w["sets"], w["actions"]), A1)
@@ -364,7 +363,7 @@ def test_dso_examples():
     assert parts == [{"a": [], "b": []}, {"a": ["x"], "b": []}]
     for X in enumerate_presheaves(PT, 3):
         assert check_dso(X).holds()
-    assert not check_dso_bounded(enumerate_presheaves(TD, 1)).holds()
+    assert not check_bounded(enumerate_presheaves(TD, 1), check_dso).holds()
 
 
 def test_separated_reflection():

@@ -40,7 +40,11 @@ both built Π of every corpus object to check the Nullstellensatz and
 theorem C's ingredients, which now hold by construction.  `precohesion`
 and `verify C` at bound 3 on the cospan a → c ← b and on arrowidem, two
 bases without NS, were pinned while both commands enumerated the corpus
-before or after deciding NS; they now decide NS on the base alone."""
+before or after deciding NS; they now decide NS on the base alone.  The
+bounded DQO check and the DQO search on graph at a cap of 3, unknown at
+the cap at X5, and the DSO search on two-discrete, which finds a
+witness, were pinned while the bounded check and the two per-object
+searches ran the scan through two code paths; they now share one."""
 
 import pathlib
 
@@ -77,6 +81,15 @@ COMMANDS = {
     "search-dqo-graph-V2E1": (("search-counterexample", "--base", "graph",
                                "--bound", "V=2,E=1", "--property",
                                "dqo-uniqueness"), 1),
+    "check-dqo-graph-V2E1-cap3": (("check-dqo", "--base", "graph", "--bound",
+                                   "V=2,E=1", "--cap", "3"), 1),
+    "search-dqo-graph-V2E1-cap3": (("search-counterexample", "--base",
+                                    "graph", "--bound", "V=2,E=1",
+                                    "--property", "dqo-uniqueness", "--cap",
+                                    "3"), 1),
+    "search-dso-two-discrete-1": (("search-counterexample", "--base",
+                                   "two-discrete", "--bound", "1",
+                                   "--property", "dso-uniqueness"), 1),
     "subc-D3": (("subc", "--object", "D3"), 0),
     "subc-two-discrete-1": (("subc", "--base", "two-discrete", "--object",
                              "1"), 0),

@@ -1,7 +1,6 @@
 """Property battery, fiber-condition equivalences, counterexample search."""
 
 import json
-from functools import partial
 
 import pytest
 
@@ -11,10 +10,10 @@ from fptopos.builtins import builtin_object
 from fptopos.cli import main
 from fptopos.corpus import enumerate_presheaves
 from fptopos.decidable import _domain_maps, _factors_all, is_decidable, pi
-from fptopos.errors import SizeCapError, UnknownName
+from fptopos.errors import UnknownName
 from fptopos.fincat import catalog
-from fptopos.harness import (PROPERTIES, SEARCHES, _corpus_epis,
-                             _first_witness, _inverts_two, epi_conditions,
+from fptopos.harness import (OBJECT_CHECKS, PROPERTIES, SEARCHES,
+                             _corpus_epis, _inverts_two, epi_conditions,
                              fiber, lemma_report, props_report,
                              search_counterexample)
 from fptopos.presheaf import (NatTrans, connected_components,
@@ -143,9 +142,10 @@ def test_props_report_unknown_name():
 
 
 def test_search_dqo_finds_a1_on_graph_base():
-    w = search_counterexample("dqo-uniqueness",
+    r = search_counterexample("dqo-uniqueness",
                               enumerate_presheaves(GR, {"V": 2, "E": 1}))
-    assert w is not None
+    assert r.verdict == "witness"
+    (w,) = r.witnesses
     assert len(w["factoring_congruences"]) == 2
     from fptopos.presheaf import make_presheaf as mk
     W = mk(GR, w["object"]["sets"], w["object"]["actions"])
@@ -153,23 +153,21 @@ def test_search_dqo_finds_a1_on_graph_base():
 
 
 def test_search_names_the_objects_at_the_cap(monkeypatch):
-    # Given a list, a search over a per-object check goes on past an
-    # object whose check passes the size cap and names it; without one,
-    # the cap hit raises.  DQO at X×X passes a cap of 3 where X has 2
-    # vertices.
-    monkeypatch.setitem(SEARCHES, "dqo-uniqueness",
-                        partial(_first_witness, oracles.check_dqo_of_square))
+    # A search over a per-object check goes on past an object whose check
+    # passes the size cap, and names it.  DQO at X×X passes a cap of 3
+    # where X has 2 vertices.
+    monkeypatch.setitem(OBJECT_CHECKS, "dqo-uniqueness",
+                        oracles.check_dqo_of_square)
     corpus = enumerate_presheaves(GR, {"V": 2, "E": 1}, 3)
-    capped = []
-    assert search_counterexample("dqo-uniqueness", corpus, capped) is None
-    assert [X.name for X in capped] == ["X3", "X4", "X5"]
-    with pytest.raises(SizeCapError):
-        search_counterexample("dqo-uniqueness", corpus)
+    r = search_counterexample("dqo-uniqueness", corpus)
+    assert (r.verdict, r.witnesses) == ("unknown-at-cap", [])
+    assert r.details["capped"] == ["X3", "X4", "X5"]
 
 
 def test_search_dso_finds_lopsided_pair_on_two_discrete():
-    w = search_counterexample("dso-uniqueness", enumerate_presheaves(TD, 1))
-    assert w is not None
+    r = search_counterexample("dso-uniqueness", enumerate_presheaves(TD, 1))
+    assert r.verdict == "witness"
+    (w,) = r.witnesses
     assert w["object"]["sets"] in ({"a": [], "b": ["b0"]},
                                    {"a": ["a0"], "b": []})
 
@@ -178,7 +176,7 @@ def test_searches_come_up_empty_where_properties_hold():
     for prop in ("dqo-uniqueness", "dso-uniqueness", "pneumo-pi-quotients",
                  "pi-product-preservation", "lemma-equivalences"):
         corpus = enumerate_presheaves(RG, {"V": 1, "E": 2})
-        assert search_counterexample(prop, corpus) is None
+        assert search_counterexample(prop, corpus).verdict == "none"
 
 
 def test_search_unknown_property():
