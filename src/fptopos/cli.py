@@ -195,26 +195,18 @@ def _cmd_pneumo(args, C, X):
     return _countermodel(cm, "pneumoconnected-fibers", {"map": args.map}), None
 
 
-def _ns_forces_axioms(C, args) -> bool:
-    """Whether NS holds on the base, which forces DQO, DSO and Π's
-    product preservation at every object (`precohesion.require_ns`), so
-    that a bounded check or search of them needs no corpus.  The bound
-    is still held to the cap, as enumerating the corpus would."""
-    if not precohesion.check_ns(C).holds():
-        return False
-    capped_bounds(C, args.bound, args.cap)
-    return True
-
-
 # The per-object check of each axiom command, named in `decidable`, which
 # is compiled only where a check runs.
 _AXIOM_CHECKS = {"check-dqo": "check_dqo", "check-dso": "check_dso"}
 
 
 def _cmd_axiom(args, C, X):
-    """The axiom at the --object, or over the corpus within the bound,
-    where NS on the base decides it."""
-    if X is None and _ns_forces_axioms(C, args):
+    """The axiom at the --object, or over the corpus within the bound.
+    NS on the base forces DQO and DSO at every object
+    (`precohesion.require_ns`), so it decides the bounded check with no
+    corpus; the bound is still held to the cap, as enumerating would."""
+    if X is None and precohesion.ns_holds(C):
+        capped_bounds(C, args.bound, args.cap)
         r = Result("holds-at-bound")
     else:
         check = getattr(decidable, _AXIOM_CHECKS[args.subcommand])
@@ -280,8 +272,10 @@ def _props(args, C) -> tuple[Result, dict | None]:
 
 
 def _cmd_search(args, C, X):
+    # The searches that NS on the base answers, as in `_cmd_axiom`.
     if args.property in precohesion.NS_FORCED_SEARCHES and \
-            _ns_forces_axioms(C, args):
+            precohesion.ns_holds(C):
+        capped_bounds(C, args.bound, args.cap)
         r, counts = Result("none"), None
     else:
         harness.require_known([args.property], harness.SEARCHES)

@@ -73,13 +73,13 @@ def _corpus_inverts_two(corpus: Corpus, q: NatTrans) -> bool:
             == corpus.fact(_component_count, q.cod))
 
 
-def _conditions(inverts_two: bool, q: NatTrans, maps: tuple, cap: int, pc,
-                stats: dict | None = None) -> tuple[bool, bool, bool]:
-    """The three fiber conditions of the epi q, given whether it inverts
-    every map to 2 and its domain's maps."""
-    return (inverts_two,
-            has_pneumoconnected_fibers(q, cap, pc, stats),
-            _factors_all(q, maps))
+def _pneumo(corpus: Corpus, f: NatTrans, pc=None) -> bool:
+    """Whether f has pneumoconnected fibers, counted in the corpus stats,
+    with P_c of f's domain from `pc` or else from the corpus (memoized
+    for a corpus object, computed afresh for any other)."""
+    if pc is None:
+        pc = corpus.fact(pc_masks, f.dom)
+    return has_pneumoconnected_fibers(f, corpus.cap, pc, corpus.stats)
 
 
 def epi_conditions(q: NatTrans, decidables: list[Presheaf],
@@ -88,8 +88,8 @@ def epi_conditions(q: NatTrans, decidables: list[Presheaf],
     """For an epi q: X↠Y — (i) every X→2 factors through q,
     (ii) q has pneumoconnected fibers, (iii) every map from X to a
     decidable object factors through q."""
-    return _conditions(_inverts_two(q), q, _domain_maps(q.dom, decidables),
-                       cap, pc)
+    return (_inverts_two(q), has_pneumoconnected_fibers(q, cap, pc),
+            _factors_all(q, _domain_maps(q.dom, decidables)))
 
 
 def _corpus_epis(corpus: Corpus):
@@ -117,10 +117,8 @@ def _search_lemma(corpus: Corpus) -> dict | None:
     for q in _corpus_epis(corpus):
         if q.dom is not dom:
             dom, maps = q.dom, _domain_maps(q.dom, decidables, corpus.stats)
-        conditions = _conditions(_corpus_inverts_two(corpus, q), q, maps,
-                                 corpus.cap,
-                                 corpus.fact(pc_masks, q.dom),
-                                 corpus.stats)
+        conditions = (_corpus_inverts_two(corpus, q), _pneumo(corpus, q),
+                      _factors_all(q, maps))
         if len(set(conditions)) > 1:
             return {**_epi_witness(q), "conditions": list(conditions)}
     return None
@@ -171,15 +169,13 @@ def _prop_pi_products(corpus: Corpus):
 def _prop_pneumo_fibers_connected(corpus: Corpus):
     """If f has pneumoconnected fibers then no fiber over a global point
     has a nontrivial complemented subobject: more than one component."""
-    cap, stats = corpus.cap, corpus.stats
     for X in corpus:
         for Y in corpus:
             points = None  # found at the first arrow X → Y
             for f in homs(X, Y):
                 if points is None:
                     points = global_elements(Y)
-                if not has_pneumoconnected_fibers(
-                        f, cap, corpus.fact(pc_masks, X), stats):
+                if not _pneumo(corpus, f):
                     continue
                 for b in points:
                     F = fiber(f, b)
@@ -196,16 +192,14 @@ def _pneumo_epis(corpus: Corpus):
     """The epis between corpus objects with pneumoconnected fibers, in
     the order of `_corpus_epis`."""
     for f in _corpus_epis(corpus):
-        if has_pneumoconnected_fibers(f, corpus.cap,
-                                      corpus.fact(pc_masks, f.dom),
-                                      corpus.stats):
+        if _pneumo(corpus, f):
             yield f
 
 
 def _prop_pneumo_product_closed(corpus: Corpus):
     """f, g with pneumoconnected fibers ⇒ f×g has pneumoconnected
     fibers (epis only, to keep the arrow space small)."""
-    cap, stats = corpus.cap, corpus.stats
+    cap = corpus.cap
     epis = list(_pneumo_epis(corpus))
     # Each product of two domains, with its P_c, is built once.
     dom_products = {}
@@ -218,7 +212,7 @@ def _prop_pneumo_product_closed(corpus: Corpus):
             p1, p2, pcp = dom_products[key]
             Q, _q1, _q2 = product(f.cod, g.cod, cap)
             fg = pairing(p1.then(f), p2.then(g), Q)
-            if not has_pneumoconnected_fibers(fg, cap, pcp, stats):
+            if not _pneumo(corpus, fg, pcp):
                 return {"left_dom": presheaf_snippet(f.dom),
                         "left_cod": presheaf_snippet(f.cod),
                         "left": arrow_snippet(f),
@@ -231,12 +225,11 @@ def _prop_pneumo_product_closed(corpus: Corpus):
 def _prop_pneumo_pullback_closed(corpus: Corpus):
     """Any pullback of an epi with pneumoconnected fibers again has
     pneumoconnected fibers."""
-    cap, stats = corpus.cap, corpus.stats
     for f in _pneumo_epis(corpus):
         for Z in corpus:
             for g in homs(Z, f.cod):
                 _P, pr1, _pr2 = pullback(g, f)
-                if not has_pneumoconnected_fibers(pr1, cap, stats=stats):
+                if not _pneumo(corpus, pr1):
                     return {"arrow_dom": presheaf_snippet(f.dom),
                             "along_dom": presheaf_snippet(Z),
                             "cod": presheaf_snippet(f.cod),
@@ -248,8 +241,7 @@ def _prop_pneumo_pullback_closed(corpus: Corpus):
 def _prop_separated_reflection_pneumo(corpus: Corpus):
     for X in corpus:
         _M, m = separated_reflection(X, corpus.cap)
-        if not has_pneumoconnected_fibers(
-                m, corpus.cap, corpus.fact(pc_masks, X), corpus.stats):
+        if not _pneumo(corpus, m):
             return {"object": presheaf_snippet(X)}
     return None
 
@@ -328,9 +320,7 @@ def props_report(corpus: Corpus, names: list[str] | None = None,
 
 def _search_pneumo_pi(corpus: Corpus):
     for X in corpus:
-        r = corpus.fact(pi, X)
-        if not has_pneumoconnected_fibers(
-                r.map, corpus.cap, corpus.fact(pc_masks, X), corpus.stats):
+        if not _pneumo(corpus, corpus.fact(pi, X).map):
             return {"object": presheaf_snippet(X), "family": "pi-quotient"}
     return None
 
@@ -341,8 +331,7 @@ def _search_pneumo_epis(corpus: Corpus):
     for q in _corpus_epis(corpus):
         if not _corpus_inverts_two(corpus, q):
             continue  # family: epis inverting all maps to 2
-        if not has_pneumoconnected_fibers(
-                q, corpus.cap, corpus.fact(pc_masks, q.dom), corpus.stats):
+        if not _pneumo(corpus, q):
             return _epi_witness(q)
     return None
 

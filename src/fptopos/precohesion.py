@@ -36,14 +36,21 @@ def has_point(C: FinCategory, c: str) -> bool:
     return extend({})
 
 
-def check_ns(C: FinCategory) -> Result:
+def ns_holds(C: FinCategory) -> bool:
     """Exact NS decision: every object is initial or has a global element
     iff every representable has a global element.
 
     Soundness: a global element p of y(c) turns any x ∈ X(c) into the
     global element b ↦ X(p_b)(x); necessity: representables are nonempty.
-    Only the first failing representable is built, as the witness.
+    No presheaf is built.
     """
+    return all(has_point(C, c) for c in C.objects)
+
+
+def check_ns(C: FinCategory) -> Result:
+    """The `check-ns` report: NS as `ns_holds` decides it, with the
+    representables that have no point; only the first of them is built,
+    as the witness."""
     failing = [c for c in C.objects if not has_point(C, c)]
     if failing:
         from .presheaf import presheaf_snippet, yoneda
@@ -87,7 +94,7 @@ def require_ns(C: FinCategory) -> None:
     ∫X_i×∫Y_j of the y(a)×y(b) (π₀ preserves colimits).  Hence
     Π(X×Y)(c) = ΠX(c)·ΠY(c): Π preserves finite products.
     """
-    if not check_ns(C).holds():
+    if not ns_holds(C):
         raise AxiomPrereqFailed("NS fails on this base")
 
 
@@ -110,7 +117,7 @@ NS_FORCED_SEARCHES = frozenset({"dqo-uniqueness", "dso-uniqueness",
 def forced_properties(C: FinCategory) -> frozenset:
     """The properties that NS forces on the base C: `NS_FORCED` where NS
     holds, else none."""
-    return NS_FORCED if check_ns(C).holds() else frozenset()
+    return NS_FORCED if ns_holds(C) else frozenset()
 
 
 def check_precohesive(C: FinCategory) -> Result:

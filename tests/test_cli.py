@@ -327,21 +327,23 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert proc.stdout.split() == ["[]"]
 
 
-def _modules_run_by(*argv) -> list[str]:
+def _modules_run_by(*argv, exit_code: int = 0) -> list[str]:
     """The package modules that `fptopos.cli.main(argv)` compiles and runs
-    in a new interpreter.  The CLI registers every module past errors,
-    fincat and report in sys.modules without running it (importlib's
-    LazyLoader), and each runs at the first read of one of its
-    attributes; until then its type is a subclass of the module type."""
+    in a new interpreter, where it exits with `exit_code`.  The CLI
+    registers every module past errors, fincat and report in sys.modules
+    without running it (importlib's LazyLoader), and each runs at the
+    first read of one of its attributes; until then its type is a
+    subclass of the module type."""
     proc = _fresh_python(
         "import contextlib, io, sys, types\n"
         "import fptopos.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = fptopos.cli.main(%r)\n"
-        "assert code == 0, code\n"
+        "assert code == %d, code\n"
         "print(*sorted(n for n, m in sys.modules.items()\n"
         "              if n.startswith('fptopos.')\n"
-        "              and type(m) is types.ModuleType))\n" % (list(argv),))
+        "              and type(m) is types.ModuleType))\n"
+        % (list(argv), exit_code))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -368,6 +370,18 @@ def test_each_command_loads_only_its_modules(argv, run):
     # corpus, decidable, sublattice or harness layer; `enumerate`
     # compiles no decidable layer and no builtins.
     assert _modules_run_by(*argv, "--bound", "3") == run
+
+
+@pytest.mark.parametrize("argv", [
+    ("precohesion", "--base", "graph"),
+    ("verify", "C", "--base", "sierpinski"),
+    ("verify", "A", "--base", "two-discrete")],
+    ids=("precohesion graph", "verify C sierpinski", "verify A two-discrete"))
+def test_commands_without_ns_load_no_presheaf_layer(argv):
+    # Where NS fails, the verdict (not applicable, prerequisite failed)
+    # needs only the decision, so no y(c) is built as a witness.
+    assert _modules_run_by(*argv, "--bound", "3", exit_code=1) == \
+        NS_DECIDED_RUN
 
 
 # Arguments that argparse answers itself: help, an unknown option, a
@@ -412,6 +426,26 @@ def test_unknown_property_names_exit_two_listing_the_known(capsys, argv,
     assert captured.out == ""
     assert "unknown property 'nope'" in captured.err
     assert known in captured.err
+
+
+@pytest.mark.parametrize("base", ["refgraph", "point", "samples/lz.cat"])
+@pytest.mark.parametrize("argv, name", [
+    (("search-counterexample", "--property", "connected-products"),
+     "connected-products"),
+    (("search-counterexample", "--property", "pi-structure"),
+     "pi-structure"),
+    (("verify", "props", "--props", "dqo-uniqueness"), "dqo-uniqueness"),
+    (("verify", "props", "--props", "check-dqo"), "check-dqo")],
+    ids=("search connected-products", "search pi-structure",
+         "props dqo-uniqueness", "props check-dqo"))
+def test_ns_gates_answer_only_their_own_names(capsys, base, argv, name):
+    # On an NS base, the searches and the properties that NS answers
+    # without a corpus are two name sets: a property is not a search,
+    # and a search or a command is not a property.
+    assert main([*argv, "--base", base, "--bound", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown property %r" % name)
 
 
 def test_dec_topos_witness_rechecks_from_its_json(capsys):

@@ -1,5 +1,6 @@
 """Decidability, NS/DQO/DSO, the quotient reflection, separation."""
 
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from fptopos.builtins import builtin_object
 from fptopos.corpus import enumerate_presheaves
-from fptopos.decidable import (check_bounded, check_dqo, check_dso,
-                               dec_is_topos_check,
+from fptopos.decidable import (_pi_epic_after, _pi_stages, check_bounded,
+                               check_dqo, check_dso, dec_is_topos_check,
                                exponential_is_decidable, is_connected,
                                is_decidable, pi, pi_product_failures,
                                pi_sizes, product_components,
@@ -413,3 +414,21 @@ def test_dec_topos_two_sided_agreement():
     for name, bound in cases:
         r = dec_is_topos_check(enumerate_presheaves(catalog(name), bound))
         assert r.holds(), name
+
+
+@pytest.mark.parametrize("base, bound", [
+    ("sierpinski", 2), ("graph", {"V": 2, "E": 1}),
+    ("refgraph", {"V": 1, "E": 2}), ("samples/cospan.cat", 1)])
+def test_pi_epic_read_off_components_matches_built_pi(base, bound):
+    # dec-topos reads whether p_Y ∘ f is epic off ∫Y's components; the
+    # reference builds Π(Y) and composes.  Every arrow is compared, dense
+    # or not, and both answers occur.
+    seen = set()
+    for X, Y in itertools.product(enumerate_presheaves(resolve_base(base),
+                                                       bound), repeat=2):
+        stages, unit = _pi_stages(Y), pi(Y).map
+        for f in homs(X, Y):
+            epic = _pi_epic_after(f, stages)
+            assert epic == is_epi(f.then(unit)), (X.name, Y.name)
+            seen.add(epic)
+    assert seen == {True, False}

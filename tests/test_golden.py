@@ -44,7 +44,11 @@ before or after deciding NS; they now decide NS on the base alone.  The
 bounded DQO check and the DQO search on graph at a cap of 3, unknown at
 the cap at X5, and the DSO search on two-discrete, which finds a
 witness, were pinned while the bounded check and the two per-object
-searches ran the scan through two code paths; they now share one."""
+searches ran the scan through two code paths; they now share one.
+`dec-topos` at bound 2 on sierpinski and on the cospan, where both sides
+of the criterion fail and each names its witness, were pinned while the
+right side built Π(Y) of every dense arrow's codomain; it now reads the
+components of ∫Y."""
 
 import pathlib
 
@@ -168,6 +172,10 @@ COMMANDS = {
                                 1),
     "verify-C-arrowidem-3": (("verify", "C", "--base",
                               "samples/arrowidem.cat", "--bound", "3"), 1),
+    "dec-topos-sierpinski-2": (("dec-topos", "--base", "sierpinski",
+                                "--bound", "2"), 0),
+    "dec-topos-cospan-2": (("dec-topos", "--base", "samples/cospan.cat",
+                            "--bound", "2"), 0),
 }
 
 

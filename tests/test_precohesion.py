@@ -22,7 +22,8 @@ from fptopos.errors import AxiomPrereqFailed, CategoryError
 from fptopos.fincat import catalog, close_generators, validate_category
 from fptopos.files import parse_category_file
 from fptopos.precohesion import (check_ns, check_precohesive, has_point,
-                                 theorem_ab_harness, theorem_c_harness)
+                                 ns_holds, theorem_ab_harness,
+                                 theorem_c_harness)
 from fptopos.presheaf import (NatTrans, global_elements, is_isomorphic,
                               nat_transformations, terminal, yoneda)
 
@@ -307,8 +308,8 @@ def test_theorem_c_mutation_of_the_products_side(monkeypatch, capsys):
                  "json"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert (rep["verdict"], rep["details"]["precohesive"]) == ("holds", True)
-    ns_fails = check_ns(GR)
-    monkeypatch.setattr(pre, "check_ns", lambda C: ns_fails)
+    ns_fails = ns_holds(GR)
+    monkeypatch.setattr(pre, "ns_holds", lambda C: ns_fails)
     assert check_precohesive(RG).verdict == "not-applicable"
     assert main(["verify", "C", "--bound", "V=1,E=1", "--format",
                  "json"]) == 1
@@ -348,12 +349,12 @@ def test_ns_is_decided_once_per_command(monkeypatch, capsys, argv, verdict):
 
     def counting(C):
         calls.append(C.name)
-        return check_ns(C)
+        return ns_holds(C)
 
     def no_corpus(*args):
         raise AssertionError("a corpus was enumerated")
 
-    _patch_everywhere(monkeypatch, check_ns, counting)
+    _patch_everywhere(monkeypatch, ns_holds, counting)
     _patch_everywhere(monkeypatch, enumerate_presheaves, no_corpus)
     assert main([*argv, "--bound", "6", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == verdict
@@ -368,8 +369,8 @@ def test_failed_ns_turns_every_shortcut_off(monkeypatch, capsys, base):
     # properties, the bounded DQO and DSO checks and the three searches
     # that NS forces are walked over the corpus (which finds no failure,
     # as NS in fact holds).
-    ns_fails = check_ns(GR)
-    _patch_everywhere(monkeypatch, check_ns, lambda C: ns_fails)
+    ns_fails = ns_holds(GR)
+    _patch_everywhere(monkeypatch, ns_holds, lambda C: ns_fails)
     walked = []
 
     def counting(*args):
